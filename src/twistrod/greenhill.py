@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EigenvalueConsistencyError
-from .shape import RodSpec, integrate
+from .shape import RodSpec
 from .transform import CoordinateMap
 
 # Endpoint residual above this fraction of the mode amplitude means the
@@ -90,14 +90,8 @@ def critical_torque_value(spec: RodSpec, mode_index: int = 1) -> float:
     """Critical torque alone: 2*pi*k*E / integral dt/(F(t)*J_ref)."""
     if mode_index < 1 or int(mode_index) != mode_index:
         raise ValueError(f"mode index must be a positive integer, got {mode_index}")
-    shape = spec.shape
-    compliance = integrate(
-        lambda t: 1.0 / (shape.evaluate(t) * spec.J_ref),
-        0.0,
-        shape.L,
-        breakpoints=shape.panel_edges(),
-    )
-    return mode_index * 2.0 * math.pi * spec.E / compliance
+    l = CoordinateMap.build(spec.shape).l
+    return mode_index * 2.0 * math.pi * spec.E * spec.J_ref / l
 
 
 def critical_torque(
@@ -105,7 +99,7 @@ def critical_torque(
 ) -> BucklingResult:
     """Exact critical torque of a variable-profile rod, with its mode.
 
-    Evaluates the reciprocal-stiffness integral directly and populates the
+    Evaluates the reciprocal-stiffness integral in closed form and populates the
     mode via :func:`mode_shape` with the default constants (1, 0); at an
     eigenvalue the endpoint matrix vanishes identically, so any nonzero
     constant pair yields a valid mode and (1, 0) keeps output deterministic.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .shape import AreaProfile, CrossSectionLaw, integrate
+from .shape import AreaProfile, CrossSectionLaw
 
 GAP_CONVERGED = 1e-3
 VOLUME_TOL = 1e-10
@@ -27,19 +27,15 @@ def objective(A: AreaProfile, E: float, law: CrossSectionLaw) -> float:
     """Critical torque of the rod with area profile A:
     2*pi*E*alpha_n / integral A**(-n).
 
-    Piecewise profiles are integrated panel-by-panel in closed form;
-    anything else goes through adaptive quadrature.
+    Integrated panel by panel in closed form, so ``A`` must be piecewise
+    constant (carry ``panel_values``).
     """
-    n = law.n
-    if A.panel_values is not None:
-        if np.any(A.panel_values <= 0.0):
-            return 0.0
-        widths = np.diff(A.panel_edges)
-        compliance = float(np.sum(widths * A.panel_values ** (-n)))
-    else:
-        compliance = integrate(
-            lambda t: float(A.area(t)) ** (-n), 0.0, A.L, breakpoints=A.panel_edges
-        )
+    if A.panel_values is None:
+        raise ValueError("objective needs a piecewise-constant area profile")
+    if np.any(A.panel_values <= 0.0):
+        return 0.0
+    widths = np.diff(A.panel_edges)
+    compliance = float(np.sum(widths * A.panel_values ** (-law.n)))
     return 2.0 * math.pi * E * law.alpha / compliance
 
 

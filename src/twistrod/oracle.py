@@ -16,9 +16,10 @@ integration by half the accumulated phase:
     g(M) = Re( (y_end + i z_end) * exp(i M phi / 2) ),
 
 which for the exact solution equals (2/M) sin(M phi / 2): it vanishes
-exactly at the eigenvalues and changes sign there.  Small quadrature
-errors in phi only rotate the endpoint slightly and cannot move the
-zeros, so the located roots are governed by the integration alone.
+exactly at the eigenvalues and changes sign there.  phi comes from the
+exact per-panel coordinate map; a small error in it would only rotate
+the endpoint slightly and could not move the zeros, so the located roots
+are governed by the integration alone.
 """
 
 from __future__ import annotations

@@ -324,15 +324,11 @@ class AreaProfile:
     def mean_area(self) -> float:
         return self.volume / self.L
 
-    def max_relative_deviation(self, probes: int = 2049) -> float:
-        """sup |A - mean| / mean over panel edges, midpoints and a dense grid."""
-        pts = np.union1d(
-            np.linspace(0.0, self.L, probes),
-            np.union1d(
-                self.panel_edges,
-                0.5 * (self.panel_edges[:-1] + self.panel_edges[1:]),
-            ),
-        )
+    def max_relative_deviation(self) -> float:
+        """sup |A - mean| / mean, exact from panel edges and midpoints: the
+        area is monotone on every panel, so its extremes sit at these."""
+        edges = self.panel_edges
+        pts = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
         a = np.asarray(self.area(pts), dtype=float)
         mean = self.mean_area
         return float(np.max(np.abs(a - mean)) / mean)

@@ -17,17 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .shape import ShapeFunction, integrate
+from .shape import ShapeFunction
 
 
 def physical_length(shape: ShapeFunction) -> float:
     """Equivalent uniform-rod length l = integral_0^L dxi / F(xi)."""
-    return integrate(
-        lambda t: 1.0 / shape.evaluate(t),
-        0.0,
-        shape.L,
-        breakpoints=shape.panel_edges(),
-    )
+    return CoordinateMap.build(shape).l
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,8 @@ class CoordinateMap:
     @classmethod
     def build(cls, shape: ShapeFunction) -> "CoordinateMap":
         edges = shape.panel_edges()
-        increments = [_panel_increment(shape, a, b) for a, b in zip(edges[:-1], edges[1:])]
+        f0, df = _linear_panels(shape)
+        increments = _reciprocal_integral(np.diff(edges), f0, df)
         xs = np.concatenate([[0.0], np.cumsum(increments)])
         return cls(shape=shape, nodes_xi=edges, nodes_x=xs)
 
@@ -65,7 +61,12 @@ class CoordinateMap:
             raise ValueError(f"coordinate {xi} outside [0, {self.L}]")
         i = int(np.searchsorted(self.nodes_xi, xi, side="right")) - 1
         i = min(max(i, 0), self.nodes_xi.size - 2)
-        return float(self.nodes_x[i]) + _panel_increment(self.shape, self.nodes_xi[i], xi)
+        a, b = self.nodes_xi[i], self.nodes_xi[i + 1]
+        f0, df = _linear_panels(self.shape)
+        # F is linear on the panel, so over [a, xi] it changes by the
+        # matching fraction of the whole panel's change.
+        partial = _reciprocal_integral(xi - a, f0[i], df[i] * (xi - a) / (b - a))
+        return float(self.nodes_x[i] + partial)
 
     def x_to_xi(self, x: float) -> float:
         """Inverse map via bracketed root search within the located panel."""
@@ -90,36 +91,19 @@ class CoordinateMap:
             )
         )
 
-    def pull_back_mode(
-        self, xi_grid: np.ndarray, Y: np.ndarray, Z: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Re-index a rod-span mode sample onto the stretched coordinate.
 
-        Displacements are invariant under the change of variable (the map
-        only relabels the abscissa), so the values pass through unchanged
-        and the grid becomes the image of the input grid.
-        """
-        xi_grid = np.asarray(xi_grid, dtype=float)
-        xs = np.array([self.xi_to_x(t) for t in xi_grid])
-        return xs, np.array(Y, dtype=float, copy=True), np.array(Z, dtype=float, copy=True)
+def _linear_panels(shape: ShapeFunction) -> tuple[np.ndarray, np.ndarray]:
+    """F at the left end of every smooth panel and its change across it."""
+    if shape.kind == "sampled":
+        return shape.values[:-1], np.diff(shape.values)
+    return shape.values, np.zeros_like(shape.values)
 
 
-def _panel_increment(shape: ShapeFunction, a: float, xi: float) -> float:
-    """integral_a^xi dt / F(t) within one smooth panel, in closed form."""
-    if xi <= a:
-        return 0.0
-    if shape.kind in ("constant", "piecewise"):
-        # F is constant on the panel; sample strictly inside it.
-        value = shape.evaluate(0.5 * (a + min(xi, shape.L)))
-        return (xi - a) / value
-    # sampled profile: F linear between grid nodes
-    grid = np.linspace(0.0, shape.L, shape.values.size)
-    h = grid[1] - grid[0]
-    i = min(int(a / h + 0.5), shape.values.size - 2)
-    f0, f1 = shape.values[i], shape.values[i + 1]
-    slope = (f1 - f0) / h
-    fa = f0 + slope * (a - grid[i])
-    fx = f0 + slope * (xi - grid[i])
-    if abs(f1 - f0) <= 1e-14 * max(abs(f0), abs(f1)):
-        return (xi - a) / fa
-    return float(np.log(fx / fa) / slope)
+def _reciprocal_integral(
+    w: np.ndarray | float, f0: np.ndarray | float, df: np.ndarray | float
+) -> np.ndarray:
+    """integral dt / F over width ``w`` where F runs linearly from ``f0`` to
+    ``f0 + df``, in closed form; log1p keeps nearly flat panels exact."""
+    flat = df == 0.0
+    d = np.where(flat, 1.0, df)
+    return np.where(flat, w / f0, w * np.log1p(d / f0) / d)

@@ -16,7 +16,7 @@ from twistrod.greenhill import (
 )
 from twistrod.oracle import critical_torque_oracle
 from twistrod.sampling import Lcg64, random_piecewise_shape
-from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
+from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, integrate
 from twistrod.transform import physical_length
 
 LAW = CrossSectionLaw(1, 1.0)
@@ -29,6 +29,11 @@ def rod(shape: ShapeFunction, E: float = 1.0, J_ref: float = 1.0) -> RodSpec:
 UNIFORM = rod(ShapeFunction.constant(1.0, 1.0))
 DOUBLE = rod(ShapeFunction.constant(2.0, 1.0))
 PIECEWISE = rod(ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]))
+
+
+def random_sampled_shape(rng: Lcg64) -> ShapeFunction:
+    """Unit-span sampled profile: 2-9 grid values in [0.5, 4]."""
+    return ShapeFunction.sampled([rng.log_uniform(0.5, 4.0) for _ in range(rng.integer(2, 9))])
 
 
 class TestConstantCase:
@@ -74,13 +79,26 @@ class TestVariableProfile:
         )
 
     def test_agrees_with_constant_formula_via_length(self):
+        # the length comes from adaptive quadrature, independent of the engine
         rng = Lcg64(31)
         for _ in range(10):
-            spec = rod(random_piecewise_shape(rng))
-            expected = critical_torque_constant(
-                spec.E, spec.J_ref, physical_length(spec.shape)
-            )
-            assert critical_torque_value(spec) == pytest.approx(expected, rel=1e-12)
+            for shape in (random_piecewise_shape(rng), random_sampled_shape(rng)):
+                spec = rod(shape)
+                l = integrate(
+                    lambda t: 1.0 / shape(t), 0.0, shape.L, breakpoints=shape.panel_edges()
+                )
+                expected = critical_torque_constant(spec.E, spec.J_ref, l)
+                assert critical_torque_value(spec) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("slope", [1e-6, 1e-8, 1e-10, 1e-13])
+    def test_nearly_flat_sampled_rod(self, slope):
+        # the torque and the mode grid share one length, so the returned
+        # torque is an eigenvalue of the mode however flat the panels are
+        shape = ShapeFunction.sampled([1.0, 1.0 + slope, 1.0 + 2.0 * slope, 1.3])
+        spec = RodSpec(E=1.0, J_ref=1.0, shape=shape, law=CrossSectionLaw(2, 0.1))
+        result = critical_torque(spec)
+        assert result.M_crit == pytest.approx(critical_torque_value(spec), rel=0.0)
+        assert result.mode.x[-1] == pytest.approx(physical_length(shape), rel=0.0)
 
     def test_scaling_laws(self):
         rng = Lcg64(37)

@@ -17,7 +17,7 @@ from twistrod.optimizer import (
     optimize,
 )
 from twistrod.sampling import Lcg64, law_for_exponent, random_areas
-from twistrod.shape import AreaProfile, CrossSectionLaw
+from twistrod.shape import AreaProfile, CrossSectionLaw, RodSpec, ShapeFunction, area_profile
 
 LAW1 = CrossSectionLaw(1, 1.0)
 
@@ -60,6 +60,12 @@ class TestObjective:
             panel_values=np.array([0.0]),
         )
         assert objective(prof, 1.0, LAW1) == 0.0
+
+    def test_rejects_profile_without_panel_values(self):
+        shape = ShapeFunction.sampled([1.0, 2.0], 1.0)
+        prof = area_profile(RodSpec(E=1.0, J_ref=1.0, shape=shape, law=LAW1))
+        with pytest.raises(ValueError):
+            objective(prof, 1.0, LAW1)
 
 
 class TestLagrangeGap:

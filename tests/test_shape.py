@@ -208,6 +208,12 @@ class TestAreaProfile:
         assert prof.mean_area == pytest.approx(2.0, rel=1e-15)
         assert prof.max_relative_deviation() == pytest.approx(0.5, rel=1e-12)
 
+    def test_sampled_deviation_at_panel_ends(self):
+        # A = 1 + xi peaks at the far end: (2 - 1.5) / 1.5
+        shape = ShapeFunction.sampled([1.0, 1.5, 2.0], 1.0)
+        prof = area_profile(RodSpec(E=1.0, J_ref=1.0, shape=shape, law=CrossSectionLaw(1, 1.0)))
+        assert prof.max_relative_deviation() == pytest.approx(1.0 / 3.0, rel=1e-12)
+
 
 class TestRodSpec:
     def test_rejects_nonpositive(self):

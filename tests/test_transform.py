@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from twistrod.sampling import Lcg64, random_piecewise_shape
-from twistrod.shape import ShapeFunction
+from twistrod.shape import ShapeFunction, integrate
 from twistrod.transform import CoordinateMap, physical_length
 
 PIECEWISE_12 = ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0])
+
+
+def random_sampled_shape(rng: Lcg64) -> ShapeFunction:
+    """Unit-span sampled profile: 2-9 grid values in [0.5, 4]."""
+    return ShapeFunction.sampled([rng.log_uniform(0.5, 4.0) for _ in range(rng.integer(2, 9))])
 
 
 class TestPhysicalLength:
@@ -70,11 +77,28 @@ class TestForwardMap:
             m.xi_to_x(1.01)
 
     def test_matches_physical_length(self):
+        # adaptive quadrature is the independent witness of the closed form
         rng = Lcg64(17)
         for _ in range(10):
-            shape = random_piecewise_shape(rng)
-            m = CoordinateMap.build(shape)
-            assert m.l == pytest.approx(physical_length(shape), rel=1e-12)
+            for shape in (random_piecewise_shape(rng), random_sampled_shape(rng)):
+                witness = integrate(
+                    lambda t: 1.0 / shape(t), 0.0, shape.L, breakpoints=shape.panel_edges()
+                )
+                assert CoordinateMap.build(shape).l == pytest.approx(witness, rel=1e-12)
+                assert physical_length(shape) == pytest.approx(witness, rel=1e-12)
+
+    @pytest.mark.parametrize("slope", [1e-6, 1e-8, 1e-10, 1e-13])
+    def test_nearly_flat_sampled_panels(self, slope):
+        # log(f1/f0) cancels when f1 ~ f0; the panel integral must not
+        values = [1.0, 1.0 + slope, 1.0 + 2.0 * slope, 1.3]
+        h = 1.0 / 3.0
+        reference = 0.0
+        for f0, f1 in zip(values[:-1], values[1:]):
+            d = f1 - f0
+            reference += h * math.log1p(d / f0) / d
+        m = CoordinateMap.build(ShapeFunction.sampled(values, 1.0))
+        assert m.l == pytest.approx(reference, rel=1e-13)
+        assert m.xi_to_x(1.0 / 3.0) == pytest.approx(h * math.log1p(slope) / slope, rel=1e-13)
 
     def test_sampled_profile_closed_form(self):
         # F = 1 + xi on [0, 1]: x(xi) = log(1 + xi)
@@ -121,29 +145,3 @@ class TestInverseMap:
         for _ in range(50):
             xi = rng.uniform()
             assert m.x_to_xi(m.xi_to_x(xi)) == pytest.approx(xi, rel=1e-10, abs=1e-12)
-
-
-class TestPullBackMode:
-    def test_identity(self):
-        m = CoordinateMap.build(ShapeFunction.constant(1.0, 1.0))
-        xi = np.linspace(0.0, 1.0, 11)
-        Y, Z = np.sin(xi), np.cos(xi)
-        xs, y, z = m.pull_back_mode(xi, Y, Z)
-        np.testing.assert_allclose(xs, xi, rtol=1e-14)
-        np.testing.assert_array_equal(y, Y)
-        np.testing.assert_array_equal(z, Z)
-
-    def test_halved_domain(self):
-        # F = 2: x = xi/2, values unchanged, so y(x) = sin(2 pi (2x) / L)
-        m = CoordinateMap.build(ShapeFunction.constant(2.0, 1.0))
-        xi = np.linspace(0.0, 1.0, 33)
-        Y = np.sin(2.0 * np.pi * xi)
-        xs, y, _ = m.pull_back_mode(xi, Y, np.zeros_like(Y))
-        np.testing.assert_allclose(xs, xi / 2.0, atol=1e-15)
-        np.testing.assert_allclose(y, np.sin(2.0 * np.pi * 2.0 * xs), atol=1e-12)
-
-    def test_zero_mode(self):
-        m = CoordinateMap.build(PIECEWISE_12)
-        xi = np.linspace(0.0, 1.0, 9)
-        _, y, z = m.pull_back_mode(xi, np.zeros_like(xi), np.zeros_like(xi))
-        assert not y.any() and not z.any()
