@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import RootSearchError
 from .greenhill import BucklingResult, ModeShape, critical_torque as _isotropic_critical_torque
 from .greenhill import critical_torque_value
-from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, build_step_grid, propagate
-from .shape import CrossSectionLaw, RodSpec, ShapeFunction
+from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _shoot
+from .oracle import build_step_grid, endpoint_det, propagate, scan_and_refine
+from .shape import CrossSectionLaw, RodSpec, ShapeFunction, require_positive
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class AnisotropicSection:
     Jz: float
 
     def __post_init__(self) -> None:
-        if self.Jy <= 0 or self.Jz <= 0:
-            raise ValueError(f"inertias must be positive, got Jy={self.Jy}, Jz={self.Jz}")
+        require_positive(self.Jy, "inertia Jy")
+        require_positive(self.Jz, "inertia Jz")
 
     @property
     def k(self) -> float:
@@ -56,8 +56,7 @@ class AnisotropicRodSpec:
     law: CrossSectionLaw
 
     def __post_init__(self) -> None:
-        if self.E <= 0:
-            raise ValueError(f"Young's modulus must be positive, got {self.E}")
+        require_positive(self.E, "Young's modulus")
 
 
 def reduce_to_isotropic(spec: AnisotropicRodSpec) -> RodSpec:
@@ -125,15 +124,10 @@ def shoot_anisotropic(
     written, with no change of variables, for the two constant-pair bases.
     With Jy = Jz this reproduces the isotropic shooting bit for bit.
     """
-    if M <= 0:
-        raise ValueError(f"torque must be positive, got {M}")
     grid = build_step_grid(
         spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps, align_panels
     )
-    y1, z1 = propagate(grid, M, 1.0, 0.0)
-    y2, z2 = propagate(grid, M, 0.0, 1.0)
-    S = np.array([[y1, y2], [z1, z2]])
-    return ShootingResult(S=S, det=y1 * z2 - y2 * z1, M=M)
+    return _shoot(grid, M)
 
 
 def first_root_anisotropic(
@@ -155,46 +149,23 @@ def first_root_anisotropic(
     if bracket is None:
         estimate = critical_torque_value(reduce_to_isotropic(spec))
         bracket = (1e-3 * estimate, 4.0 * estimate)
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-
     grid = build_step_grid(spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps, True)
-
-    def trace_and_det(m: float) -> tuple[float, float]:
-        y1, z1 = propagate(grid, m, 1.0, 0.0)
-        y2, z2 = propagate(grid, m, 0.0, 1.0)
-        return y1 + z2, y1 * z2 - y2 * z1
-
-    ms = np.linspace(lo, hi, probes + 1)
-    traces = np.empty(probes + 1)
-    dets = np.empty(probes + 1)
-    root = None
-    scanned = 0
-    for i, m in enumerate(ms):
-        traces[i], dets[i] = trace_and_det(m)
-        scanned = i + 1
-        if i == 0:
-            continue
-        if traces[i - 1] < 0.0 <= traces[i]:
-            root = brentq(
-                lambda x: trace_and_det(x)[0],
-                ms[i - 1],
-                ms[i],
-                xtol=tol * ms[i],
-                rtol=8.9e-16,
-            )
-            break
-    if root is None:
+    roots, S, traces = scan_and_refine(
+        lambda m: propagate(grid, m),
+        lambda S, m: S[:, 0, 0] + S[:, 1, 1],
+        bracket, probes, tol, upward=True,
+    )
+    if not roots:
         raise RootSearchError(
-            f"no upward trace crossing in ({lo}, {hi}); "
-            f"trace range [{traces[:scanned].min():.3e}, {traces[:scanned].max():.3e}]"
+            f"no upward trace crossing in ({bracket[0]}, {bracket[1]}); "
+            f"trace range [{traces.min():.3e}, {traces.max():.3e}]"
         )
-    det_at_root = trace_and_det(float(root))[1]
-    det_scale = float(np.max(np.abs(dets[:scanned])))
+    root = roots[0]
+    det_at_root = float(endpoint_det(propagate(grid, np.array([root]))[0]))
+    det_scale = float(np.max(np.abs(endpoint_det(S))))
     if det_at_root > 1e-6 * det_scale:
         raise RootSearchError(
             f"trace crossing at M={root:.6g} is not an eigenvalue: "
             f"det {det_at_root:.3e} vs scan scale {det_scale:.3e}"
         )
-    return float(root)
+    return root

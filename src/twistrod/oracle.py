@@ -2,10 +2,25 @@
 
 Validates the closed-form critical torque without using it: the
 once-integrated deflection equations with the rod's actual variable
-stiffness are integrated as an initial-value problem along the span for
-the two constant-pair bases (1, 0) and (0, 1), and buckling torques are
-located as the parameter values where the endpoint matrix S becomes
-singular.
+stiffness, y' = (M z + c1) gz and z' = (c2 - M y) gy, are integrated by
+fixed-step RK4 along the span from (0, 0), and buckling torques are
+located as the parameter values where the endpoint matrix S (endpoint
+= S @ (c1, c2)) becomes singular.
+
+The system is linear, so one RK4 step is an affine map v -> A v + B c
+whose entries are polynomials in M.  With (z0, z1, z2) and (y0, y1, y2)
+the values of gz and gy at the step's three stencil points,
+
+    B11 = a1 - M^2 a3,    a1 = h/6 (z0 + 4 z1 + z2),  a3 = h^3/12 z1 y1 (z0 + z2)
+    B12 = M (p2 - M^2 p4),  p2 = h^2/6 (z1 y0 + z1 y1 + z2 y1),  p4 = h^4/24 z1 y1 z2 y0
+    B22, B21: as B11, -B12 with y and z exchanged (coefficients b1, b3, q2, q4)
+    A11 = 1 - M B12,  A12 = M B11,  A21 = -M B22,  A22 = 1 + M B21.
+
+``build_step_grid`` stores the eight coefficients per step; ``propagate``
+evaluates every step map for a vector of torques at once and composes
+them pairwise as a balanced tree (an odd level padded with the identity
+map).  The translation part of the composite is S: the RK4 endpoint,
+reassociated.
 
 det S(M) is analytically a perfect square (it equals
 |1 - exp(-i M phi)|**2 / M**2 for the exact solution, phi the total
@@ -24,8 +39,8 @@ are governed by the integration alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,6 +54,11 @@ DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
 MIN_STEPS = 16
+# Torques per kernel call while scanning: the step maps of one call take
+# 8 * SCAN_BLOCK * steps floats (1 MB at 4096 steps).
+SCAN_BLOCK = 4
+
+_IDENTITY_MAP = np.eye(2, 4).reshape(2, 4, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -54,6 +74,11 @@ class ShootingResult:
     M: float
 
 
+def endpoint_det(S: np.ndarray) -> np.ndarray:
+    """Determinant of one endpoint matrix or of a stack of them."""
+    return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+
+
 def build_step_grid(
     shape: ShapeFunction,
     E: float,
@@ -61,8 +86,9 @@ def build_step_grid(
     J_z: float,
     steps: int = DEFAULT_STEPS,
     align_panels: bool = True,
-) -> list[tuple[float, float, float, float, float, float, float]]:
-    """Precompute per-step RK4 data: (h, gz at 3 stencil points, gy at 3).
+) -> np.ndarray:
+    """Step-map coefficients, one row (a1, a3, p2, p4, b1, b3, q2, q4) per
+    RK4 step (see the module docstring).
 
     gz = 1/(E*J_z*F) multiplies the y-equation, gy = 1/(E*J_y*F) the
     z-equation (they coincide for isotropic sections).  With
@@ -72,76 +98,64 @@ def build_step_grid(
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
-    starts: list[np.ndarray] = []
-    widths: list[np.ndarray] = []
     if align_panels:
         edges = shape.panel_edges()
-        for a, b in zip(edges[:-1], edges[1:]):
-            m = max(1, round(steps * (b - a) / shape.L))
-            h = (b - a) / m
-            starts.append(a + h * np.arange(m))
-            widths.append(np.full(m, h))
+        counts = np.maximum(1, np.round(steps * np.diff(edges) / shape.L)).astype(int)
     else:
-        h = shape.L / steps
-        starts.append(h * np.arange(steps))
-        widths.append(np.full(steps, h))
-    s0 = np.concatenate(starts)
-    hs = np.concatenate(widths)
-    stencil = np.concatenate([s0, s0 + 0.5 * hs, np.minimum(s0 + hs, shape.L)])
-
+        edges, counts = np.array([0.0, shape.L]), np.array([steps])
+    h = np.repeat(np.diff(edges) / counts, counts)
+    index = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    s0 = np.repeat(edges[:-1], counts) + h * index
     if align_panels and shape.kind in ("constant", "piecewise"):
         # F is constant within each aligned step; sample strictly inside so
         # breakpoint half-openness cannot leak the neighbouring value.
-        f_mid = np.asarray(shape.evaluate(s0 + 0.5 * hs))
-        f = np.tile(f_mid, 3)
+        f = np.tile(np.asarray(shape.evaluate(s0 + 0.5 * h)), 3)
     else:
+        stencil = np.concatenate([s0, s0 + 0.5 * h, np.minimum(s0 + h, shape.L)])
         f = np.asarray(shape.evaluate(stencil))
+    gz = np.split(1.0 / (E * J_z * f), 3)
+    gy = np.split(1.0 / (E * J_y * f), 3)
 
-    third = s0.size
-    gz = 1.0 / (E * J_z * f)
-    gy = 1.0 / (E * J_y * f)
-    return list(
-        zip(
-            hs.tolist(),
-            gz[:third].tolist(),
-            gz[third : 2 * third].tolist(),
-            gz[2 * third :].tolist(),
-            gy[:third].tolist(),
-            gy[third : 2 * third].tolist(),
-            gy[2 * third :].tolist(),
-        )
-    )
+    def coefficients(u, v):
+        # (a1, a3, p2, p4) with u = gz, v = gy; (b1, b3, q2, q4) with them exchanged
+        return [
+            h / 6.0 * (u[0] + 4.0 * u[1] + u[2]),
+            h**3 / 12.0 * u[1] * v[1] * (u[0] + u[2]),
+            h**2 / 6.0 * (u[1] * v[0] + u[1] * v[1] + u[2] * v[1]),
+            h**4 / 24.0 * u[1] * v[1] * u[2] * v[0],
+        ]
+
+    return np.column_stack(coefficients(gz, gy) + coefficients(gy, gz))
 
 
-def propagate(
-    grid: list[tuple[float, float, float, float, float, float, float]],
-    M: float,
-    c1: float,
-    c2: float,
-) -> tuple[float, float]:
-    """Classical fixed-step RK4 for y' = (M z + c1) gz, z' = (c2 - M y) gy,
-    from (0, 0) to the far end of the span.  Returns (y_end, z_end)."""
-    y = 0.0
-    z = 0.0
-    for h, gz0, gz1, gz2, gy0, gy1, gy2 in grid:
-        k1y = (M * z + c1) * gz0
-        k1z = (c2 - M * y) * gy0
-        uy = y + 0.5 * h * k1y
-        uz = z + 0.5 * h * k1z
-        k2y = (M * uz + c1) * gz1
-        k2z = (c2 - M * uy) * gy1
-        uy = y + 0.5 * h * k2y
-        uz = z + 0.5 * h * k2z
-        k3y = (M * uz + c1) * gz1
-        k3z = (c2 - M * uy) * gy1
-        uy = y + h * k3y
-        uz = z + h * k3z
-        k4y = (M * uz + c1) * gz2
-        k4z = (c2 - M * uy) * gy2
-        sixth = h / 6.0
-        y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
-    return y, z
+def propagate(grid: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Endpoint matrices S, shape (len(M), 2, 2), for the 1-D array of
+    torques ``M``, by tree composition of the step maps (module docstring)."""
+    m = np.asarray(M, dtype=float).reshape(-1, 1)
+    m2 = m * m
+    a1, a3, p2, p4, b1, b3, q2, q4 = grid.T
+    b11 = a1 - m2 * a3
+    b22 = b1 - m2 * b3
+    b12 = m * (p2 - m2 * p4)
+    b21 = -m * (q2 - m2 * q4)
+    # maps[i, j]: row i of the augmented step matrix [A | B], per torque and step
+    maps = np.array([[1.0 - m * b12, m * b11, b11, b12], [-m * b22, 1.0 + m * b21, b21, b22]])
+    while maps.shape[-1] > 1:
+        if maps.shape[-1] % 2:
+            pad = np.broadcast_to(_IDENTITY_MAP, maps.shape[:-1] + (1,))
+            maps = np.concatenate([maps, pad], axis=-1)
+        earlier, later = maps[..., 0::2], maps[..., 1::2]
+        maps = np.einsum("ilkn,ljkn->ijkn", later[:, :2], earlier)
+        maps[:, 2:] += later[:, 2:]
+    return np.moveaxis(maps[:, 2:, :, 0], -1, 0)
+
+
+def _shoot(grid: np.ndarray, M: float) -> ShootingResult:
+    """Endpoint matrix and its determinant at one positive torque."""
+    if M <= 0:
+        raise ValueError(f"torque must be positive, got {M}")
+    S = propagate(grid, np.array([M]))[0]
+    return ShootingResult(S=S, det=float(endpoint_det(S)), M=M)
 
 
 def shoot(
@@ -151,19 +165,76 @@ def shoot(
     align_panels: bool = True,
 ) -> ShootingResult:
     """Endpoint matrix of the variable-stiffness system at torque ``M``."""
-    if M <= 0:
-        raise ValueError(f"torque must be positive, got {M}")
     grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, align_panels)
-    y1, z1 = propagate(grid, M, 1.0, 0.0)
-    y2, z2 = propagate(grid, M, 0.0, 1.0)
-    S = np.array([[y1, y2], [z1, z2]])
-    return ShootingResult(S=S, det=y1 * z2 - y2 * z1, M=M)
+    return _shoot(grid, M)
 
 
-def _root_function(grid, M: float, phi: float) -> float:
-    y, z = propagate(grid, M, 1.0, 0.0)
+def _root_function(S: np.ndarray, M: np.ndarray, phi: float) -> np.ndarray:
+    """Signed root function g at torques ``M`` from their endpoint matrices."""
     half = 0.5 * M * phi
-    return y * math.cos(half) - z * math.sin(half)
+    return S[:, 0, 0] * np.cos(half) - S[:, 1, 0] * np.sin(half)
+
+
+def scan_and_refine(
+    endpoint: Callable[[np.ndarray], np.ndarray],
+    root_value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    bracket: tuple[float, float],
+    probes: int,
+    tol: float,
+    upward: bool = False,
+    first: bool = True,
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Roots of ``root_value(endpoint(M), M)`` for M in ``bracket``.
+
+    ``probes + 1`` equally spaced torques are evaluated ``SCAN_BLOCK`` at a
+    time; each probe interval (a, b] over which the value crosses zero
+    (only from minus to plus when ``upward``) is refined by ``brentq`` to
+    relative tolerance ``tol``, and with ``first`` the scan stops there.
+    Returns the roots and the endpoint matrices and values scanned.
+    """
+    lo, hi = bracket
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
+
+    def value(m: float) -> float:
+        M = np.array([m])
+        return float(root_value(endpoint(M), M)[0])
+
+    ms = np.linspace(lo, hi, probes + 1)
+    mats: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    roots: list[float] = []
+    for start in range(0, ms.size, SCAN_BLOCK):
+        block = ms[start : start + SCAN_BLOCK]
+        mats.append(endpoint(block))
+        vals.append(root_value(mats[-1], block))
+        g = np.concatenate(vals)
+        for i in range(max(start, 1), g.size):
+            if g[i - 1] < 0.0 <= g[i] or (not upward and g[i] <= 0.0 < g[i - 1]):
+                roots.append(float(brentq(value, ms[i - 1], ms[i], xtol=tol * ms[i], rtol=8.9e-16)))
+                if first:
+                    return roots, np.concatenate(mats)[: i + 1], g[: i + 1]
+    return roots, np.concatenate(mats), np.concatenate(vals)
+
+
+def _isotropic_roots(
+    spec: RodSpec,
+    bracket: tuple[float, float],
+    probes: int,
+    tol: float,
+    steps: int,
+    align_panels: bool,
+    first: bool,
+) -> tuple[list[float], np.ndarray]:
+    """Roots of the signed root function and its values over the scan."""
+    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, align_panels)
+    phi = physical_length(spec.shape) / (spec.E * spec.J_ref)
+    roots, _, g = scan_and_refine(
+        lambda m: propagate(grid, m),
+        lambda S, m: _root_function(S, m, phi),
+        bracket, probes, tol, first=first,
+    )
+    return roots, g
 
 
 def critical_torque_oracle(
@@ -185,35 +256,13 @@ def critical_torque_oracle(
     if bracket is None:
         estimate = critical_torque_value(spec)
         bracket = (1e-3 * estimate, 4.0 * estimate)
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, align_panels)
-    phi = physical_length(spec.shape) / (spec.E * spec.J_ref)
-
-    ms = np.linspace(lo, hi, probes + 1)
-    g_prev = _root_function(grid, ms[0], phi)
-    for i in range(1, ms.size):
-        g_next = _root_function(grid, ms[i], phi)
-        if g_prev == 0.0:
-            return float(ms[i - 1])
-        if g_prev * g_next < 0.0:
-            root = brentq(
-                lambda m: _root_function(grid, m, phi),
-                ms[i - 1],
-                ms[i],
-                xtol=tol * ms[i],
-                rtol=8.9e-16,
-            )
-            return float(root)
-        g_prev = g_next
-    if g_prev == 0.0:
-        return float(ms[-1])
-    raise RootSearchError(
-        f"no eigenvalue bracketed in ({lo}, {hi}): root function runs from "
-        f"{_root_function(grid, lo, phi):.6e} to {g_prev:.6e} without a sign change"
-    )
+    roots, g = _isotropic_roots(spec, bracket, probes, tol, steps, align_panels, True)
+    if not roots:
+        raise RootSearchError(
+            f"no eigenvalue bracketed in ({bracket[0]}, {bracket[1]}): root function runs from "
+            f"{g[0]:.6e} to {g[-1]:.6e} without a sign change"
+        )
+    return roots[0]
 
 
 def eigenvalues_in(
@@ -225,30 +274,9 @@ def eigenvalues_in(
     steps: int = DEFAULT_STEPS,
 ) -> list[float]:
     """All buckling torques in (M_lo, M_hi], by exhaustive scan of the
-    signed root function."""
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, True)
-    phi = physical_length(spec.shape) / (spec.E * spec.J_ref)
-    ms = np.linspace(M_lo, M_hi, probes + 1)
-    gs = [_root_function(grid, m, phi) for m in ms]
-    roots = []
-    for i in range(1, len(ms)):
-        if gs[i - 1] == 0.0:
-            roots.append(float(ms[i - 1]))
-        elif gs[i - 1] * gs[i] < 0.0:
-            roots.append(
-                float(
-                    brentq(
-                        lambda m: _root_function(grid, m, phi),
-                        ms[i - 1],
-                        ms[i],
-                        xtol=tol * ms[i],
-                        rtol=8.9e-16,
-                    )
-                )
-            )
-    if gs[-1] == 0.0:
-        roots.append(float(ms[-1]))
-    return roots
+    signed root function; needs 0 <= M_lo < M_hi (M_lo = 0 finds every
+    torque up to M_hi)."""
+    return _isotropic_roots(spec, (M_lo, M_hi), probes, tol, steps, True, False)[0]
 
 
 def convergence_study(

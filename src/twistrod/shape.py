@@ -29,6 +29,12 @@ DEFAULT_QUAD_TOL = 1e-10
 VALID_KINDS = ("constant", "piecewise", "sampled")
 
 
+def require_positive(value: float, what: str) -> None:
+    """Reject a scalar parameter unless it is positive and finite (NaN fails)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -134,8 +140,7 @@ class ShapeFunction:
     def _validate(self) -> None:
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if not (self.L > 0.0) or not math.isfinite(self.L):
-            raise ValueError(f"domain length must be positive, got {self.L}")
+        require_positive(self.L, "domain length")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile values must be finite")
         # Probe segment values / grid nodes and panel midpoints.  For the
@@ -246,8 +251,7 @@ class CrossSectionLaw:
     def __post_init__(self) -> None:
         if self.n not in (1, 2, 3):
             raise ValueError(f"section-law exponent must be 1, 2 or 3, got {self.n}")
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise ValueError(f"section-law coefficient must be positive, got {self.alpha}")
+        require_positive(self.alpha, "section-law coefficient")
 
     @classmethod
     def solid_circle(cls) -> "CrossSectionLaw":
@@ -278,10 +282,8 @@ class RodSpec:
     law: CrossSectionLaw
 
     def __post_init__(self) -> None:
-        if not (self.E > 0.0 and math.isfinite(self.E)):
-            raise ValueError(f"Young's modulus must be positive, got {self.E}")
-        if not (self.J_ref > 0.0 and math.isfinite(self.J_ref)):
-            raise ValueError(f"reference inertia must be positive, got {self.J_ref}")
+        require_positive(self.E, "Young's modulus")
+        require_positive(self.J_ref, "reference inertia")
 
     def stiffness(self, xi: float | np.ndarray) -> float | np.ndarray:
         """Bending stiffness E * J_ref * F(xi) along the rod."""

@@ -18,10 +18,13 @@ from twistrod.anisotropic import (
     reduce_to_isotropic,
     shoot_anisotropic,
 )
+from twistrod.errors import RootSearchError
 from twistrod.greenhill import critical_torque, critical_torque_value
 from twistrod.oracle import shoot
 from twistrod.sampling import Lcg64, random_anisotropic_spec
 from twistrod.shape import CrossSectionLaw, ShapeFunction
+
+from shape_cases import random_sampled_shape
 
 LAW = CrossSectionLaw(2, 1.0 / (4.0 * math.pi))
 UNIT_SHAPE = ShapeFunction.constant(1.0, 1.0)
@@ -47,6 +50,17 @@ class TestSection:
             AnisotropicSection(0.0, 1.0)
         with pytest.raises(ValueError):
             AnisotropicSection(1.0, -1.0)
+
+    def test_rejects_nonfinite(self):
+        for Jy, Jz in ((math.nan, 1.0), (1.0, math.inf), (math.nan, math.inf), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                AnisotropicSection(Jy, Jz)
+
+    def test_spec_rejects_bad_modulus(self):
+        section = AnisotropicSection(1.0, 2.0)
+        for E in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="Young's modulus"):
+                AnisotropicRodSpec(E=E, section=section, shape=UNIT_SHAPE, law=LAW)
 
 
 class TestReduction:
@@ -125,9 +139,15 @@ class TestFirstRoot:
         rng = Lcg64(89)
         for _ in range(5):
             spec = random_anisotropic_spec(rng)
-            reduced_value = critical_torque_value(reduce_to_isotropic(spec))
-            found = first_root_anisotropic(spec, steps=2048)
-            assert found == pytest.approx(reduced_value, rel=1e-6)
+            sampled = AnisotropicRodSpec(spec.E, spec.section, random_sampled_shape(rng), spec.law)
+            for case in (spec, sampled):
+                reduced_value = critical_torque_value(reduce_to_isotropic(case))
+                found = first_root_anisotropic(case, steps=2048)
+                assert found == pytest.approx(reduced_value, rel=1e-6)
+
+    def test_no_crossing_reports_trace_range(self):
+        with pytest.raises(RootSearchError, match="no upward trace crossing"):
+            first_root_anisotropic(aniso(1.0, 1.0), bracket=(1.0, 5.0))
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):

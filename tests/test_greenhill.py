@@ -19,6 +19,8 @@ from twistrod.sampling import Lcg64, random_piecewise_shape
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, integrate
 from twistrod.transform import physical_length
 
+from shape_cases import random_sampled_shape
+
 LAW = CrossSectionLaw(1, 1.0)
 
 
@@ -29,11 +31,6 @@ def rod(shape: ShapeFunction, E: float = 1.0, J_ref: float = 1.0) -> RodSpec:
 UNIFORM = rod(ShapeFunction.constant(1.0, 1.0))
 DOUBLE = rod(ShapeFunction.constant(2.0, 1.0))
 PIECEWISE = rod(ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]))
-
-
-def random_sampled_shape(rng: Lcg64) -> ShapeFunction:
-    """Unit-span sampled profile: 2-9 grid values in [0.5, 4]."""
-    return ShapeFunction.sampled([rng.log_uniform(0.5, 4.0) for _ in range(rng.integer(2, 9))])
 
 
 class TestConstantCase:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from twistrod.sampling import Lcg64, random_piecewise_shape
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
 from twistrod.transform import physical_length
 
+from shape_cases import random_sampled_shape
+
 LAW = CrossSectionLaw(1, 1.0)
 
 
@@ -33,6 +36,41 @@ def rod(shape: ShapeFunction) -> RodSpec:
 UNIFORM = rod(ShapeFunction.constant(1.0, 1.0))
 DOUBLE = rod(ShapeFunction.constant(2.0, 1.0))
 PIECEWISE = rod(ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]))
+
+
+def reference_endpoint(shape, E, J_y, J_z, M, c1, c2, steps=4096, align_panels=True):
+    """Scalar classical RK4 for y' = (M z + c1) gz, z' = (c2 - M y) gy from
+    (0, 0), one step at a time on the oracle's step placement."""
+    starts, widths = [], []
+    edges = shape.panel_edges() if align_panels else np.array([0.0, shape.L])
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(1, round(steps * (b - a) / shape.L)) if align_panels else steps
+        starts.extend(a + (b - a) / m * np.arange(m))
+        widths.extend([(b - a) / m] * m)
+    s, h = np.array(starts), np.array(widths)
+    if align_panels and shape.kind in ("constant", "piecewise"):
+        f = [shape.evaluate(s + 0.5 * h)] * 3
+    else:
+        f = [shape.evaluate(x) for x in (s, s + 0.5 * h, np.minimum(s + h, shape.L))]
+    gz = [(1.0 / (E * J_z * fi)).tolist() for fi in f]
+    gy = [(1.0 / (E * J_y * fi)).tolist() for fi in f]
+    y = z = 0.0
+    for h, gz0, gz1, gz2, gy0, gy1, gy2 in zip(widths, *gz, *gy):
+        k1y = (M * z + c1) * gz0
+        k1z = (c2 - M * y) * gy0
+        k2y = (M * (z + 0.5 * h * k1z) + c1) * gz1
+        k2z = (c2 - M * (y + 0.5 * h * k1y)) * gy1
+        k3y = (M * (z + 0.5 * h * k2z) + c1) * gz1
+        k3z = (c2 - M * (y + 0.5 * h * k2y)) * gy1
+        k4y = (M * (z + h * k3z) + c1) * gz2
+        k4z = (c2 - M * (y + h * k3y)) * gy2
+        y += h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += h / 6.0 * (k1z + 2.0 * (k2z + k3z) + k4z)
+    return y, z
+
+
+def root_function(grid, M: float, phi: float) -> float:
+    return float(_root_function(propagate(grid, np.array([M])), M, phi)[0])
 
 
 def closed_form_det(spec: RodSpec, M: float) -> float:
@@ -70,11 +108,10 @@ class TestShoot:
         spec = rod(random_piecewise_shape(rng))
         M = 3.7
         result = shoot(spec, M)
-        grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, 4096, True)
         for _ in range(5):
             c1 = rng.uniform() * 4.0 - 2.0
             c2 = rng.uniform() * 4.0 - 2.0
-            y, z = propagate(grid, M, c1, c2)
+            y, z = reference_endpoint(spec.shape, spec.E, spec.J_ref, spec.J_ref, M, c1, c2)
             expected = result.S @ np.array([c1, c2])
             np.testing.assert_allclose([y, z], expected, rtol=1e-12, atol=1e-15)
 
@@ -83,6 +120,56 @@ class TestShoot:
             shoot(UNIFORM, -1.0)
         with pytest.raises(ValueError):
             shoot(UNIFORM, 2.0, steps=8)
+
+
+class TestBatchedKernel:
+    def test_matches_scalar_reference(self):
+        rng = Lcg64(47)
+        cases = [
+            (random_piecewise_shape(rng), 1.0, 1.0),
+            (random_sampled_shape(rng), 1.0, 1.0),
+            (random_piecewise_shape(rng), 2.3, 0.6),  # gy != gz
+            (random_sampled_shape(rng), 0.4, 1.7),
+        ]
+        torques = np.array([0.05, 2.0, 6.5, 11.0])
+        worst = 0.0
+        for shape, J_y, J_z in cases:
+            for steps, align in ((4096, True), (4096, False), (4095, False), (1000, True)):
+                grid = build_step_grid(shape, 1.3, J_y, J_z, steps, align)
+                S = propagate(grid, torques)
+                assert S.shape == (torques.size, 2, 2)
+                for M, S_M in zip(torques, S):
+                    ref = np.column_stack(
+                        [
+                            reference_endpoint(shape, 1.3, J_y, J_z, M, 1.0, 0.0, steps, align),
+                            reference_endpoint(shape, 1.3, J_y, J_z, M, 0.0, 1.0, steps, align),
+                        ]
+                    )
+                    worst = max(worst, np.max(np.abs(S_M - ref)) / np.max(np.abs(ref)))
+        assert worst <= 1e-12
+
+    def test_grid_has_one_row_per_step(self):
+        shape = ShapeFunction.piecewise([0.0, 1.0 / 3.0, 1.0], [1.0, 2.0])
+        assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4095, False)) == 4095
+        assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4096, True)) == 4096
+
+    def test_batch_size_does_not_change_results(self):
+        grid = build_step_grid(PIECEWISE.shape, 1.0, 2.0, 0.5, 1000, True)
+        torques = np.linspace(0.3, 17.0, 13)
+        S = propagate(grid, torques)
+        for i, M in enumerate(torques):
+            np.testing.assert_array_equal(S[i], propagate(grid, np.array([M]))[0])
+
+    def test_scan_memory_does_not_grow_with_probes(self):
+        m_star = critical_torque_value(PIECEWISE)
+        tracemalloc.start()
+        try:
+            roots = eigenvalues_in(PIECEWISE, 0.05 * m_star, 2.99 * m_star, probes=256, steps=4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == 2
+        assert peak < 8 * 2**20
 
 
 class TestRootFunction:
@@ -94,8 +181,8 @@ class TestRootFunction:
             for k in (1, 2):
                 root = k * m_star
                 delta = 1e-3 * root
-                lo = _root_function(grid, root - delta, phi)
-                hi = _root_function(grid, root + delta, phi)
+                lo = root_function(grid, root - delta, phi)
+                hi = root_function(grid, root + delta, phi)
                 assert lo * hi < 0.0
 
     def test_proportional_to_half_angle_sine(self):
@@ -103,7 +190,7 @@ class TestRootFunction:
         grid = build_step_grid(UNIFORM.shape, 1.0, 1.0, 1.0, 4096, True)
         for M in (1.0, 2.0, 4.0, 7.0):
             expected = 2.0 / M * math.sin(M / 2.0)
-            assert _root_function(grid, M, 1.0) == pytest.approx(expected, rel=1e-10)
+            assert root_function(grid, M, 1.0) == pytest.approx(expected, rel=1e-10)
 
 
 class TestCriticalTorqueOracle:
@@ -139,10 +226,11 @@ class TestCriticalTorqueOracle:
         rng = Lcg64(43)
         worst = 0.0
         for _ in range(10):
-            spec = rod(random_piecewise_shape(rng))
-            exact = critical_torque_value(spec)
-            found = critical_torque_oracle(spec)
-            worst = max(worst, abs(found - exact) / exact)
+            for shape in (random_piecewise_shape(rng), random_sampled_shape(rng)):
+                spec = rod(shape)
+                exact = critical_torque_value(spec)
+                found = critical_torque_oracle(spec)
+                worst = max(worst, abs(found - exact) / exact)
         assert worst <= 1e-6
 
     def test_smooth_sampled_profile(self):
@@ -167,6 +255,19 @@ class TestEigenvalueSequence:
         roots = eigenvalues_in(PIECEWISE, 0.05 * m_star, 2.99 * m_star)
         assert len(roots) == 2
         assert roots[1] == pytest.approx(2.0 * roots[0], rel=1e-8)
+
+    def test_scan_from_zero_torque(self):
+        m_star = critical_torque_value(PIECEWISE)
+        roots = eigenvalues_in(PIECEWISE, 0.0, 2.99 * m_star)
+        assert len(roots) == 2
+        assert roots[0] == pytest.approx(m_star, rel=1e-8)
+        assert roots[1] == pytest.approx(2.0 * m_star, rel=1e-8)
+
+    def test_rejects_bad_range(self):
+        with pytest.raises(ValueError):
+            eigenvalues_in(UNIFORM, -1.0, 5.0)
+        with pytest.raises(ValueError):
+            eigenvalues_in(UNIFORM, 5.0, 5.0)
 
 
 class TestConvergence:

@@ -11,12 +11,9 @@ from twistrod.sampling import Lcg64, random_piecewise_shape
 from twistrod.shape import ShapeFunction, integrate
 from twistrod.transform import CoordinateMap, physical_length
 
+from shape_cases import random_sampled_shape
+
 PIECEWISE_12 = ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0])
-
-
-def random_sampled_shape(rng: Lcg64) -> ShapeFunction:
-    """Unit-span sampled profile: 2-9 grid values in [0.5, 4]."""
-    return ShapeFunction.sampled([rng.log_uniform(0.5, 4.0) for _ in range(rng.integer(2, 9))])
 
 
 class TestPhysicalLength:
