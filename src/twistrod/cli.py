@@ -88,8 +88,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     result = (
         aniso.critical_torque(aspec) if aspec is not None else critical_torque(spec)
     )
-    report_bound = iso.verify_bound(spec)
     profile = area_profile(spec)
+    report_bound = iso._bound_report(spec, profile)
 
     mode_csv = None
     if args.out:
@@ -189,11 +189,12 @@ def _suite_isoperimetric(seed: int, n: int, theta_override: bool) -> dict:
             shape=random_piecewise_shape(rng),
             law=law_for_exponent(exponent),
         )
-        report = iso.verify_bound(spec)
+        profile = area_profile(spec)
+        report = iso._bound_report(spec, profile)
         violation = max(0.0, report.ratio - 1.0)
 
         theta = 1.0 / (exponent + 1.0) if theta_override else None
-        residuals = iso.split_identity_residuals(area_profile(spec), exponent, theta)
+        residuals = iso.split_identity_residuals(profile, exponent, theta)
         d = max(violation, *residuals)
         worst = max(worst, d)
         if d > BOUND_TOLERANCE:

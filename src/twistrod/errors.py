@@ -9,7 +9,8 @@ from __future__ import annotations
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """Adaptive quadrature failed to reach the requested tolerance within
+    its panel limit, or produced a non-finite estimate.
 
     Carries the best available estimate so diagnostics can still report
     a number.

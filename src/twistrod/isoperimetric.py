@@ -59,10 +59,13 @@ def holder_exponents_for_law(n: int) -> tuple[float, float, float]:
 class HolderInstance:
     """A concrete inequality instance: nonnegative f, g on [0, L] with
     conjugate exponents (p, q).  ``breakpoints`` align the quadrature with
-    any discontinuities of f or g."""
+    any discontinuities of f or g.
 
-    f: Callable[[float], float]
-    g: Callable[[float], float]
+    ``f`` and ``g`` take an ndarray of coordinates and return values of
+    the same shape; a scalar return (``lambda t: 1.0``) is broadcast."""
+
+    f: Callable[[np.ndarray], np.ndarray | float]
+    g: Callable[[np.ndarray], np.ndarray | float]
     p: float
     q: float
     L: float
@@ -80,8 +83,10 @@ class HolderInstance:
                 raise ValueError(
                     f"exponents are not conjugate: 1/{self.p} + 1/{self.q} != 1"
                 )
-        bad = [t for t in self._probe_grid() if self.f(t) < 0 or self.g(t) < 0]
-        if bad:
+        pts = self._probe_grid()
+        f, g = self._sample(pts)
+        bad = pts[(f < 0) | (g < 0)]
+        if bad.size:
             raise ValueError(f"f and g must be nonnegative; negative value near t={bad[0]}")
 
     def _probe_grid(self, dense: int = 257) -> np.ndarray:
@@ -90,6 +95,13 @@ class HolderInstance:
             bp = np.asarray(self.breakpoints, dtype=float)
             pts = np.union1d(pts, np.union1d(bp, 0.5 * (bp[:-1] + bp[1:])))
         return pts
+
+    def _sample(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and g on the points ``pts``, one call each, broadcast to its shape."""
+        return (
+            np.broadcast_to(np.asarray(self.f(pts), dtype=float), pts.shape),
+            np.broadcast_to(np.asarray(self.g(pts), dtype=float), pts.shape),
+        )
 
 
 def holder_check(inst: HolderInstance) -> tuple[float, float, bool]:
@@ -101,11 +113,11 @@ def holder_check(inst: HolderInstance) -> tuple[float, float, bool]:
     bp = inst.breakpoints
     lhs = integrate(lambda t: inst.f(t) * inst.g(t), 0.0, inst.L, breakpoints=bp)
     if math.isinf(inst.q):
-        sup_g = max(inst.g(t) for t in inst._probe_grid(2049))
-        rhs = integrate(inst.f, 0.0, inst.L, breakpoints=bp) * sup_g
+        _, g = inst._sample(inst._probe_grid(2049))
+        rhs = integrate(inst.f, 0.0, inst.L, breakpoints=bp) * float(np.max(g))
     elif math.isinf(inst.p):
-        sup_f = max(inst.f(t) for t in inst._probe_grid(2049))
-        rhs = sup_f * integrate(inst.g, 0.0, inst.L, breakpoints=bp)
+        f, _ = inst._sample(inst._probe_grid(2049))
+        rhs = float(np.max(f)) * integrate(inst.g, 0.0, inst.L, breakpoints=bp)
     else:
         fp = integrate(lambda t: inst.f(t) ** inst.p, 0.0, inst.L, breakpoints=bp)
         gq = integrate(lambda t: inst.g(t) ** inst.q, 0.0, inst.L, breakpoints=bp)
@@ -121,9 +133,8 @@ def proportionality_gap(inst: HolderInstance) -> float:
     """
     if math.isinf(inst.p) or math.isinf(inst.q):
         raise ValueError("proportionality check needs finite exponents")
-    pts = inst._probe_grid(2049)
-    fp = np.array([inst.f(t) ** inst.p for t in pts])
-    gq = np.array([inst.g(t) ** inst.q for t in pts])
+    f, g = inst._sample(inst._probe_grid(2049))
+    fp, gq = f**inst.p, g**inst.q
     bp = inst.breakpoints
     fp_int = integrate(lambda t: inst.f(t) ** inst.p, 0.0, inst.L, breakpoints=bp)
     gq_int = integrate(lambda t: inst.g(t) ** inst.q, 0.0, inst.L, breakpoints=bp)
@@ -143,11 +154,11 @@ def law_split_instance(
     default_theta, p, q = holder_exponents_for_law(n)
     th = default_theta if theta is None else theta
 
-    def f(t: float) -> float:
-        return float(profile.area(t)) ** th
+    def f(t: np.ndarray) -> np.ndarray:
+        return np.asarray(profile.area(t)) ** th
 
-    def g(t: float) -> float:
-        return float(profile.area(t)) ** (-th)
+    def g(t: np.ndarray) -> np.ndarray:
+        return np.asarray(profile.area(t)) ** (-th)
 
     return HolderInstance(f=f, g=g, p=p, q=q, L=profile.L, breakpoints=profile.panel_edges)
 
@@ -167,7 +178,7 @@ def split_identity_residuals(
     g_q = integrate(lambda t: inst.g(t) ** inst.q, 0.0, profile.L, breakpoints=bp)
     f_g = integrate(lambda t: inst.f(t) * inst.g(t), 0.0, profile.L, breakpoints=bp)
     inv_n = integrate(
-        lambda t: float(profile.area(t)) ** (-float(n)), 0.0, profile.L, breakpoints=bp
+        lambda t: np.asarray(profile.area(t)) ** (-float(n)), 0.0, profile.L, breakpoints=bp
     )
     return (
         abs(f_p - profile.volume) / profile.volume,
@@ -212,8 +223,12 @@ class IsoperimetricReport:
 def verify_bound(spec: RodSpec) -> IsoperimetricReport:
     """Compute critical torque, volume, bound, their ratio and the
     constant-section deviation for one rod."""
+    return _bound_report(spec, area_profile(spec))
+
+
+def _bound_report(spec: RodSpec, profile: AreaProfile) -> IsoperimetricReport:
+    """``verify_bound`` for a rod whose area profile the caller already has."""
     m_star = critical_torque_value(spec)
-    profile: AreaProfile = area_profile(spec)
     m_bound = upper_bound(spec.E, spec.law, profile.volume, spec.shape.L)
     return IsoperimetricReport(
         M_star=m_star,

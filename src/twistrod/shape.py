@@ -5,8 +5,16 @@ The dimensionless stiffness profile F is defined on the rod span
 cross-section law ties the profile to the cross-sectional area through
 F * J_ref = alpha_n * A**n with n in {1, 2, 3}.
 
-All types are immutable after construction and every operation is a
-pure function, so everything here is safe to share across threads.
+``integrate`` is the package's one quadrature engine: adaptive
+Gauss-Kronrod (QUADPACK's G10/K21 pair) run on all panels at once, so
+each refinement round costs one call of the integrand on an array of
+nodes.  Integrands must therefore accept an ndarray.  It shares no
+code with the closed-form panel integrals in ``transform``, so checks
+that compare the two stay independent.
+
+All types are immutable after construction (profiles keep read-only
+copies of their arrays) and every operation is a pure function, so
+everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 
@@ -25,8 +32,20 @@ from .errors import QuadratureError
 MIN_RELATIVE_STIFFNESS = 1e-9
 
 DEFAULT_QUAD_TOL = 1e-10
+# The volume is a reported result and gets a tighter budget.  Its
+# integrand A ~ F**(1/n) stays well conditioned where F is small, unlike
+# the reciprocal powers of the split identities, whose values near a
+# 1e-8 stiffness contrast carry roundoff above 1e-12 of their integral.
+VOLUME_QUAD_TOL = 1e-12
 
 VALID_KINDS = ("constant", "piecewise", "sampled")
+
+
+def _frozen_copy(values: Sequence[float]) -> np.ndarray:
+    """A read-only float copy, so no caller can change a validated profile."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def require_positive(value: float, what: str) -> None:
@@ -35,42 +54,129 @@ def require_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
+# QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule
+# (Piessens et al., 1983, routine QK21): abscissae on [-1, 1] from the
+# end towards the centre, Kronrod weights, and the Gauss weights that
+# belong to every second abscissa.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+
+# The rules mirrored onto all 21 nodes, in ascending order; the Gauss
+# nodes are every second one.
+GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+K21_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+G10_WEIGHTS = np.zeros(21)
+G10_WEIGHTS[1::2] = np.concatenate([_WG, _WG[::-1]])
+
+# A panel's error estimate is never taken below this multiple of machine
+# epsilon times the panel's integral of |f|, which is roundoff.
+ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+# Refinement stops with QuadratureError once the panel count exceeds this
+# multiple of the starting count.
+MAX_PANEL_GROWTH = 200
+
+
+def _gauss_kronrod(
+    f: Callable[[np.ndarray], np.ndarray | float], lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """K21 estimate and error bound of every panel [lo_i, hi_i], from one
+    call of ``f`` on the (panels, 21) node array."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = centre[:, None] + half[:, None] * GK_NODES
+    fx = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+    value = half * (fx @ K21_WEIGHTS)
+    error = np.abs(half * (fx @ (K21_WEIGHTS - G10_WEIGHTS)))
+    floor = ROUNDOFF_FLOOR * half * (np.abs(fx) @ K21_WEIGHTS)
+    return value, np.maximum(error, floor)
+
+
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray | float],
     a: float,
     b: float,
     tol: float = DEFAULT_QUAD_TOL,
     breakpoints: Sequence[float] | None = None,
 ) -> float:
-    """Adaptive quadrature of ``f`` over [a, b] with relative tolerance ``tol``.
+    """Adaptive Gauss-Kronrod quadrature of ``f`` over [a, b] with relative
+    tolerance ``tol``.
 
-    When ``breakpoints`` are supplied the interval is split there and each
-    panel is integrated separately; piecewise-constant integrands then come
-    out exact up to roundoff because the Gauss-Kronrod nodes never straddle
-    a discontinuity.
+    ``f`` takes an ndarray of nodes and returns values of the same shape
+    (a scalar return is broadcast).  The interval is split at
+    ``breakpoints`` that fall inside it, so piecewise-constant integrands
+    come out exact up to roundoff: no node ever sits on a discontinuity.
 
-    Raises QuadratureError (carrying the best estimate) if the underlying
-    adaptive rule reports non-convergence.
+    Every panel gets the G10/K21 pair; its error is |K21 - G10|, floored
+    at 50 eps times the panel's integral of |f|.  Each round evaluates all
+    new panels in one call of ``f``.  When the summed error exceeds
+    ``tol * |I|``, the panels with the largest errors are bisected, worst
+    first, until the errors left alone fit that budget.
+
+    Raises QuadratureError (carrying the best estimate) when the panel
+    count exceeds 200 times the starting count or an estimate is not
+    finite.
     """
     if not a <= b:
         raise ValueError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
     if a == b:
         return 0.0
 
-    edges = [a, b]
+    edges = np.array([a, b], dtype=float)
     if breakpoints is not None:
-        edges = sorted({a, b, *(float(t) for t in breakpoints if a < t < b)})
-
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out = quad(f, lo, hi, epsabs=0.0, epsrel=tol, limit=200, full_output=1)
-        if len(out) > 3:  # quad appends a message on trouble
+        bp = np.asarray(breakpoints, dtype=float)
+        edges = np.unique(np.concatenate([edges, bp[(bp > a) & (bp < b)]]))
+    lo, hi = edges[:-1], edges[1:]
+    max_panels = MAX_PANEL_GROWTH * lo.size
+    value, error = _gauss_kronrod(f, lo, hi)
+    while True:
+        total = float(np.sum(value))
+        spent = float(np.sum(error))
+        if not (math.isfinite(total) and math.isfinite(spent)):
             raise QuadratureError(
-                f"quadrature did not converge on [{lo}, {hi}]: {out[3]}",
-                best_estimate=total + out[0],
+                f"non-finite quadrature estimate on [{a}, {b}]", best_estimate=total
             )
-        total += out[0]
-    return total
+        budget = tol * abs(total)
+        if spent <= budget:
+            return total
+        order = np.argsort(error)[::-1]
+        left_alone = spent - np.cumsum(error[order])  # non-increasing
+        count = min(int(np.count_nonzero(left_alone > budget)) + 1, lo.size)
+        if lo.size + count > max_panels:
+            raise QuadratureError(
+                f"quadrature did not converge on [{a}, {b}] within {max_panels} panels "
+                f"(error estimate {spent:.3g})",
+                best_estimate=total,
+            )
+        split = order[:count]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_value, new_error = _gauss_kronrod(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[keep], new_value])
+        error = np.concatenate([error[keep], new_error])
 
 
 @dataclass(frozen=True)
@@ -86,7 +192,8 @@ class ShapeFunction:
       between.
 
     Use the classmethod constructors; they validate positivity (min F
-    must exceed 1e-9 of max F), domain length, and breakpoint ordering.
+    must exceed 1e-9 of max F), domain length, and breakpoint ordering,
+    and store read-only copies of ``values`` and ``breakpoints``.
     """
 
     kind: str
@@ -98,7 +205,7 @@ class ShapeFunction:
 
     @classmethod
     def constant(cls, value: float, L: float = 1.0) -> "ShapeFunction":
-        shape = cls(kind="constant", L=float(L), values=np.array([float(value)]))
+        shape = cls(kind="constant", L=float(L), values=_frozen_copy([float(value)]))
         shape._validate()
         return shape
 
@@ -108,8 +215,8 @@ class ShapeFunction:
     ) -> "ShapeFunction":
         """Piecewise-constant profile; ``breakpoints`` run from 0 to L and
         bound one more point than there are segment ``values``."""
-        bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        bp = _frozen_copy(breakpoints)
+        vals = _frozen_copy(values)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("piecewise profile needs at least two breakpoints")
         if vals.size != bp.size - 1:
@@ -128,7 +235,7 @@ class ShapeFunction:
     @classmethod
     def sampled(cls, values: Sequence[float], L: float = 1.0) -> "ShapeFunction":
         """Profile sampled on a uniform grid over [0, L], linear in between."""
-        vals = np.asarray(values, dtype=float)
+        vals = _frozen_copy(values)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("sampled profile needs at least two grid values")
         shape = cls(kind="sampled", L=float(L), values=vals)
@@ -308,14 +415,12 @@ class AreaProfile:
     @classmethod
     def piecewise(cls, breakpoints: Sequence[float], areas: Sequence[float]) -> "AreaProfile":
         profile = ShapeFunction.piecewise(breakpoints, areas)
-        vals = np.asarray(areas, dtype=float)
-        widths = np.diff(np.asarray(breakpoints, dtype=float))
         return cls(
             area=profile.evaluate,
             L=profile.L,
-            volume=float(np.sum(widths * vals)),
+            volume=float(np.sum(np.diff(profile.breakpoints) * profile.values)),
             panel_edges=profile.panel_edges(),
-            panel_values=vals,
+            panel_values=profile.values,
         )
 
     @classmethod
@@ -341,7 +446,7 @@ def area_profile(spec: RodSpec) -> AreaProfile:
 
     The area is evaluated pointwise from the exact stiffness profile (no
     resampling); the volume integrates it with the profile's panels as
-    quadrature boundaries.
+    quadrature boundaries, to relative tolerance ``VOLUME_QUAD_TOL``.
     """
     n = spec.law.n
     alpha = spec.law.alpha
@@ -351,7 +456,7 @@ def area_profile(spec: RodSpec) -> AreaProfile:
         return (np.asarray(shape.evaluate(xi)) * spec.J_ref / alpha) ** (1.0 / n)
 
     edges = shape.panel_edges()
-    volume = integrate(lambda t: float(area(t)), 0.0, shape.L, breakpoints=edges)
+    volume = integrate(area, 0.0, shape.L, tol=VOLUME_QUAD_TOL, breakpoints=edges)
     values = None
     if shape.kind in ("constant", "piecewise"):
         values = (shape.values * spec.J_ref / alpha) ** (1.0 / n)

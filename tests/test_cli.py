@@ -7,6 +7,8 @@ import math
 
 import pytest
 
+import twistrod.cli as cli
+import twistrod.isoperimetric as iso
 from twistrod.cli import main
 
 CONSTANT_ROD = {
@@ -71,6 +73,24 @@ class TestAnalyze:
         assert report["M_bound"] == pytest.approx(3.0 * math.pi, rel=1e-12)
         assert report["ratio"] == pytest.approx(8.0 / 9.0, rel=1e-12)
         assert report["oracle"]["disagreement"] <= 1e-8
+
+    def test_one_area_profile_per_rod(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = iso.area_profile
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(cli, "area_profile", counting)
+        monkeypatch.setattr(iso, "area_profile", counting)
+        spec = write(tmp_path, "rod.json", PIECEWISE_ROD)
+        assert main(["analyze", "--spec", spec]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["verify", "--n", "3"]) == 0
+        assert len(calls) == 3
+        capsys.readouterr()
 
     def test_mode_csv_written(self, tmp_path, capsys):
         spec = write(tmp_path, "rod.json", CONSTANT_ROD)

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from twistrod.errors import QuadratureError
+from twistrod.isoperimetric import split_identity_residuals
 from twistrod.sampling import Lcg64, random_piecewise_shape
 from twistrod.shape import (
+    G10_WEIGHTS,
+    GK_NODES,
+    K21_WEIGHTS,
     AreaProfile,
     CrossSectionLaw,
     RodSpec,
@@ -58,6 +65,27 @@ class TestShapeConstruction:
     def test_rejects_short_sampled(self):
         with pytest.raises(ValueError):
             ShapeFunction.sampled([1.0], 1.0)
+
+    def test_sampled_keeps_its_own_values(self):
+        v = np.array([1.0, 2.0, 3.0])
+        shape = ShapeFunction.sampled(v)
+        v[0] = -5.0
+        assert shape.evaluate(0.0) == 1.0
+        with pytest.raises(ValueError):
+            shape.values[0] = -5.0
+
+    def test_piecewise_keeps_its_own_arrays(self):
+        bp = np.array([0.0, 0.5, 1.0])
+        vals = np.array([1.0, 2.0])
+        shape = ShapeFunction.piecewise(bp, vals)
+        bp[1] = 2.0  # would make the validated breakpoints non-monotone
+        vals[0] = -5.0
+        np.testing.assert_array_equal(shape.breakpoints, [0.0, 0.5, 1.0])
+        assert shape.evaluate(0.25) == 1.0
+        assert shape.evaluate(0.75) == 2.0
+        for arr in (shape.breakpoints, shape.values, shape.panel_edges()):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
 
 
 class TestEvaluate:
@@ -129,6 +157,73 @@ class TestIntegrate:
         with pytest.raises(QuadratureError) as err:
             integrate(lambda t: abs(t - 1 / math.pi) ** -0.99, 0.0, 1.0, tol=1e-13)
         assert math.isfinite(err.value.best_estimate)
+
+    def test_nonfinite_estimate_raises(self):
+        with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
+            integrate(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0)
+
+    def test_rule_exactness(self):
+        # K21 integrates polynomials up to degree 31 exactly, G10 up to
+        # degree 19, and neither one degree beyond: this pins the constants.
+        def error(weights, degree):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            return abs(GK_NODES**degree @ weights - exact)
+
+        assert max(error(K21_WEIGHTS, d) for d in range(32)) < 1e-15
+        assert max(error(G10_WEIGHTS, d) for d in range(20)) < 1e-15
+        assert error(K21_WEIGHTS, 32) > 1e-13
+        assert error(G10_WEIGHTS, 20) > 1e-7
+        assert K21_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+        assert np.count_nonzero(G10_WEIGHTS) == 10
+
+    def test_degree_19_panel_converges_at_once(self):
+        # both rules are exact, so the first estimate already meets tol
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return 3.0 * t**19 - t**4 + 2.0
+
+        a, b = 0.5, 2.0
+        exact = 3.0 * (b**20 - a**20) / 20 - (b**5 - a**5) / 5 + 2.0 * (b - a)
+        assert integrate(f, a, b) == pytest.approx(exact, rel=1e-14)
+        assert calls == [(1, 21)]
+
+    def test_piecewise_constant_128_panels_in_one_call(self):
+        rng = Lcg64(17)
+        widths = np.array([rng.log_uniform(0.1, 1.0) for _ in range(128)])
+        bp = np.concatenate([[0.0], np.cumsum(widths)])
+        shape = ShapeFunction.piecewise(bp, [rng.log_uniform(0.25, 4.0) for _ in range(128)])
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return 1.0 / shape.evaluate(t)
+
+        val = integrate(f, 0.0, shape.L, breakpoints=shape.panel_edges())
+        assert calls == [(128, 21)]
+        assert val == pytest.approx(math.fsum(widths / shape.values), rel=1e-14)
+
+    def test_agrees_with_scipy_quad(self):
+        # scipy's adaptive quad is an independent witness on smooth integrands
+        rng = Lcg64(23)
+        for _ in range(20):
+            a, b, c = rng.log_uniform(0.2, 5.0), rng.log_uniform(0.5, 20.0), rng.log_uniform(0.1, 3.0)
+            lo, hi = -rng.log_uniform(0.1, 2.0), rng.log_uniform(0.1, 3.0)
+            for f in (
+                lambda t: np.exp(a * t) * np.cos(b * t) + 3.0,
+                lambda t: 1.0 / (1.0 + c * t * t),
+                lambda t: np.sqrt(1.0 + a * (t - lo)) * np.sin(c * t) ** 2,
+            ):
+                want = quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                assert integrate(f, lo, hi) == pytest.approx(want, rel=1e-10)
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        code = "import sys, twistrod; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSectionLaw:
@@ -208,11 +303,66 @@ class TestAreaProfile:
         assert prof.mean_area == pytest.approx(2.0, rel=1e-15)
         assert prof.max_relative_deviation() == pytest.approx(0.5, rel=1e-12)
 
+    def test_piecewise_constructor_keeps_its_own_areas(self):
+        areas = np.array([1.0, 3.0])
+        prof = AreaProfile.piecewise([0.0, 0.5, 1.0], areas)
+        areas[0] = -1.0
+        np.testing.assert_array_equal(prof.panel_values, [1.0, 3.0])
+        with pytest.raises(ValueError):
+            prof.panel_values[0] = -1.0
+
     def test_sampled_deviation_at_panel_ends(self):
         # A = 1 + xi peaks at the far end: (2 - 1.5) / 1.5
         shape = ShapeFunction.sampled([1.0, 1.5, 2.0], 1.0)
         prof = area_profile(RodSpec(E=1.0, J_ref=1.0, shape=shape, law=CrossSectionLaw(1, 1.0)))
         assert prof.max_relative_deviation() == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def panel_power_integral(w: float, f0: float, f1: float, p: float) -> float:
+    """integral of F**p over a panel of width w where F runs linearly from
+    f0 to f1, in logs so that nearly flat panels stay exact."""
+    if f0 == f1:
+        return w * f0**p
+    lr = math.log1p((f1 - f0) / f0)
+    return w * f0**p * math.expm1((p + 1.0) * lr) / ((p + 1.0) * math.expm1(lr))
+
+
+def exact_volume(spec: RodSpec) -> float:
+    """Closed-form panel sum of integral (F * J_ref / alpha)**(1/n)."""
+    shape, n = spec.shape, spec.law.n
+    scale = (spec.J_ref / spec.law.alpha) ** (1.0 / n)
+    edges = shape.panel_edges()
+    widths = np.diff(edges)
+    if shape.kind == "sampled":
+        pairs = zip(shape.values[:-1], shape.values[1:])
+    else:
+        pairs = ((v, v) for v in np.broadcast_to(shape.values, widths.shape))
+    return scale * math.fsum(
+        panel_power_integral(w, f0, f1, 1.0 / n) for w, (f0, f1) in zip(widths, pairs)
+    )
+
+
+class TestStressRods:
+    """Extreme stiffness contrast and SI-scale magnitudes through the
+    quadrature engine, against closed-form panel sums."""
+
+    SHAPES = (
+        ShapeFunction.sampled([1.0, 1.0001e-8, 1.0], 2.0),
+        ShapeFunction.sampled([1.0, 1e-8], 1.0),
+        ShapeFunction.sampled([1e-8, 1.0, 1e-8, 0.5], 3.0),
+        ShapeFunction.piecewise([0.0, 0.3, 1.0], [1.0, 1e-8]),
+        ShapeFunction.piecewise([0.0, 1e-3, 0.5, 2.0], [1e-8, 1.0, 0.3]),
+        ShapeFunction.constant(1e-8, 4.0),
+    )
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.kind)
+    def test_volume_matches_panel_sum(self, shape):
+        for n in (1, 2, 3):
+            for E, J_ref, alpha in ((1.0, 1.0, 1.0), (2e11, 1e-8, 1.0 / (4.0 * math.pi))):
+                spec = RodSpec(E=E, J_ref=J_ref, shape=shape, law=CrossSectionLaw(n, alpha))
+                profile = area_profile(spec)
+                assert profile.volume == pytest.approx(exact_volume(spec), rel=1e-12)
+                assert max(split_identity_residuals(profile, n)) <= 1e-10
 
 
 class TestRodSpec:
