@@ -89,7 +89,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         aniso.critical_torque(aspec) if aspec is not None else critical_torque(spec)
     )
     profile = area_profile(spec)
-    report_bound = iso._bound_report(spec, profile)
+    report_bound = iso._bound_report(spec, profile, result.M_crit)
 
     mode_csv = None
     if args.out:
@@ -190,7 +190,7 @@ def _suite_isoperimetric(seed: int, n: int, theta_override: bool) -> dict:
             law=law_for_exponent(exponent),
         )
         profile = area_profile(spec)
-        report = iso._bound_report(spec, profile)
+        report = iso._bound_report(spec, profile, critical_torque_value(spec))
         violation = max(0.0, report.ratio - 1.0)
 
         theta = 1.0 / (exponent + 1.0) if theta_override else None

@@ -223,12 +223,12 @@ class IsoperimetricReport:
 def verify_bound(spec: RodSpec) -> IsoperimetricReport:
     """Compute critical torque, volume, bound, their ratio and the
     constant-section deviation for one rod."""
-    return _bound_report(spec, area_profile(spec))
+    return _bound_report(spec, area_profile(spec), critical_torque_value(spec))
 
 
-def _bound_report(spec: RodSpec, profile: AreaProfile) -> IsoperimetricReport:
-    """``verify_bound`` for a rod whose area profile the caller already has."""
-    m_star = critical_torque_value(spec)
+def _bound_report(spec: RodSpec, profile: AreaProfile, m_star: float) -> IsoperimetricReport:
+    """``verify_bound`` for a rod whose area profile and critical torque
+    ``m_star`` the caller already has."""
     m_bound = upper_bound(spec.E, spec.law, profile.volume, spec.shape.L)
     return IsoperimetricReport(
         M_star=m_star,

@@ -16,11 +16,17 @@ the values of gz and gy at the step's three stencil points,
     B22, B21: as B11, -B12 with y and z exchanged (coefficients b1, b3, q2, q4)
     A11 = 1 - M B12,  A12 = M B11,  A21 = -M B22,  A22 = 1 + M B21.
 
-``build_step_grid`` stores the eight coefficients per step; ``propagate``
-evaluates every step map for a vector of torques at once and composes
-them pairwise as a balanced tree (an odd level padded with the identity
-map).  The translation part of the composite is S: the RK4 endpoint,
-reassociated.
+``build_step_grid`` stores the eight coefficients per step.
+``propagate`` groups consecutive equal steps into runs (with aligned
+steps, a piecewise-constant profile has one run per panel), evaluates
+one step map per run for a vector of torques at once, raises each to
+its run length by repeated squaring (one pass per bit of the longest
+run, the identity where a run's count has that bit clear) and composes
+the run maps pairwise as a balanced tree (an odd level padded with the
+identity map).  A profile without repeated steps has runs of one step:
+nothing is squared and the tree composes the step maps themselves.
+The work is O(runs * bits of the longest run), and the translation part
+of the composite is S: the RK4 endpoint, reassociated.
 
 det S(M) is analytically a perfect square (it equals
 |1 - exp(-i M phi)|**2 / M**2 for the exact solution, phi the total
@@ -54,11 +60,14 @@ DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
 MIN_STEPS = 16
-# Torques per kernel call while scanning: the step maps of one call take
-# 8 * SCAN_BLOCK * steps floats (1 MB at 4096 steps).
-SCAN_BLOCK = 4
+# Torques per kernel call while scanning.  The step maps of one call take
+# 8 * SCAN_BLOCK floats per run: 2 MB at 4096 steps without repeated
+# steps, a few KB for a piecewise-constant profile, where runs are panels
+# and a call costs about the same for one torque as for SCAN_BLOCK.
+SCAN_BLOCK = 8
 
 _IDENTITY_MAP = np.eye(2, 4).reshape(2, 4, 1, 1)
+_IDENTITY_4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -125,21 +134,61 @@ def build_step_grid(
             h**4 / 24.0 * u[1] * v[1] * u[2] * v[0],
         ]
 
-    return np.column_stack(coefficients(gz, gy) + coefficients(gy, gz))
+    # column-major: each coefficient is contiguous for propagate
+    return np.array(coefficients(gz, gy) + coefficients(gy, gz)).T
+
+
+def _runs(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One grid row per run of equal consecutive rows, and the run
+    lengths (the grid itself and ones when no two neighbours are equal)."""
+    n = len(grid)
+    columns = grid.T
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    # Screen one coefficient; compare whole rows only if it ever repeats.
+    np.not_equal(columns[0, 1:], columns[0, :-1], out=new[1:])
+    if new.all():
+        return grid, np.ones(n, dtype=int)
+    for column in columns[1:]:
+        new[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(new)
+    return grid[starts], np.diff(starts, append=n)
+
+
+def _power(maps: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each map ``maps[..., r]`` composed with itself ``counts[r]`` >= 1
+    times, by repeated squaring over the bits of the counts."""
+    width = int(counts.max()).bit_length()
+    if width == 1:
+        return maps
+    # As augmented 4x4 matrices [[A, B], [0, I]]: on a few maps, matmul
+    # costs less per call than the tree's einsum, which suits long grids.
+    power = np.zeros(maps.shape[2:] + (4, 4))
+    power[..., :2, :] = maps.transpose(2, 3, 0, 1)
+    power[..., 2, 2] = power[..., 3, 3] = 1.0
+    bits = ((counts >> np.arange(width)[:, None]) & 1 == 1)[..., None, None]
+    result = np.where(bits[0], power, _IDENTITY_4)
+    for bit in bits[1:]:
+        power = power @ power
+        result = np.where(bit, power @ result, result)
+    return result[..., :2, :].transpose(2, 3, 0, 1)
 
 
 def propagate(grid: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Endpoint matrices S, shape (len(M), 2, 2), for the 1-D array of
-    torques ``M``, by tree composition of the step maps (module docstring)."""
+    torques ``M``: one step map per run of equal steps, raised to the run
+    length by squaring, the run maps composed as a tree (module docstring)."""
     m = np.asarray(M, dtype=float).reshape(-1, 1)
     m2 = m * m
-    a1, a3, p2, p4, b1, b3, q2, q4 = grid.T
+    rows, counts = _runs(grid)
+    a1, a3, p2, p4, b1, b3, q2, q4 = rows.T
     b11 = a1 - m2 * a3
     b22 = b1 - m2 * b3
     b12 = m * (p2 - m2 * p4)
     b21 = -m * (q2 - m2 * q4)
-    # maps[i, j]: row i of the augmented step matrix [A | B], per torque and step
+    # maps[i, j]: row i of the augmented step matrix [A | B], per torque and run
     maps = np.array([[1.0 - m * b12, m * b11, b11, b12], [-m * b22, 1.0 + m * b21, b21, b22]])
+    maps = _power(maps, counts)
     while maps.shape[-1] > 1:
         if maps.shape[-1] % 2:
             pad = np.broadcast_to(_IDENTITY_MAP, maps.shape[:-1] + (1,))

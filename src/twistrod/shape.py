@@ -194,6 +194,7 @@ class ShapeFunction:
     Use the classmethod constructors; they validate positivity (min F
     must exceed 1e-9 of max F), domain length, and breakpoint ordering,
     and store read-only copies of ``values`` and ``breakpoints``.
+    Profiles compare and hash by value.
     """
 
     kind: str
@@ -262,6 +263,21 @@ class ShapeFunction:
             raise ValueError(
                 f"profile must be strictly positive (min {lo:g} vs max {hi:g})"
             )
+
+    # -- value semantics ----------------------------------------------
+
+    def _key(self) -> tuple:
+        breakpoints = None if self.breakpoints is None else tuple(self.breakpoints.tolist())
+        return (self.kind, self.L, tuple(self.values.tolist()), breakpoints)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal kind, ``L``, ``values`` and ``breakpoints``."""
+        if not isinstance(other, ShapeFunction):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     # -- queries ------------------------------------------------------
 

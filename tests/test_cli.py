@@ -8,6 +8,7 @@ import math
 import pytest
 
 import twistrod.cli as cli
+import twistrod.greenhill as greenhill
 import twistrod.isoperimetric as iso
 from twistrod.cli import main
 
@@ -91,6 +92,23 @@ class TestAnalyze:
         assert main(["verify", "--n", "3"]) == 0
         assert len(calls) == 3
         capsys.readouterr()
+
+    def test_one_critical_torque_per_analyze(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = greenhill.critical_torque_value
+
+        def counting(spec, mode_index=1):
+            calls.append(spec)
+            return original(spec, mode_index)
+
+        for module in (greenhill, iso, cli):
+            monkeypatch.setattr(module, "critical_torque_value", counting)
+        for name, rod in (("rod.json", PIECEWISE_ROD), ("aniso.json", ANISO_ROD)):
+            calls.clear()
+            assert main(["analyze", "--spec", write(tmp_path, name, rod)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert len(calls) == 1
+            assert report["M_star"] == original(calls[0])
 
     def test_mode_csv_written(self, tmp_path, capsys):
         spec = write(tmp_path, "rod.json", CONSTANT_ROD)

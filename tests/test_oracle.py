@@ -172,6 +172,85 @@ class TestBatchedKernel:
         assert peak < 8 * 2**20
 
 
+class TestRunLengthKernel:
+    """Runs of equal steps are raised to their length by squaring."""
+
+    def test_one_step_panel_and_unequal_runs(self):
+        # panels of 1, 1228 and 2867 steps: different count bit patterns
+        shape = ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 0.3, 1.0], [0.7, 2.0, 1.3])
+        torques = np.array([0.05, 2.0, 6.5, 11.0])
+        worst = 0.0
+        for J_y, J_z in ((1.0, 1.0), (2.3, 0.6)):
+            grid = build_step_grid(shape, 1.3, J_y, J_z, 4096, True)
+            S = propagate(grid, torques)
+            for M, S_M in zip(torques, S):
+                ref = np.column_stack(
+                    [
+                        reference_endpoint(shape, 1.3, J_y, J_z, M, 1.0, 0.0),
+                        reference_endpoint(shape, 1.3, J_y, J_z, M, 0.0, 1.0),
+                    ]
+                )
+                worst = max(worst, np.max(np.abs(S_M - ref)) / np.max(np.abs(ref)))
+        assert worst <= 1e-12
+
+    def test_runs_need_whole_rows_equal(self):
+        # first coefficient equal on every row, the others change at the breakpoint
+        grid = build_step_grid(PIECEWISE.shape, 1.0, 2.0, 0.5, 64, True).copy()
+        grid[:, 0] = grid[0, 0]
+        M = 3.0
+        v = np.zeros((2, 2))
+        for a1, a3, p2, p4, b1, b3, q2, q4 in grid:
+            B = np.array(
+                [[a1 - M**2 * a3, M * (p2 - M**2 * p4)], [-M * (q2 - M**2 * q4), b1 - M**2 * b3]]
+            )
+            A = np.array([[1.0 - M * B[0, 1], M * B[0, 0]], [-M * B[1, 1], 1.0 + M * B[1, 0]]])
+            v = A @ v + B
+        S = propagate(grid, np.array([M]))[0]
+        assert np.max(np.abs(S - v)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_piecewise_memory_independent_of_steps(self):
+        grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 2**18, True)
+        tracemalloc.start()
+        try:
+            propagate(grid, np.array([1.0, 3.0, 5.0, 7.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.nbytes / 4
+
+    def test_sampled_scan_memory(self):
+        x = np.linspace(0.0, 1.0, 65)
+        spec = rod(ShapeFunction.sampled(1.0 + 0.5 * np.sin(2 * np.pi * x) + 0.3 * x))
+        m_star = critical_torque_value(spec)
+        tracemalloc.start()
+        try:
+            roots = eigenvalues_in(spec, 0.05 * m_star, 2.99 * m_star, probes=256, steps=4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == 2
+        assert peak < 8 * 2**20
+
+
+class TestOracleStressRods:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RodSpec(
+                E=2e11,
+                J_ref=1e-8,
+                shape=ShapeFunction.piecewise([0.0, 0.6, 1.5, 2.0], [1.0, 2.5, 0.8]),
+                law=LAW,
+            ),
+            rod(ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 1e-8])),
+        ],
+        ids=["si_scale", "contrast_1e-8"],
+    )
+    def test_matches_closed_form(self, spec):
+        exact = critical_torque_value(spec)
+        assert abs(critical_torque_oracle(spec) - exact) <= 1e-10 * exact
+
+
 class TestRootFunction:
     def test_sign_change_at_each_eigenvalue(self):
         for spec in (UNIFORM, PIECEWISE):

@@ -365,6 +365,45 @@ class TestStressRods:
                 assert max(split_identity_residuals(profile, n)) <= 1e-10
 
 
+class TestValueSemantics:
+    SHAPES = (
+        lambda: ShapeFunction.constant(2.0, 3.0),
+        lambda: ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]),
+        lambda: ShapeFunction.sampled([1.0, 2.0, 1.5], 2.0),
+    )
+
+    def test_equal_profiles_compare_and_hash_equal(self):
+        for make in self.SHAPES:
+            a, b = make(), make()
+            assert a is not b and a.values is not b.values
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert ShapeFunction.from_dict(a.to_dict()) == a
+
+    def test_any_field_difference_is_unequal(self):
+        base = ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0])
+        for other in (
+            ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.5]),
+            ShapeFunction.piecewise([0.0, 0.4, 1.0], [1.0, 2.0]),
+            ShapeFunction.piecewise([0.0, 0.5, 2.0], [1.0, 2.0]),
+            ShapeFunction.sampled([1.0, 2.0], 1.0),
+        ):
+            assert base != other
+        assert ShapeFunction.constant(2.0, 1.0) != ShapeFunction.piecewise([0.0, 1.0], [2.0])
+        assert ShapeFunction.sampled([1.0, 2.0], 1.0) != ShapeFunction.sampled([1.0, 2.0], 2.0)
+        assert base != "piecewise" and base != None  # noqa: E711
+
+    def test_usable_as_dict_key(self):
+        table = {make(): i for i, make in enumerate(self.SHAPES)}
+        assert len(table) == 3
+        for i, make in enumerate(self.SHAPES):
+            assert table[make()] == i
+        assert ShapeFunction.sampled([1.0, 2.0, 1.5], 1.0) not in table
+        law = CrossSectionLaw(1, 1.0)
+        specs = {RodSpec(E=1.0, J_ref=1.0, shape=make(), law=law) for make in self.SHAPES * 2}
+        assert len(specs) == 3
+
+
 class TestRodSpec:
     def test_rejects_nonpositive(self):
         shape = ShapeFunction.constant(1.0, 1.0)
