@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RootSearchError
 from .greenhill import BucklingResult, ModeShape, critical_torque as _isotropic_critical_torque
-from .greenhill import critical_torque_value
 from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _shoot
-from .oracle import build_step_grid, endpoint_det, propagate, scan_and_refine
+from .oracle import _default_bracket, build_step_grid, propagate, scan_and_refine
 from .shape import CrossSectionLaw, RodSpec, ShapeFunction, require_positive
 
 
@@ -92,24 +90,13 @@ def mode_to_anisotropic(mode: ModeShape, k: float) -> ModeShape:
     return ModeShape(x=mode.x, y=y / scale, z=z / scale, c1=c1 / scale, c2=c2 / scale)
 
 
-def mode_to_reduced(mode: ModeShape, k: float) -> ModeShape:
-    """Inverse of :func:`mode_to_anisotropic` (up to normalization)."""
-    return mode_to_anisotropic(mode, 1.0 / k)
-
-
 def critical_torque(spec: AnisotropicRodSpec, mode_grid_size: int = 1025) -> BucklingResult:
     """Critical torque via the reduction, with the physical (back-mapped) mode."""
     reduced = _isotropic_critical_torque(
         reduce_to_isotropic(spec), mode_grid_size=mode_grid_size
     )
     mode = mode_to_anisotropic(reduced.mode, spec.section.k)
-    return BucklingResult(
-        M_crit=reduced.M_crit,
-        mode_index=reduced.mode_index,
-        c1=mode.c1,
-        c2=mode.c2,
-        mode=mode,
-    )
+    return BucklingResult(M_crit=reduced.M_crit, mode_index=reduced.mode_index, mode=mode)
 
 
 def shoot_anisotropic(
@@ -139,33 +126,13 @@ def first_root_anisotropic(
 ) -> float:
     """Smallest torque at which the anisotropic endpoint matrix is singular.
 
-    det S is a perfect square, so the search tracks the trace of S instead:
-    it oscillates through zero twice per determinant root, and the
-    eigenvalues sit exactly at its upward (minus to plus) crossings.  The
-    located root is confirmed by checking that det S there is negligible
-    against its size elsewhere in the scan; this keeps the search honest
-    without assuming the isotropic reduction.
+    The unreduced system is shot and searched exactly like the isotropic
+    one (:func:`~twistrod.oracle.scan_and_refine`): the first upward zero
+    crossing of trace S, confirmed against det S, so the search does not
+    assume the isotropic reduction it checks.  ``bracket`` defaults to
+    (1e-3, 4) times the reduced closed-form estimate.
     """
     if bracket is None:
-        estimate = critical_torque_value(reduce_to_isotropic(spec))
-        bracket = (1e-3 * estimate, 4.0 * estimate)
+        bracket = _default_bracket(reduce_to_isotropic(spec))
     grid = build_step_grid(spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps, True)
-    roots, S, traces = scan_and_refine(
-        lambda m: propagate(grid, m),
-        lambda S, m: S[:, 0, 0] + S[:, 1, 1],
-        bracket, probes, tol, upward=True,
-    )
-    if not roots:
-        raise RootSearchError(
-            f"no upward trace crossing in ({bracket[0]}, {bracket[1]}); "
-            f"trace range [{traces.min():.3e}, {traces.max():.3e}]"
-        )
-    root = roots[0]
-    det_at_root = float(endpoint_det(propagate(grid, np.array([root]))[0]))
-    det_scale = float(np.max(np.abs(endpoint_det(S))))
-    if det_at_root > 1e-6 * det_scale:
-        raise RootSearchError(
-            f"trace crossing at M={root:.6g} is not an eigenvalue: "
-            f"det {det_at_root:.3e} vs scan scale {det_scale:.3e}"
-        )
-    return root
+    return scan_and_refine(lambda m: propagate(grid, m), bracket, probes, tol)[0]

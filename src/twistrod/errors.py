@@ -22,7 +22,8 @@ class QuadratureError(RuntimeError):
 
 
 class RootSearchError(RuntimeError):
-    """No eigenvalue bracket could be established in the search interval."""
+    """No eigenvalue bracket could be established in the search interval,
+    or a located crossing failed its determinant confirmation."""
 
 
 class EigenvalueConsistencyError(RuntimeError):

@@ -68,8 +68,6 @@ class BucklingResult:
 
     M_crit: float
     mode_index: int
-    c1: float
-    c2: float
     mode: ModeShape
 
     def __post_init__(self) -> None:
@@ -106,9 +104,7 @@ def critical_torque(
     """
     M = critical_torque_value(spec, mode_index)
     mode = mode_shape(spec, M, 1.0, 0.0, grid_size=mode_grid_size)
-    return BucklingResult(
-        M_crit=M, mode_index=mode_index, c1=mode.c1, c2=mode.c2, mode=mode
-    )
+    return BucklingResult(M_crit=M, mode_index=mode_index, mode=mode)
 
 
 def mode_shape(

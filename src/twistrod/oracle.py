@@ -31,16 +31,20 @@ of the composite is S: the RK4 endpoint, reassociated.
 det S(M) is analytically a perfect square (it equals
 |1 - exp(-i M phi)|**2 / M**2 for the exact solution, phi the total
 reciprocal-stiffness integral), so bisection on det would fail.  The
-signed root function used instead rotates the endpoint of the (1, 0)
-integration by half the accumulated phase:
+search tracks the trace of S instead.  For the exact isotropic solution
 
-    g(M) = Re( (y_end + i z_end) * exp(i M phi / 2) ),
+    trace S(M) = 2 sin(M phi) / M,
 
-which for the exact solution equals (2/M) sin(M phi / 2): it vanishes
-exactly at the eigenvalues and changes sign there.  phi comes from the
-exact per-panel coordinate map; a small error in it would only rotate
-the endpoint slightly and could not move the zeros, so the located roots
-are governed by the integration alone.
+whose upward (minus to plus) zero crossings are exactly the eigenvalues
+k M*, while the downward ones sit at (k - 1/2) M*, where det S is at its
+largest.  An unreduced anisotropic section keeps that pattern, so one
+search serves both: ``scan_and_refine`` scans the trace, refines each
+upward crossing with ``brentq`` and confirms it by checking that det S
+there is negligible against its size over the scan.  Nothing in the
+search reads phi or any other closed-form quantity (only the default
+bracket does), and a crossing that is not an eigenvalue, as when the
+steps are too coarse to follow the phase, raises instead of being
+returned.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from scipy.optimize import brentq
 from .errors import RootSearchError
 from .greenhill import critical_torque_value
 from .shape import RodSpec, ShapeFunction
-from .transform import physical_length
 
 DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
@@ -218,72 +221,67 @@ def shoot(
     return _shoot(grid, M)
 
 
-def _root_function(S: np.ndarray, M: np.ndarray, phi: float) -> np.ndarray:
-    """Signed root function g at torques ``M`` from their endpoint matrices."""
-    half = 0.5 * M * phi
-    return S[:, 0, 0] * np.cos(half) - S[:, 1, 0] * np.sin(half)
+def _default_bracket(spec: RodSpec) -> tuple[float, float]:
+    """(1e-3, 4) times the closed-form critical torque of ``spec``."""
+    estimate = critical_torque_value(spec)
+    return 1e-3 * estimate, 4.0 * estimate
 
 
 def scan_and_refine(
     endpoint: Callable[[np.ndarray], np.ndarray],
-    root_value: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bracket: tuple[float, float],
     probes: int,
     tol: float,
-    upward: bool = False,
     first: bool = True,
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Roots of ``root_value(endpoint(M), M)`` for M in ``bracket``.
+) -> list[float]:
+    """Eigenvalues in ``bracket``: upward zero crossings of trace S, with
+    S = ``endpoint(M)`` the stack of endpoint matrices at torques M.
 
     ``probes + 1`` equally spaced torques are evaluated ``SCAN_BLOCK`` at a
-    time; each probe interval (a, b] over which the value crosses zero
-    (only from minus to plus when ``upward``) is refined by ``brentq`` to
-    relative tolerance ``tol``, and with ``first`` the scan stops there.
-    Returns the roots and the endpoint matrices and values scanned.
+    time; each probe interval (a, b] over which the trace goes from minus
+    to plus is refined by ``brentq`` to relative tolerance ``tol``, and with
+    ``first`` the scan stops there.  Each root is confirmed by
+    det S(root) <= 1e-6 * max |det S| over the probes scanned so far, using
+    the matrix ``brentq`` evaluated at the root.  Raises RootSearchError for
+    a crossing that fails the check and, with ``first``, when there is no
+    crossing at all.
     """
     lo, hi = bracket
     if not 0.0 <= lo < hi:
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
+    evaluated: dict[float, np.ndarray] = {}
 
-    def value(m: float) -> float:
-        M = np.array([m])
-        return float(root_value(endpoint(M), M)[0])
+    def trace(m: float) -> float:
+        S = evaluated[m] = endpoint(np.array([m]))[0]
+        return float(S[0, 0] + S[1, 1])
 
     ms = np.linspace(lo, hi, probes + 1)
     mats: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
     roots: list[float] = []
     for start in range(0, ms.size, SCAN_BLOCK):
-        block = ms[start : start + SCAN_BLOCK]
-        mats.append(endpoint(block))
-        vals.append(root_value(mats[-1], block))
-        g = np.concatenate(vals)
-        for i in range(max(start, 1), g.size):
-            if g[i - 1] < 0.0 <= g[i] or (not upward and g[i] <= 0.0 < g[i - 1]):
-                roots.append(float(brentq(value, ms[i - 1], ms[i], xtol=tol * ms[i], rtol=8.9e-16)))
-                if first:
-                    return roots, np.concatenate(mats)[: i + 1], g[: i + 1]
-    return roots, np.concatenate(mats), np.concatenate(vals)
-
-
-def _isotropic_roots(
-    spec: RodSpec,
-    bracket: tuple[float, float],
-    probes: int,
-    tol: float,
-    steps: int,
-    align_panels: bool,
-    first: bool,
-) -> tuple[list[float], np.ndarray]:
-    """Roots of the signed root function and its values over the scan."""
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, align_panels)
-    phi = physical_length(spec.shape) / (spec.E * spec.J_ref)
-    roots, _, g = scan_and_refine(
-        lambda m: propagate(grid, m),
-        lambda S, m: _root_function(S, m, phi),
-        bracket, probes, tol, first=first,
-    )
-    return roots, g
+        mats.append(endpoint(ms[start : start + SCAN_BLOCK]))
+        S = np.concatenate(mats)
+        t = S[:, 0, 0] + S[:, 1, 1]
+        for i in range(max(start, 1), t.size):
+            if not t[i - 1] < 0.0 <= t[i]:
+                continue
+            root = float(brentq(trace, ms[i - 1], ms[i], xtol=tol * ms[i], rtol=8.9e-16))
+            det_at_root = float(endpoint_det(evaluated[root]))
+            det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
+            if det_at_root > 1e-6 * det_scale:
+                raise RootSearchError(
+                    f"trace crossing at M={root:.6g} is not an eigenvalue: "
+                    f"det {det_at_root:.3e} vs scan scale {det_scale:.3e}"
+                )
+            roots.append(root)
+            if first:
+                return roots
+    if first:
+        raise RootSearchError(
+            f"no upward trace crossing in ({lo}, {hi}): trace runs over "
+            f"[{t.min():.3e}, {t.max():.3e}] without a sign change from minus to plus"
+        )
+    return roots
 
 
 def critical_torque_oracle(
@@ -294,24 +292,18 @@ def critical_torque_oracle(
     probes: int = DEFAULT_PROBES,
     align_panels: bool = True,
 ) -> float:
-    """Smallest buckling torque in ``bracket`` by scan plus bracketed root.
+    """Smallest buckling torque in ``bracket``: the first confirmed upward
+    trace crossing (:func:`scan_and_refine`) over ``probes`` intervals,
+    refined to relative tolerance ``tol``.
 
-    ``bracket`` defaults to (1e-3, 4) times the closed-form estimate; the
-    interval is scanned with ``probes`` coarse evaluations of the signed
-    root function, the first sign change is refined to relative tolerance
-    ``tol``.  Raises RootSearchError when no sign change exists, reporting
-    the root-function values at the bracket ends.
+    ``bracket`` defaults to (1e-3, 4) times the closed-form estimate.
+    Raises RootSearchError when the bracket holds no crossing, reporting
+    the trace range, or when the crossing found is not an eigenvalue.
     """
     if bracket is None:
-        estimate = critical_torque_value(spec)
-        bracket = (1e-3 * estimate, 4.0 * estimate)
-    roots, g = _isotropic_roots(spec, bracket, probes, tol, steps, align_panels, True)
-    if not roots:
-        raise RootSearchError(
-            f"no eigenvalue bracketed in ({bracket[0]}, {bracket[1]}): root function runs from "
-            f"{g[0]:.6e} to {g[-1]:.6e} without a sign change"
-        )
-    return roots[0]
+        bracket = _default_bracket(spec)
+    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, align_panels)
+    return scan_and_refine(lambda m: propagate(grid, m), bracket, probes, tol)[0]
 
 
 def eigenvalues_in(
@@ -322,10 +314,11 @@ def eigenvalues_in(
     tol: float = DEFAULT_TOL,
     steps: int = DEFAULT_STEPS,
 ) -> list[float]:
-    """All buckling torques in (M_lo, M_hi], by exhaustive scan of the
-    signed root function; needs 0 <= M_lo < M_hi (M_lo = 0 finds every
-    torque up to M_hi)."""
-    return _isotropic_roots(spec, (M_lo, M_hi), probes, tol, steps, True, False)[0]
+    """All buckling torques in (M_lo, M_hi]: every confirmed upward trace
+    crossing of an exhaustive scan; needs 0 <= M_lo < M_hi (M_lo = 0 finds
+    every torque up to M_hi)."""
+    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, True)
+    return scan_and_refine(lambda m: propagate(grid, m), (M_lo, M_hi), probes, tol, first=False)
 
 
 def convergence_study(

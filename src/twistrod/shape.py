@@ -484,10 +484,3 @@ def area_profile(spec: RodSpec) -> AreaProfile:
         panel_values=values,
     )
 
-
-def stiffness_from_area(profile: AreaProfile, J_ref: float, law: CrossSectionLaw) -> ShapeFunction:
-    """Invert the section law: F = alpha * A**n / J_ref (piecewise profiles only)."""
-    if profile.panel_values is None:
-        raise ValueError("stiffness reconstruction needs a piecewise area profile")
-    values = law.alpha * profile.panel_values**law.n / J_ref
-    return ShapeFunction.piecewise(profile.panel_edges, values)

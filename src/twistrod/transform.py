@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .shape import ShapeFunction
 
@@ -29,9 +28,10 @@ def physical_length(shape: ShapeFunction) -> float:
 class CoordinateMap:
     """Cached, exact-per-panel form of the map x(xi) and its inverse.
 
-    The cumulative integral of 1/F has a closed form on every smooth
-    panel of the three supported profile kinds (constant, constant
-    segment, linear segment), so node values are exact up to roundoff.
+    The cumulative integral of 1/F and its inverse have closed forms on
+    every smooth panel of the three supported profile kinds (constant,
+    constant segment, linear segment), so both directions are exact up to
+    roundoff.
     """
 
     shape: ShapeFunction
@@ -69,27 +69,24 @@ class CoordinateMap:
         return float(self.nodes_x[i] + partial)
 
     def x_to_xi(self, x: float) -> float:
-        """Inverse map via bracketed root search within the located panel."""
+        """Inverse map; closed form within the located panel."""
         if not 0.0 <= x <= self.l * (1.0 + 1e-12):
             raise ValueError(f"coordinate {x} outside [0, {self.l}]")
         x = min(x, self.l)
         i = int(np.searchsorted(self.nodes_x, x, side="right")) - 1
         i = min(max(i, 0), self.nodes_x.size - 2)
         a, b = self.nodes_xi[i], self.nodes_xi[i + 1]
-        fa = self.nodes_x[i] - x
-        if fa == 0.0:
-            return float(a)
-        if self.nodes_x[i + 1] - x == 0.0:
-            return float(b)
-        return float(
-            brentq(
-                lambda t: self.xi_to_x(t) - x,
-                a,
-                b,
-                xtol=1e-15 * max(self.L, 1.0),
-                rtol=8.9e-16,
-            )
-        )
+        f0, df = _linear_panels(self.shape)
+        u = x - self.nodes_x[i]
+        if df[i] == 0.0:
+            offset = f0[i] * u
+        else:
+            # inverts u = w log1p(d s / (w f0)) / d, the partial integral
+            # that xi_to_x evaluates, for the offset s into the panel
+            w = b - a
+            offset = w * f0[i] / df[i] * np.expm1(df[i] * u / w)
+        # roundoff must not carry the result past the panel's right end
+        return float(min(a + offset, b))
 
 
 def _linear_panels(shape: ShapeFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -223,6 +223,15 @@ class TestNumericFailureExit:
         assert main(["analyze", "--spec", spec, "--oracle"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_unconfirmed_oracle_root_exits_3(self, tmp_path, capsys):
+        # 4096 even steps cannot follow the phase into the 1e-8 end; the
+        # trace crossing found there is no eigenvalue and must not be reported
+        doc = dict(CONSTANT_ROD)
+        doc["shape"] = {"kind": "sampled", "L": 1.0, "values": [1.0, 1e-8]}
+        spec = write(tmp_path, "rod.json", doc)
+        assert main(["analyze", "--spec", spec, "--oracle"]) == 3
+        assert "not an eigenvalue" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes_and_is_deterministic(self, capsys):

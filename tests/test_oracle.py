@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import cmath
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistrod
 from twistrod.errors import RootSearchError
 from twistrod.greenhill import critical_torque_value
 from twistrod.oracle import (
@@ -18,7 +21,6 @@ from twistrod.oracle import (
     eigenvalues_in,
     propagate,
     shoot,
-    _root_function,
 )
 from twistrod.sampling import Lcg64, random_piecewise_shape
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
@@ -69,8 +71,9 @@ def reference_endpoint(shape, E, J_y, J_z, M, c1, c2, steps=4096, align_panels=T
     return y, z
 
 
-def root_function(grid, M: float, phi: float) -> float:
-    return float(_root_function(propagate(grid, np.array([M])), M, phi)[0])
+def trace(grid, M: float) -> float:
+    S = propagate(grid, np.array([M]))[0]
+    return float(S[0, 0] + S[1, 1])
 
 
 def closed_form_det(spec: RodSpec, M: float) -> float:
@@ -251,25 +254,62 @@ class TestOracleStressRods:
         assert abs(critical_torque_oracle(spec) - exact) <= 1e-10 * exact
 
 
-class TestRootFunction:
-    def test_sign_change_at_each_eigenvalue(self):
-        for spec in (UNIFORM, PIECEWISE):
-            m_star = critical_torque_value(spec)
-            grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, 4096, True)
-            phi = physical_length(spec.shape) / (spec.E * spec.J_ref)
-            for k in (1, 2):
-                root = k * m_star
-                delta = 1e-3 * root
-                lo = root_function(grid, root - delta, phi)
-                hi = root_function(grid, root + delta, phi)
-                assert lo * hi < 0.0
-
-    def test_proportional_to_half_angle_sine(self):
-        # exact solution gives g = (2/M) sin(M phi / 2)
+class TestTrace:
+    def test_equals_twice_sine_over_torque(self):
+        # exact solution gives trace S = 2 sin(M phi) / M, and phi = 1 here
         grid = build_step_grid(UNIFORM.shape, 1.0, 1.0, 1.0, 4096, True)
         for M in (1.0, 2.0, 4.0, 7.0):
-            expected = 2.0 / M * math.sin(M / 2.0)
-            assert root_function(grid, M, 1.0) == pytest.approx(expected, rel=1e-10)
+            assert trace(grid, M) == pytest.approx(2.0 * math.sin(M) / M, rel=1e-10)
+
+    def test_crossing_directions(self):
+        # upward through zero at each eigenvalue k M*, downward half way between
+        m_star = critical_torque_value(PIECEWISE)
+        grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 4096, True)
+        for k in (1, 2):
+            for zero, upward in ((k * m_star, True), ((k - 0.5) * m_star, False)):
+                before = trace(grid, zero * (1.0 - 1e-3))
+                after = trace(grid, zero * (1.0 + 1e-3))
+                assert (before < 0.0 < after) if upward else (after < 0.0 < before)
+
+
+class TestUnresolvedRods:
+    """Rods whose soft end 4096 panel-proportional steps cannot follow: a
+    trace crossing that is not an eigenvalue must raise, never be returned."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ShapeFunction.sampled([1.0, 1e-8]),
+            ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0]),
+            ShapeFunction.sampled([1e-4, 1.0, 1e-4]),
+            ShapeFunction.piecewise([0.0, 0.999, 1.0], [1.0, 1e-6]),
+        ],
+        ids=["sampled_1e-8", "sampled_dip_1e-5", "sampled_ends_1e-4", "narrow_panel_1e-6"],
+    )
+    def test_right_root_or_error(self, shape):
+        spec = rod(shape)
+        exact = critical_torque_value(spec)
+        try:
+            found = critical_torque_oracle(spec)
+        except RootSearchError:
+            return
+        assert abs(found - exact) <= 1e-6 * exact
+
+
+class TestIndependence:
+    def test_shooting_modules_import_nothing_from_transform(self):
+        # the oracle must not take its phase or length from the closed form
+        package = Path(twistrod.__file__).parent
+        for name in ("oracle.py", "anisotropic.py"):
+            tree = ast.parse((package / name).read_text())
+            imported = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported += [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+            assert not any("transform" in module.split(".") for module in imported), name
 
 
 class TestCriticalTorqueOracle:

@@ -23,7 +23,6 @@ from twistrod.shape import (
     ShapeFunction,
     area_profile,
     integrate,
-    stiffness_from_area,
 )
 
 PIECEWISE_12 = ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0])
@@ -276,15 +275,6 @@ class TestAreaProfile:
         prof = area_profile(spec)
         assert prof.area(0.5) == pytest.approx(2.0, rel=1e-14)
         assert prof.volume == pytest.approx(2.0, rel=1e-12)
-
-    def test_stiffness_roundtrip(self):
-        rng = Lcg64(11)
-        for n in (1, 2, 3):
-            for _ in range(5):
-                shape = random_piecewise_shape(rng)
-                spec = RodSpec(E=1.0, J_ref=1.7, shape=shape, law=CrossSectionLaw(n, 0.8))
-                back = stiffness_from_area(area_profile(spec), spec.J_ref, spec.law)
-                np.testing.assert_allclose(back.values, shape.values, rtol=1e-12)
 
     def test_volume_scaling_with_stiffness(self):
         # A ~ F^(1/n), so scaling F by lam scales V by lam^(1/n)

@@ -137,8 +137,12 @@ class TestInverseMap:
 
     def test_roundtrip_sampled(self):
         grid = np.linspace(0.0, 1.0, 101)
-        m = CoordinateMap.build(ShapeFunction.sampled(1.0 + 0.5 * np.sin(6 * grid) + grid, 1.0))
         rng = Lcg64(29)
-        for _ in range(50):
-            xi = rng.uniform()
-            assert m.x_to_xi(m.xi_to_x(xi)) == pytest.approx(xi, rel=1e-10, abs=1e-12)
+        for shape in (
+            ShapeFunction.sampled(1.0 + 0.5 * np.sin(6 * grid) + grid, 1.0),
+            ShapeFunction.sampled([1.0, 1e-8], 1.0),
+        ):
+            m = CoordinateMap.build(shape)
+            for _ in range(50):
+                xi = rng.uniform()
+                assert m.x_to_xi(m.xi_to_x(xi)) == pytest.approx(xi, rel=1e-10, abs=1e-12)
