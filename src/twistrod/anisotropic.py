@@ -103,7 +103,6 @@ def shoot_anisotropic(
     spec: AnisotropicRodSpec,
     M: float,
     steps: int = DEFAULT_STEPS,
-    align_panels: bool = True,
 ) -> ShootingResult:
     """Endpoint matrix of the unreduced anisotropic system at torque ``M``.
 
@@ -111,9 +110,7 @@ def shoot_anisotropic(
     written, with no change of variables, for the two constant-pair bases.
     With Jy = Jz this reproduces the isotropic shooting bit for bit.
     """
-    grid = build_step_grid(
-        spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps, align_panels
-    )
+    grid = build_step_grid(spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps)
     return _shoot(grid, M)
 
 
@@ -134,5 +131,5 @@ def first_root_anisotropic(
     """
     if bracket is None:
         bracket = _default_bracket(reduce_to_isotropic(spec))
-    grid = build_step_grid(spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps, True)
+    grid = build_step_grid(spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps)
     return scan_and_refine(lambda m: propagate(grid, m), bracket, probes, tol)[0]

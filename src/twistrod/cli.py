@@ -156,32 +156,41 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
-def _suite_torque_vs_oracle(seed: int, n: int, steps: int) -> dict:
-    rng = Lcg64(seed)
+def _suite(n: int, tolerance: float, check) -> dict:
+    """Report of one verify suite: ``check(case)`` returns the disagreement
+    of case ``case`` and the labels a failure of it reports."""
     worst = 0.0
     failures = []
     for case in range(n):
-        spec = random_rod_spec(rng)
-        m_exact = critical_torque_value(spec)
-        m_oracle = oracle.critical_torque_oracle(spec, steps=steps)
-        d = abs(m_oracle - m_exact) / m_exact
+        d, labels = check(case)
         worst = max(worst, d)
-        if d > ORACLE_TOLERANCE:
-            failures.append({"case": case, "disagreement": d})
+        if d > tolerance:
+            failures.append({"case": case, "disagreement": d, **labels})
     return {
         "cases": n,
         "max_disagreement": worst,
-        "tolerance": ORACLE_TOLERANCE,
+        "tolerance": tolerance,
         "pass": not failures,
         "failures": failures,
     }
 
 
+def _suite_torque_vs_oracle(seed: int, n: int, steps: int) -> dict:
+    rng = Lcg64(seed)
+
+    def check(case: int) -> tuple[float, dict]:
+        spec = random_rod_spec(rng)
+        m_exact = critical_torque_value(spec)
+        m_oracle = oracle.critical_torque_oracle(spec, steps=steps)
+        return abs(m_oracle - m_exact) / m_exact, {}
+
+    return _suite(n, ORACLE_TOLERANCE, check)
+
+
 def _suite_isoperimetric(seed: int, n: int, theta_override: bool) -> dict:
     rng = Lcg64(seed)
-    worst = 0.0
-    failures = []
-    for case in range(n):
+
+    def check(case: int) -> tuple[float, dict]:
         exponent = 1 + case % 3
         spec = RodSpec(
             E=1.0,
@@ -195,38 +204,21 @@ def _suite_isoperimetric(seed: int, n: int, theta_override: bool) -> dict:
 
         theta = 1.0 / (exponent + 1.0) if theta_override else None
         residuals = iso.split_identity_residuals(profile, exponent, theta)
-        d = max(violation, *residuals)
-        worst = max(worst, d)
-        if d > BOUND_TOLERANCE:
-            failures.append({"case": case, "disagreement": d, "n": exponent})
-    return {
-        "cases": n,
-        "max_disagreement": worst,
-        "tolerance": BOUND_TOLERANCE,
-        "pass": not failures,
-        "failures": failures,
-    }
+        return max(violation, *residuals), {"n": exponent}
+
+    return _suite(n, BOUND_TOLERANCE, check)
 
 
 def _suite_anisotropic(seed: int, n: int, steps: int) -> dict:
     rng = Lcg64(seed)
-    worst = 0.0
-    failures = []
-    for case in range(n):
+
+    def check(case: int) -> tuple[float, dict]:
         aspec = random_anisotropic_spec(rng)
         m_reduced = critical_torque_value(aniso.reduce_to_isotropic(aspec))
         m_shot = aniso.first_root_anisotropic(aspec, steps=steps)
-        d = abs(m_shot - m_reduced) / m_reduced
-        worst = max(worst, d)
-        if d > ORACLE_TOLERANCE:
-            failures.append({"case": case, "disagreement": d})
-    return {
-        "cases": n,
-        "max_disagreement": worst,
-        "tolerance": ORACLE_TOLERANCE,
-        "pass": not failures,
-        "failures": failures,
-    }
+        return abs(m_shot - m_reduced) / m_reduced, {}
+
+    return _suite(n, ORACLE_TOLERANCE, check)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

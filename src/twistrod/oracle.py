@@ -16,17 +16,18 @@ the values of gz and gy at the step's three stencil points,
     B22, B21: as B11, -B12 with y and z exchanged (coefficients b1, b3, q2, q4)
     A11 = 1 - M B12,  A12 = M B11,  A21 = -M B22,  A22 = 1 + M B21.
 
-``build_step_grid`` stores the eight coefficients per step.
-``propagate`` groups consecutive equal steps into runs (with aligned
-steps, a piecewise-constant profile has one run per panel), evaluates
-one step map per run for a vector of torques at once, raises each to
-its run length by repeated squaring (one pass per bit of the longest
-run, the identity where a run's count has that bit clear) and composes
-the run maps pairwise as a balanced tree (an odd level padded with the
-identity map).  A profile without repeated steps has runs of one step:
-nothing is squared and the tree composes the step maps themselves.
-The work is O(runs * bits of the longest run), and the translation part
-of the composite is S: the RK4 endpoint, reassociated.
+``build_step_grid`` places the steps panel by panel and stores the
+eight coefficients once per run of equal steps: a panel on which F is
+constant is one run, any other step a run of its own.  ``propagate``
+evaluates one step map per run for a vector of torques at once, raises
+the maps of the runs longer than one step to their length by repeated
+squaring over the bits of the counts from the top (so every power
+computed is one the run needs) and composes the run maps pairwise as a
+balanced tree (an odd level padded with the identity map).  A sampled
+profile without flat panels has runs of one step: nothing is squared
+and the tree composes the step maps themselves.  The work is
+O(runs * bits of the longest run), and the translation part of the
+composite is S: the RK4 endpoint, reassociated.
 
 det S(M) is analytically a perfect square (it equals
 |1 - exp(-i M phi)|**2 / M**2 for the exact solution, phi the total
@@ -64,9 +65,10 @@ DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
 MIN_STEPS = 16
 # Torques per kernel call while scanning.  The step maps of one call take
-# 8 * SCAN_BLOCK floats per run: 2 MB at 4096 steps without repeated
-# steps, a few KB for a piecewise-constant profile, where runs are panels
-# and a call costs about the same for one torque as for SCAN_BLOCK.
+# 8 * SCAN_BLOCK floats per run of the step grid: 2 MB at 4096 steps on a
+# sampled profile without flat panels, a few KB on a piecewise-constant
+# one, where runs are panels and a call costs about the same for one
+# torque as for SCAN_BLOCK.
 SCAN_BLOCK = 8
 
 _IDENTITY_MAP = np.eye(2, 4).reshape(2, 4, 1, 1)
@@ -91,40 +93,52 @@ def endpoint_det(S: np.ndarray) -> np.ndarray:
     return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
 
 
+@dataclass(frozen=True)
+class StepGrid:
+    """RK4 steps as runs of equal steps: ``rows[r]`` holds the coefficients
+    (a1, a3, p2, p4, b1, b3, q2, q4) of a step repeated ``counts[r]`` times
+    along the span (module docstring).  ``len`` is the step count."""
+
+    rows: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+
 def build_step_grid(
     shape: ShapeFunction,
     E: float,
     J_y: float,
     J_z: float,
     steps: int = DEFAULT_STEPS,
-    align_panels: bool = True,
-) -> np.ndarray:
-    """Step-map coefficients, one row (a1, a3, p2, p4, b1, b3, q2, q4) per
-    RK4 step (see the module docstring).
+) -> StepGrid:
+    """Step grid of about ``steps`` RK4 steps, shared out over the smooth
+    panels of ``shape`` by width so that no discontinuity of F falls inside
+    a step and the integrator keeps its full order.
 
     gz = 1/(E*J_z*F) multiplies the y-equation, gy = 1/(E*J_y*F) the
-    z-equation (they coincide for isotropic sections).  With
-    ``align_panels`` the steps are distributed per smooth panel so that
-    discontinuities of F never fall inside a step and the integrator
-    keeps its full order; without it the grid is uniform.
+    z-equation.  F is linear or constant on a panel, so a panel where F
+    agrees at its left edge and midpoint is flat: one run, with F taken at
+    the midpoint (strictly inside, so a half-open breakpoint cannot leak
+    the neighbouring value).  On any other panel each step is its own run,
+    with F at the step's three stencil points.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
-    if align_panels:
-        edges = shape.panel_edges()
-        counts = np.maximum(1, np.round(steps * np.diff(edges) / shape.L)).astype(int)
-    else:
-        edges, counts = np.array([0.0, shape.L]), np.array([steps])
-    h = np.repeat(np.diff(edges) / counts, counts)
-    index = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    s0 = np.repeat(edges[:-1], counts) + h * index
-    if align_panels and shape.kind in ("constant", "piecewise"):
-        # F is constant within each aligned step; sample strictly inside so
-        # breakpoint half-openness cannot leak the neighbouring value.
-        f = np.tile(np.asarray(shape.evaluate(s0 + 0.5 * h)), 3)
-    else:
-        stencil = np.concatenate([s0, s0 + 0.5 * h, np.minimum(s0 + h, shape.L)])
-        f = np.asarray(shape.evaluate(stencil))
+    edges = shape.panel_edges()
+    widths = np.diff(edges)
+    counts = np.maximum(1, np.round(steps * widths / shape.L)).astype(int)
+    mid = edges[:-1] + 0.5 * widths
+    left_and_mid = np.asarray(shape.evaluate(np.concatenate([edges[:-1], mid])))
+    flat = np.equal(*np.split(left_and_mid, 2))
+    runs = np.where(flat, 1, counts)
+    h = np.repeat(widths / counts, runs)
+    index = np.arange(h.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    s0 = np.repeat(edges[:-1], runs) + h * index
+    stencil = np.array([s0, s0 + 0.5 * h, np.minimum(s0 + h, shape.L)])
+    stencil[:, np.repeat(flat, runs)] = mid[flat]
+    f = np.asarray(shape.evaluate(stencil.ravel()))
     gz = np.split(1.0 / (E * J_z * f), 3)
     gy = np.split(1.0 / (E * J_y * f), 3)
 
@@ -138,60 +152,47 @@ def build_step_grid(
         ]
 
     # column-major: each coefficient is contiguous for propagate
-    return np.array(coefficients(gz, gy) + coefficients(gy, gz)).T
-
-
-def _runs(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One grid row per run of equal consecutive rows, and the run
-    lengths (the grid itself and ones when no two neighbours are equal)."""
-    n = len(grid)
-    columns = grid.T
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    # Screen one coefficient; compare whole rows only if it ever repeats.
-    np.not_equal(columns[0, 1:], columns[0, :-1], out=new[1:])
-    if new.all():
-        return grid, np.ones(n, dtype=int)
-    for column in columns[1:]:
-        new[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(new)
-    return grid[starts], np.diff(starts, append=n)
+    rows = np.array(coefficients(gz, gy) + coefficients(gy, gz)).T
+    return StepGrid(rows, np.repeat(np.where(flat, counts, 1), runs))
 
 
 def _power(maps: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each map ``maps[..., r]`` composed with itself ``counts[r]`` >= 1
-    times, by repeated squaring over the bits of the counts."""
-    width = int(counts.max()).bit_length()
-    if width == 1:
-        return maps
+    """Each map ``maps[..., r]`` composed with itself ``counts[r]`` times,
+    by squaring over the bits of the counts from the top: after bit k every
+    run holds its map to the power ``counts >> k``, so each power computed
+    is one the run needs, and a shorter run stays the identity until its own
+    top bit."""
     # As augmented 4x4 matrices [[A, B], [0, I]]: on a few maps, matmul
     # costs less per call than the tree's einsum, which suits long grids.
-    power = np.zeros(maps.shape[2:] + (4, 4))
-    power[..., :2, :] = maps.transpose(2, 3, 0, 1)
-    power[..., 2, 2] = power[..., 3, 3] = 1.0
-    bits = ((counts >> np.arange(width)[:, None]) & 1 == 1)[..., None, None]
-    result = np.where(bits[0], power, _IDENTITY_4)
+    base = np.zeros(maps.shape[2:] + (4, 4))
+    base[..., :2, :] = maps.transpose(2, 3, 0, 1)
+    base[..., 2, 2] = base[..., 3, 3] = 1.0
+    width = int(counts.max()).bit_length()
+    bits = ((counts >> np.arange(width - 1, -1, -1)[:, None]) & 1 == 1)[..., None, None]
+    result = np.where(bits[0], base, _IDENTITY_4)
     for bit in bits[1:]:
-        power = power @ power
-        result = np.where(bit, power @ result, result)
+        result = result @ result
+        result = np.where(bit, result @ base, result)
     return result[..., :2, :].transpose(2, 3, 0, 1)
 
 
-def propagate(grid: np.ndarray, M: np.ndarray) -> np.ndarray:
+def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     """Endpoint matrices S, shape (len(M), 2, 2), for the 1-D array of
-    torques ``M``: one step map per run of equal steps, raised to the run
-    length by squaring, the run maps composed as a tree (module docstring)."""
+    torques ``M``: one step map per run of the grid, the runs longer than
+    one step raised to their length by squaring, the run maps composed as
+    a tree (module docstring)."""
     m = np.asarray(M, dtype=float).reshape(-1, 1)
     m2 = m * m
-    rows, counts = _runs(grid)
-    a1, a3, p2, p4, b1, b3, q2, q4 = rows.T
+    a1, a3, p2, p4, b1, b3, q2, q4 = grid.rows.T
     b11 = a1 - m2 * a3
     b22 = b1 - m2 * b3
     b12 = m * (p2 - m2 * p4)
     b21 = -m * (q2 - m2 * q4)
     # maps[i, j]: row i of the augmented step matrix [A | B], per torque and run
     maps = np.array([[1.0 - m * b12, m * b11, b11, b12], [-m * b22, 1.0 + m * b21, b21, b22]])
-    maps = _power(maps, counts)
+    long = np.flatnonzero(grid.counts > 1)
+    if long.size:
+        maps[..., long] = _power(maps[..., long], grid.counts[long])
     while maps.shape[-1] > 1:
         if maps.shape[-1] % 2:
             pad = np.broadcast_to(_IDENTITY_MAP, maps.shape[:-1] + (1,))
@@ -202,7 +203,7 @@ def propagate(grid: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.moveaxis(maps[:, 2:, :, 0], -1, 0)
 
 
-def _shoot(grid: np.ndarray, M: float) -> ShootingResult:
+def _shoot(grid: StepGrid, M: float) -> ShootingResult:
     """Endpoint matrix and its determinant at one positive torque."""
     if M <= 0:
         raise ValueError(f"torque must be positive, got {M}")
@@ -214,10 +215,9 @@ def shoot(
     spec: RodSpec,
     M: float,
     steps: int = DEFAULT_STEPS,
-    align_panels: bool = True,
 ) -> ShootingResult:
     """Endpoint matrix of the variable-stiffness system at torque ``M``."""
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, align_panels)
+    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
     return _shoot(grid, M)
 
 
@@ -249,17 +249,22 @@ def scan_and_refine(
     lo, hi = bracket
     if not 0.0 <= lo < hi:
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
+    # endpoint matrices by torque, the probes' included: brentq starts at two
     evaluated: dict[float, np.ndarray] = {}
 
     def trace(m: float) -> float:
-        S = evaluated[m] = endpoint(np.array([m]))[0]
+        S = evaluated.get(m)
+        if S is None:
+            S = evaluated[m] = endpoint(np.array([m]))[0]
         return float(S[0, 0] + S[1, 1])
 
     ms = np.linspace(lo, hi, probes + 1)
     mats: list[np.ndarray] = []
     roots: list[float] = []
     for start in range(0, ms.size, SCAN_BLOCK):
-        mats.append(endpoint(ms[start : start + SCAN_BLOCK]))
+        block = ms[start : start + SCAN_BLOCK]
+        mats.append(endpoint(block))
+        evaluated.update(zip(block.tolist(), mats[-1]))
         S = np.concatenate(mats)
         t = S[:, 0, 0] + S[:, 1, 1]
         for i in range(max(start, 1), t.size):
@@ -290,7 +295,6 @@ def critical_torque_oracle(
     tol: float = DEFAULT_TOL,
     steps: int = DEFAULT_STEPS,
     probes: int = DEFAULT_PROBES,
-    align_panels: bool = True,
 ) -> float:
     """Smallest buckling torque in ``bracket``: the first confirmed upward
     trace crossing (:func:`scan_and_refine`) over ``probes`` intervals,
@@ -302,7 +306,7 @@ def critical_torque_oracle(
     """
     if bracket is None:
         bracket = _default_bracket(spec)
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, align_panels)
+    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
     return scan_and_refine(lambda m: propagate(grid, m), bracket, probes, tol)[0]
 
 
@@ -317,14 +321,13 @@ def eigenvalues_in(
     """All buckling torques in (M_lo, M_hi]: every confirmed upward trace
     crossing of an exhaustive scan; needs 0 <= M_lo < M_hi (M_lo = 0 finds
     every torque up to M_hi)."""
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps, True)
+    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
     return scan_and_refine(lambda m: propagate(grid, m), (M_lo, M_hi), probes, tol, first=False)
 
 
 def convergence_study(
     spec: RodSpec,
     steps_list: list[int],
-    align_panels: bool = True,
 ) -> list[tuple[int, float]]:
     """Relative eigenvalue error of the shooting method per step count.
 
@@ -340,7 +343,6 @@ def convergence_study(
             bracket=(0.5 * exact, 1.5 * exact),
             tol=1e-13,
             steps=steps,
-            align_panels=align_panels,
         )
         table.append((steps, abs(approx - exact) / exact))
     return table

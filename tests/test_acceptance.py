@@ -75,7 +75,7 @@ def test_criterion_2_functional_vs_oracle_random_shapes():
             law=CrossSectionLaw(1, 1.0),
         )
         exact = critical_torque_value(spec)
-        found = critical_torque_oracle(spec, steps=4096, align_panels=True)
+        found = critical_torque_oracle(spec, steps=4096)
         worst = max(worst, abs(found - exact) / exact)
     assert worst <= 1e-6
     elapsed = time.perf_counter() - start

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import twistrod
+from twistrod import oracle
 from twistrod.errors import RootSearchError
 from twistrod.greenhill import critical_torque_value
 from twistrod.oracle import (
+    DEFAULT_PROBES,
     build_step_grid,
     convergence_study,
     critical_torque_oracle,
@@ -40,17 +42,17 @@ DOUBLE = rod(ShapeFunction.constant(2.0, 1.0))
 PIECEWISE = rod(ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]))
 
 
-def reference_endpoint(shape, E, J_y, J_z, M, c1, c2, steps=4096, align_panels=True):
+def reference_endpoint(shape, E, J_y, J_z, M, c1, c2, steps=4096):
     """Scalar classical RK4 for y' = (M z + c1) gz, z' = (c2 - M y) gy from
     (0, 0), one step at a time on the oracle's step placement."""
     starts, widths = [], []
-    edges = shape.panel_edges() if align_panels else np.array([0.0, shape.L])
+    edges = shape.panel_edges()
     for a, b in zip(edges[:-1], edges[1:]):
-        m = max(1, round(steps * (b - a) / shape.L)) if align_panels else steps
+        m = max(1, round(steps * (b - a) / shape.L))
         starts.extend(a + (b - a) / m * np.arange(m))
         widths.extend([(b - a) / m] * m)
     s, h = np.array(starts), np.array(widths)
-    if align_panels and shape.kind in ("constant", "piecewise"):
+    if shape.kind in ("constant", "piecewise"):
         f = [shape.evaluate(s + 0.5 * h)] * 3
     else:
         f = [shape.evaluate(x) for x in (s, s + 0.5 * h, np.minimum(s + h, shape.L))]
@@ -137,15 +139,16 @@ class TestBatchedKernel:
         torques = np.array([0.05, 2.0, 6.5, 11.0])
         worst = 0.0
         for shape, J_y, J_z in cases:
-            for steps, align in ((4096, True), (4096, False), (4095, False), (1000, True)):
-                grid = build_step_grid(shape, 1.3, J_y, J_z, steps, align)
+            # 4100 and 1003 steps put odd levels in both sampled shapes' trees
+            for steps in (4096, 4100, 1003, 1000):
+                grid = build_step_grid(shape, 1.3, J_y, J_z, steps)
                 S = propagate(grid, torques)
                 assert S.shape == (torques.size, 2, 2)
                 for M, S_M in zip(torques, S):
                     ref = np.column_stack(
                         [
-                            reference_endpoint(shape, 1.3, J_y, J_z, M, 1.0, 0.0, steps, align),
-                            reference_endpoint(shape, 1.3, J_y, J_z, M, 0.0, 1.0, steps, align),
+                            reference_endpoint(shape, 1.3, J_y, J_z, M, 1.0, 0.0, steps),
+                            reference_endpoint(shape, 1.3, J_y, J_z, M, 0.0, 1.0, steps),
                         ]
                     )
                     worst = max(worst, np.max(np.abs(S_M - ref)) / np.max(np.abs(ref)))
@@ -153,11 +156,11 @@ class TestBatchedKernel:
 
     def test_grid_has_one_row_per_step(self):
         shape = ShapeFunction.piecewise([0.0, 1.0 / 3.0, 1.0], [1.0, 2.0])
-        assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4095, False)) == 4095
-        assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4096, True)) == 4096
+        assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4095)) == 4095
+        assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4096)) == 4096
 
     def test_batch_size_does_not_change_results(self):
-        grid = build_step_grid(PIECEWISE.shape, 1.0, 2.0, 0.5, 1000, True)
+        grid = build_step_grid(PIECEWISE.shape, 1.0, 2.0, 0.5, 1000)
         torques = np.linspace(0.3, 17.0, 13)
         S = propagate(grid, torques)
         for i, M in enumerate(torques):
@@ -184,7 +187,7 @@ class TestRunLengthKernel:
         torques = np.array([0.05, 2.0, 6.5, 11.0])
         worst = 0.0
         for J_y, J_z in ((1.0, 1.0), (2.3, 0.6)):
-            grid = build_step_grid(shape, 1.3, J_y, J_z, 4096, True)
+            grid = build_step_grid(shape, 1.3, J_y, J_z, 4096)
             S = propagate(grid, torques)
             for M, S_M in zip(torques, S):
                 ref = np.column_stack(
@@ -196,30 +199,28 @@ class TestRunLengthKernel:
                 worst = max(worst, np.max(np.abs(S_M - ref)) / np.max(np.abs(ref)))
         assert worst <= 1e-12
 
-    def test_runs_need_whole_rows_equal(self):
-        # first coefficient equal on every row, the others change at the breakpoint
-        grid = build_step_grid(PIECEWISE.shape, 1.0, 2.0, 0.5, 64, True).copy()
-        grid[:, 0] = grid[0, 0]
-        M = 3.0
-        v = np.zeros((2, 2))
-        for a1, a3, p2, p4, b1, b3, q2, q4 in grid:
-            B = np.array(
-                [[a1 - M**2 * a3, M * (p2 - M**2 * p4)], [-M * (q2 - M**2 * q4), b1 - M**2 * b3]]
-            )
-            A = np.array([[1.0 - M * B[0, 1], M * B[0, 0]], [-M * B[1, 1], 1.0 + M * B[1, 0]]])
-            v = A @ v + B
-        S = propagate(grid, np.array([M]))[0]
-        assert np.max(np.abs(S - v)) <= 1e-12 * np.max(np.abs(v))
+    def test_run_counts(self):
+        # a panel on which F is constant is one run, any other step its own
+        grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 4096)
+        assert grid.counts.tolist() == [2048, 2048] and len(grid) == 4096
+        flat = rod(ShapeFunction.sampled([2.0, 2.0]))
+        assert build_step_grid(flat.shape, 1.0, 1.0, 1.0, 4096).counts.tolist() == [4096]
+        assert critical_torque_oracle(flat) == critical_torque_oracle(DOUBLE) == 12.566370614362913
+        dip = ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0])
+        grid = build_step_grid(dip, 1.0, 1.0, 1.0, 4096)
+        assert grid.counts[grid.counts > 1].tolist() == [585] * 5
+        assert len(grid) == 7 * 585 and grid.counts.size == len(grid.rows) == 5 + 2 * 585
 
     def test_piecewise_memory_independent_of_steps(self):
-        grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 2**18, True)
         tracemalloc.start()
         try:
+            grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 2**18)
             propagate(grid, np.array([1.0, 3.0, 5.0, 7.0]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < grid.nbytes / 4
+        assert len(grid) == 2**18
+        assert peak < 64 * 2**10
 
     def test_sampled_scan_memory(self):
         x = np.linspace(0.0, 1.0, 65)
@@ -257,14 +258,14 @@ class TestOracleStressRods:
 class TestTrace:
     def test_equals_twice_sine_over_torque(self):
         # exact solution gives trace S = 2 sin(M phi) / M, and phi = 1 here
-        grid = build_step_grid(UNIFORM.shape, 1.0, 1.0, 1.0, 4096, True)
+        grid = build_step_grid(UNIFORM.shape, 1.0, 1.0, 1.0, 4096)
         for M in (1.0, 2.0, 4.0, 7.0):
             assert trace(grid, M) == pytest.approx(2.0 * math.sin(M) / M, rel=1e-10)
 
     def test_crossing_directions(self):
         # upward through zero at each eigenvalue k M*, downward half way between
         m_star = critical_torque_value(PIECEWISE)
-        grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 4096, True)
+        grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 4096)
         for k in (1, 2):
             for zero, upward in ((k * m_star, True), ((k - 0.5) * m_star, False)):
                 before = trace(grid, zero * (1.0 - 1e-3))
@@ -272,9 +273,11 @@ class TestTrace:
                 assert (before < 0.0 < after) if upward else (after < 0.0 < before)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestUnresolvedRods:
-    """Rods whose soft end 4096 panel-proportional steps cannot follow: a
-    trace crossing that is not an eigenvalue must raise, never be returned."""
+    """Rods whose soft part 4096 panel-proportional steps cannot follow: a
+    trace crossing that is not an eigenvalue must raise, never be returned,
+    and no step map may overflow on the way."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -283,8 +286,15 @@ class TestUnresolvedRods:
             ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0]),
             ShapeFunction.sampled([1e-4, 1.0, 1e-4]),
             ShapeFunction.piecewise([0.0, 0.999, 1.0], [1.0, 1e-6]),
+            ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 1.0], [1e-8, 1.0]),
         ],
-        ids=["sampled_1e-8", "sampled_dip_1e-5", "sampled_ends_1e-4", "narrow_panel_1e-6"],
+        ids=[
+            "sampled_1e-8",
+            "sampled_dip_1e-5",
+            "sampled_ends_1e-4",
+            "narrow_panel_1e-6",
+            "one_step_panel_1e-8",
+        ],
     )
     def test_right_root_or_error(self, shape):
         spec = rod(shape)
@@ -329,6 +339,22 @@ class TestCriticalTorqueOracle:
         assert critical_torque_oracle(PIECEWISE) == pytest.approx(
             8.0 * math.pi / 3.0, rel=1e-6
         )
+
+    def test_seven_kernel_calls_per_root(self, monkeypatch):
+        # the scan's probe matrices serve brentq's first two calls
+        calls = []
+
+        def counting(grid, M):
+            calls.append(np.array(M, dtype=float))
+            return propagate(grid, M)
+
+        monkeypatch.setattr(oracle, "propagate", counting)
+        critical_torque_oracle(PIECEWISE)
+        probes = np.linspace(*oracle._default_bracket(PIECEWISE), DEFAULT_PROBES + 1)
+        refined = [float(m[0]) for m in calls if m.size == 1]
+        assert len(calls) == 7
+        assert len(refined) == 4
+        assert not set(refined) & set(probes.tolist())
 
     def test_no_root_reports_endpoints(self):
         with pytest.raises(RootSearchError) as err:
@@ -401,13 +427,6 @@ class TestConvergence:
         errors = [e for _, e in table]
         for coarse, fine in zip(errors, errors[1:]):
             assert 8.0 <= coarse / fine <= 32.0
-
-    def test_misaligned_still_first_order(self):
-        # breakpoint at 1/3 never lands on a uniform power-of-two grid
-        spec = rod(ShapeFunction.piecewise([0.0, 1.0 / 3.0, 1.0], [1.0, 2.0]))
-        table = convergence_study(spec, [64, 256, 1024], align_panels=False)
-        errors = [e for _, e in table]
-        assert errors[0] / errors[-1] >= 16.0  # order >= 1 over a 16x refinement
 
     def test_uniform_error_at_default_steps(self):
         (_, err), = convergence_study(UNIFORM, [4096])
