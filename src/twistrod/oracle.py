@@ -40,21 +40,22 @@ whose upward (minus to plus) zero crossings are exactly the eigenvalues
 k M*, while the downward ones sit at (k - 1/2) M*, where det S is at its
 largest.  An unreduced anisotropic section keeps that pattern, so one
 search serves both: ``scan_and_refine`` scans the trace, refines each
-upward crossing with ``brentq`` and confirms it by checking that det S
-there is negligible against its size over the scan.  Nothing in the
-search reads phi or any other closed-form quantity (only the default
-bracket does), and a crossing that is not an eigenvalue, as when the
-steps are too coarse to follow the phase, raises instead of being
-returned.
+upward crossing with ``brentq``, the package's own Brent iteration, and
+confirms it by checking that det S at the returned torque (always one
+already evaluated) is negligible against its size over the scan.  Nothing
+in the search reads phi or any other closed-form quantity (only the
+default bracket does), and a crossing that is not an eigenvalue, as when
+the steps are too coarse to follow the phase, raises instead of being
+returned.  The module needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import RootSearchError
 from .greenhill import critical_torque_value
@@ -70,6 +71,7 @@ MIN_STEPS = 16
 # one, where runs are panels and a call costs about the same for one
 # torque as for SCAN_BLOCK.
 SCAN_BLOCK = 8
+BRENT_ITERATIONS = 100
 
 _IDENTITY_MAP = np.eye(2, 4).reshape(2, 4, 1, 1)
 _IDENTITY_4 = np.eye(4)
@@ -106,6 +108,28 @@ class StepGrid:
         return int(self.counts.sum())
 
 
+def _panel_steps(widths: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` shared out over panels of ``widths`` in proportion to width,
+    at least one each: panels whose share is below one get one step and the
+    rest share what is left, then every panel takes the whole part of its
+    share and the steps still missing go one each to the largest fractional
+    parts (Hamilton's method).  The counts add up to ``steps`` unless the
+    panels outnumber the steps, when each panel gets one."""
+    if steps <= widths.size:
+        return np.ones(widths.size, dtype=int)
+    fixed = np.zeros(widths.size, dtype=bool)
+    while True:
+        share = np.where(fixed, 1.0, (steps - fixed.sum()) * widths / widths[~fixed].sum())
+        short = share < 1.0
+        if not short.any():
+            break
+        fixed |= short
+    counts = np.floor(share).astype(int)
+    largest_remainders = np.argsort(counts - share, kind="stable")
+    counts[largest_remainders[: steps - counts.sum()]] += 1
+    return counts
+
+
 def build_step_grid(
     shape: ShapeFunction,
     E: float,
@@ -113,9 +137,10 @@ def build_step_grid(
     J_z: float,
     steps: int = DEFAULT_STEPS,
 ) -> StepGrid:
-    """Step grid of about ``steps`` RK4 steps, shared out over the smooth
-    panels of ``shape`` by width so that no discontinuity of F falls inside
-    a step and the integrator keeps its full order.
+    """Step grid of ``steps`` RK4 steps (one per panel if the panels are
+    more), shared out over the smooth panels of ``shape`` by width
+    (:func:`_panel_steps`) so that no discontinuity of F falls inside a step
+    and the integrator keeps its full order.
 
     gz = 1/(E*J_z*F) multiplies the y-equation, gy = 1/(E*J_y*F) the
     z-equation.  F is linear or constant on a panel, so a panel where F
@@ -128,7 +153,7 @@ def build_step_grid(
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
     edges = shape.panel_edges()
     widths = np.diff(edges)
-    counts = np.maximum(1, np.round(steps * widths / shape.L)).astype(int)
+    counts = _panel_steps(widths, steps)
     mid = edges[:-1] + 0.5 * widths
     left_and_mid = np.asarray(shape.evaluate(np.concatenate([edges[:-1], mid])))
     flat = np.equal(*np.split(left_and_mid, 2))
@@ -227,6 +252,79 @@ def _default_bracket(spec: RodSpec) -> tuple[float, float]:
     return 1e-3 * estimate, 4.0 * estimate
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
+    """A zero of ``f`` between ``a`` and ``b``, where f(a) and f(b) differ in
+    sign, to within ``xtol + rtol * |x|``: Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4), a
+    bracketing secant and inverse quadratic iteration that bisects whenever
+    those steps are poor.
+
+    The updates are those of scipy's ``brentq.c`` in its order, so the
+    result is the same float.  Signs are compared, never multiplied (a
+    product of two tiny values can underflow to zero), and a step whose
+    formula divides by zero bisects, as the C code does once the inf or nan
+    it gets fails the step test.  The point returned is always one ``f`` was
+    evaluated at.  Raises ValueError when f(a) and f(b) have the same sign
+    and RootSearchError when ``f`` returns nan or after
+    ``BRENT_ITERATIONS`` iterations without convergence.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise RootSearchError(f"function value is nan at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f(a) = {fpre!r} and f(b) = {fcur!r} must differ in sign")
+    # (xblk, fblk): the contrapoint, on the other side of the zero from xcur;
+    # scur and spre are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_ITERATIONS):
+        if (fpre < 0.0) != (fcur < 0.0):  # a zero fcur returns below either way
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RootSearchError(
+        f"brentq did not converge in {BRENT_ITERATIONS} iterations: "
+        f"last point {xcur!r}, bracket end {xblk!r}"
+    )
+
+
 def scan_and_refine(
     endpoint: Callable[[np.ndarray], np.ndarray],
     bracket: tuple[float, float],
@@ -240,11 +338,13 @@ def scan_and_refine(
     ``probes + 1`` equally spaced torques are evaluated ``SCAN_BLOCK`` at a
     time; each probe interval (a, b] over which the trace goes from minus
     to plus is refined by ``brentq`` to relative tolerance ``tol``, and with
-    ``first`` the scan stops there.  Each root is confirmed by
-    det S(root) <= 1e-6 * max |det S| over the probes scanned so far, using
-    the matrix ``brentq`` evaluated at the root.  Raises RootSearchError for
-    a crossing that fails the check and, with ``first``, when there is no
-    crossing at all.
+    ``first`` the scan stops there.  :func:`brentq` is the package's own
+    Brent iteration; it starts from the two probe matrices and returns a
+    torque it evaluated, so each root is confirmed by
+    det S(root) <= 1e-6 * max |det S| over the probes scanned so far from
+    the matrix already computed there.  Raises RootSearchError for a
+    crossing that fails the check or does not converge and, with ``first``,
+    when there is no crossing at all.
     """
     lo, hi = bracket
     if not 0.0 <= lo < hi:

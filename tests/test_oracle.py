@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import ast
 import cmath
+import functools
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 import twistrod
 from twistrod import oracle
@@ -17,6 +19,8 @@ from twistrod.errors import RootSearchError
 from twistrod.greenhill import critical_torque_value
 from twistrod.oracle import (
     DEFAULT_PROBES,
+    DEFAULT_TOL,
+    MIN_STEPS,
     build_step_grid,
     convergence_study,
     critical_torque_oracle,
@@ -47,8 +51,12 @@ def reference_endpoint(shape, E, J_y, J_z, M, c1, c2, steps=4096):
     (0, 0), one step at a time on the oracle's step placement."""
     starts, widths = [], []
     edges = shape.panel_edges()
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = max(1, round(steps * (b - a) / shape.L))
+    # the whole part of each panel's share of the steps, one more to each of
+    # the largest fractional parts until they add up to ``steps``
+    shares = steps * np.diff(edges) / np.diff(edges).sum()
+    counts = np.maximum(1, np.floor(shares)).astype(int)
+    counts[np.argsort(counts - shares, kind="stable")[: steps - counts.sum()]] += 1
+    for a, b, m in zip(edges[:-1], edges[1:], counts):
         starts.extend(a + (b - a) / m * np.arange(m))
         widths.extend([(b - a) / m] * m)
     s, h = np.array(starts), np.array(widths)
@@ -159,6 +167,21 @@ class TestBatchedKernel:
         assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4095)) == 4095
         assert len(build_step_grid(shape, 1.0, 1.0, 1.0, 4096)) == 4096
 
+    def test_grid_length_is_requested_steps(self):
+        rng = Lcg64(53)
+        for shape in [random_piecewise_shape(rng) for _ in range(20)] + [
+            random_sampled_shape(rng) for _ in range(20)
+        ]:
+            panels = shape.panel_edges().size - 1
+            for steps in (MIN_STEPS, 1003, 4095, 4096, 4097, 4100):
+                steps = max(steps, panels)
+                assert len(build_step_grid(shape, 1.0, 1.0, 1.0, steps)) == steps
+        # panels whose share is below one step get one, the others share the rest
+        narrow = ShapeFunction.piecewise([0.0, 1e-9, 2e-9, 1.0], [1.0, 2.0, 3.0])
+        assert build_step_grid(narrow, 1.0, 1.0, 1.0, 100).counts.tolist() == [1, 1, 98]
+        many = ShapeFunction.piecewise(np.linspace(0.0, 1.0, 41), np.arange(1.0, 41.0))
+        assert len(build_step_grid(many, 1.0, 1.0, 1.0, MIN_STEPS)) == 40
+
     def test_batch_size_does_not_change_results(self):
         grid = build_step_grid(PIECEWISE.shape, 1.0, 2.0, 0.5, 1000)
         torques = np.linspace(0.3, 17.0, 13)
@@ -208,8 +231,8 @@ class TestRunLengthKernel:
         assert critical_torque_oracle(flat) == critical_torque_oracle(DOUBLE) == 12.566370614362913
         dip = ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0])
         grid = build_step_grid(dip, 1.0, 1.0, 1.0, 4096)
-        assert grid.counts[grid.counts > 1].tolist() == [585] * 5
-        assert len(grid) == 7 * 585 and grid.counts.size == len(grid.rows) == 5 + 2 * 585
+        assert sorted(grid.counts[grid.counts > 1].tolist()) == [585] * 4 + [586]
+        assert len(grid) == 4096 and grid.counts.size == len(grid.rows) == 5 + 2 * 585
 
     def test_piecewise_memory_independent_of_steps(self):
         tracemalloc.start()
@@ -273,6 +296,111 @@ class TestTrace:
                 assert (before < 0.0 < after) if upward else (after < 0.0 < before)
 
 
+def recorded(f):
+    """``f`` with the list of points it is called at."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g, points
+
+
+# (f, a, b): flat and steep crossings, steps, roots at an end, values whose
+# products underflow or overflow
+BRENT_CASES = [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 3.0, -1.0, 4.0),
+    (lambda x: math.sin(x) - 0.3, 2.0, -0.5),
+    (lambda x: (x - 0.7) ** 9, -0.4, 2.5),
+    (lambda x: x**20 - 0.5, 0.1, 1.7),
+    (lambda x: math.atan(1e6 * (x - 0.2)), -1.0, 3.0),
+    (lambda x: math.tanh(50.0 * (x - 0.6)) + 1e-3, -1.0, 2.0),
+    (lambda x: math.copysign(1.0, x - 1.0 / 3.0), -1.0, 2.0),
+    (lambda x: math.floor(8.0 * x) - 3.5, 0.0, 1.0),
+    (lambda x: (x - 0.3) * (x - 0.31) * (x - 0.32), 0.0, 1.0),
+    (lambda x: 1e-300 * (x - 0.4), -1.0, 2.0),
+    (lambda x: 1e-310 * (x - 0.45), 2.0, -1.0),
+    (lambda x: 1e300 * (x - 0.4), -1.0, 2.0),
+    (lambda x: x - 0.25, 0.25, 1.0),
+    (lambda x: x * x - 1.0, 0.0, 1.0),
+]
+BRENT_TOLERANCES = [(1e-12, 8.9e-16), (2e-300, 8.9e-16), (1e-6, 1e-3), (1e-15, 0.1)]
+
+
+class TestBrentq:
+    """The package's Brent iteration against scipy's as a witness."""
+
+    @pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+    def test_same_float_as_scipy(self, case):
+        f, a, b = BRENT_CASES[case]
+        for xtol, rtol in BRENT_TOLERANCES:
+            mine, mine_points = recorded(f)
+            theirs, their_points = recorded(f)
+            root, info = scipy_brentq(
+                theirs, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False
+            )
+            if info.converged:
+                assert oracle.brentq(mine, a, b, xtol, rtol) == root
+            else:
+                with pytest.raises(RootSearchError):
+                    oracle.brentq(mine, a, b, xtol, rtol)
+            assert mine_points == their_points
+
+    def test_same_float_as_scipy_on_the_trace(self):
+        rng = Lcg64(59)
+        shapes = [random_piecewise_shape(rng) for _ in range(6)]
+        shapes += [random_sampled_shape(rng) for _ in range(6)]
+        for shape in shapes:
+            spec = rod(shape)
+            grid = build_step_grid(shape, spec.E, spec.J_ref, spec.J_ref, 4096)
+            ms = np.linspace(*oracle._default_bracket(spec), DEFAULT_PROBES + 1)
+            S = propagate(grid, ms)
+            t = S[:, 0, 0] + S[:, 1, 1]
+            i = int(np.flatnonzero((t[:-1] < 0.0) & (t[1:] >= 0.0))[0]) + 1
+            a, b = float(ms[i - 1]), float(ms[i])
+            f = functools.partial(trace, grid)
+            expected = scipy_brentq(f, a, b, xtol=DEFAULT_TOL * b, rtol=8.9e-16)
+            assert oracle.brentq(f, a, b, DEFAULT_TOL * b, 8.9e-16) == expected
+
+    @pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+    def test_returns_an_evaluated_point(self, case):
+        f, a, b = BRENT_CASES[case]
+        for xtol, rtol in BRENT_TOLERANCES:
+            g, points = recorded(f)
+            try:
+                root = oracle.brentq(g, a, b, xtol, rtol)
+            except RootSearchError:  # (x - 0.7)**9 at the two tight tolerances
+                continue
+            assert root in points
+
+    def test_same_sign_ends_raise(self):
+        with pytest.raises(ValueError, match="differ in sign"):
+            oracle.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+        with pytest.raises(ValueError):
+            oracle.brentq(lambda x: -1e-310, 0.0, 1.0, 1e-12, 8.9e-16)
+
+    def test_nonconvergence_raises(self):
+        # a sign step 1e-200 from zero in a bracket of 1e300: bisection needs
+        # about 1650 halvings, the iteration stops at BRENT_ITERATIONS
+        def step(x):
+            return math.copysign(1.0, x - 1e-200)
+
+        g, points = recorded(step)
+        with pytest.raises(RootSearchError, match="did not converge"):
+            oracle.brentq(g, -1e300, 1e300, 1e-300, 8.9e-16)
+        assert len(points) == 2 + oracle.BRENT_ITERATIONS
+        info = scipy_brentq(
+            step, -1e300, 1e300, xtol=1e-300, rtol=8.9e-16, full_output=True, disp=False
+        )[1]
+        assert not info.converged and info.function_calls == len(points)
+
+    def test_nan_raises(self):
+        with pytest.raises(RootSearchError, match="nan"):
+            oracle.brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 8.9e-16)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestUnresolvedRods:
     """Rods whose soft part 4096 panel-proportional steps cannot follow: a
@@ -306,20 +434,33 @@ class TestUnresolvedRods:
         assert abs(found - exact) <= 1e-6 * exact
 
 
+def imported_modules(path: Path) -> list[str]:
+    """Every module name an import statement of ``path`` mentions."""
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return imported
+
+
 class TestIndependence:
     def test_shooting_modules_import_nothing_from_transform(self):
         # the oracle must not take its phase or length from the closed form
         package = Path(twistrod.__file__).parent
         for name in ("oracle.py", "anisotropic.py"):
-            tree = ast.parse((package / name).read_text())
-            imported = []
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    imported += [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    base = node.module or ""
-                    imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+            imported = imported_modules(package / name)
             assert not any("transform" in module.split(".") for module in imported), name
+
+    def test_package_imports_no_scipy(self):
+        # numpy is the package's one dependency; scipy is a test witness only
+        paths = sorted(Path(twistrod.__file__).parent.glob("*.py"))
+        assert len(paths) >= 10
+        for path in paths:
+            imported = imported_modules(path)
+            assert not any(module.split(".")[0] == "scipy" for module in imported), path.name
 
 
 class TestCriticalTorqueOracle:

@@ -218,11 +218,15 @@ class TestIntegrate:
                 assert integrate(f, lo, hi) == pytest.approx(want, rel=1e-10)
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        code = "import sys, twistrod; print('scipy.integrate' in sys.modules)"
+        # no scipy module at all: the package and its CLI need numpy only
+        code = (
+            "import sys, twistrod, twistrod.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestSectionLaw:
