@@ -6,6 +6,12 @@ projection back onto the constraint set is a multiplicative rescale that
 also preserves positivity.  Projected gradient ascent and an exhaustive
 simplex search both confirm that the constant section maximizes the
 critical torque at fixed volume and length.
+
+Both search the raw panel-area vector and score it with one panel
+formula, ``2*pi*E*alpha / sum(w * A**(-n))``: the ascent on each rescaled
+candidate, the exhaustive search on its whole grid of allocations as one
+array.  A validated ``AreaProfile`` is built only where one enters (the
+problem's initial profile) or leaves (the brute-force winner).
 """
 
 from __future__ import annotations
@@ -17,10 +23,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .shape import AreaProfile, CrossSectionLaw
+from .shape import AreaProfile, CrossSectionLaw, require_positive
 
 GAP_CONVERGED = 1e-3
 VOLUME_TOL = 1e-10
+
+
+def _torque(widths: np.ndarray, areas: np.ndarray, E: float, law: CrossSectionLaw):
+    """Critical torque of piecewise-constant rods from their panel widths
+    and areas, which must be positive: one value per row of ``areas``."""
+    return 2.0 * math.pi * E * law.alpha / np.sum(widths * areas ** (-law.n), axis=-1)
+
+
+def _require_scales(V: float, L: float, E: float, volume_name: str) -> None:
+    require_positive(V, volume_name)
+    require_positive(L, "L")
+    require_positive(E, "E")
 
 
 def objective(A: AreaProfile, E: float, law: CrossSectionLaw) -> float:
@@ -34,9 +52,7 @@ def objective(A: AreaProfile, E: float, law: CrossSectionLaw) -> float:
         raise ValueError("objective needs a piecewise-constant area profile")
     if np.any(A.panel_values <= 0.0):
         return 0.0
-    widths = np.diff(A.panel_edges)
-    compliance = float(np.sum(widths * A.panel_values ** (-law.n)))
-    return 2.0 * math.pi * E * law.alpha / compliance
+    return float(_torque(np.diff(A.panel_edges), A.panel_values, E, law))
 
 
 def lagrange_gap(A: AreaProfile) -> float:
@@ -60,8 +76,7 @@ class OptimizationProblem:
     init: AreaProfile
 
     def __post_init__(self) -> None:
-        if self.V_target <= 0 or self.L <= 0 or self.E <= 0:
-            raise ValueError("V_target, L and E must be positive")
+        _require_scales(self.V_target, self.L, self.E, "V_target")
         if self.segments < 1:
             raise ValueError(f"need at least one segment, got {self.segments}")
         if self.init.panel_values is None or self.init.panel_values.size != self.segments:
@@ -86,6 +101,7 @@ class OptimizationProblem:
         E: float,
     ) -> "OptimizationProblem":
         """Build a problem from raw panel areas, rescaled to the target volume."""
+        _require_scales(V_target, L, E, "V_target")
         vals = np.asarray(areas, dtype=float)
         if np.any(vals <= 0):
             raise ValueError("panel areas must be positive")
@@ -150,29 +166,37 @@ def optimize(
     relative improvement drops below ``tol`` or after ``max_iters``;
     ``converged`` reports whether the final profile is constant to within
     the 1e-3 deviation threshold.
+
+    Candidates are scored as raw area vectors.  A step adds more to a
+    smaller panel and the rescale is multiplicative, so no candidate has
+    a larger max/min contrast than the validated initial profile; only
+    positivity is checked per candidate.  Each iterate's volume and gap
+    are the sums ``AreaProfile.piecewise`` and ``lagrange_gap`` form for
+    the same areas.
     """
     n = problem.law.n
     h = problem.L / problem.segments
     mean = problem.V_target / problem.L
-    edges = np.linspace(0.0, problem.L, problem.segments + 1)
+    widths = np.diff(np.linspace(0.0, problem.L, problem.segments + 1))
 
     def rescale(a: np.ndarray) -> np.ndarray:
         return a * (problem.V_target / (h * float(np.sum(a))))
 
-    def make_profile(a: np.ndarray) -> AreaProfile:
-        return AreaProfile.piecewise(edges, a)
+    def score(a: np.ndarray) -> float:
+        return float(_torque(widths, a, problem.E, problem.law))
 
     def record(a: np.ndarray, m: float) -> OptimizerIterate:
-        prof = make_profile(a)
+        volume = float(np.sum(widths * a))
+        profile_mean = volume / problem.L
         return OptimizerIterate(
             areas=a.copy(),
             M_star=m,
-            volume_residual=abs(prof.volume - problem.V_target) / problem.V_target,
-            gap=lagrange_gap(prof),
+            volume_residual=abs(volume - problem.V_target) / problem.V_target,
+            gap=float(np.max(np.abs(a - profile_mean)) / profile_mean),
         )
 
     areas = rescale(problem.init.panel_values.copy())
-    current = objective(make_profile(areas), problem.E, problem.law)
+    current = score(areas)
     iterates = [record(areas, current)]
 
     for _ in range(max_iters):
@@ -189,7 +213,7 @@ def optimize(
                     )
                 continue
             candidate = rescale(candidate)
-            value = objective(make_profile(candidate), problem.E, problem.law)
+            value = score(candidate)
             if value > current:
                 accepted = (candidate, value)
                 break
@@ -226,42 +250,33 @@ def brute_force_segments(
     at the barycenter and no allocation degenerates to zero volume).
     Returns the profile of the best allocation; ties go to the
     lexicographically smallest one.  Intended as the small-scale oracle
-    for constant-section optimality, so only 2 and 3 segments are allowed.
+    for constant-section optimality, so only 2 and 3 segments are allowed;
+    3 segments need at least 2 grid points.  The whole grid is scored as
+    one ``(allocations, k)`` array of panel areas.
     """
     if k_segments not in (2, 3):
         raise ValueError(f"brute force supports 2 or 3 segments, got {k_segments}")
     if not 1 <= grid_points <= 200:
         raise ValueError(f"grid_points must be in [1, 200], got {grid_points}")
-    if V <= 0 or L <= 0 or E <= 0:
-        raise ValueError("V, L, E must be positive")
+    if k_segments == 3 and grid_points < 2:
+        raise ValueError("3 segments need grid_points >= 2: one point leaves no allocation")
+    _require_scales(V, L, E, "V")
 
     h = L / k_segments
     edges = np.linspace(0.0, L, k_segments + 1)
     fractions = (np.arange(grid_points) + 0.5) / grid_points
 
-    best_value = -math.inf
-    best_alloc: tuple[float, ...] | None = None
+    # Rows of allocations in search order: t1 outer, t2 inner.
     if k_segments == 2:
-        for t1 in fractions:
-            alloc = (t1 * V, (1.0 - t1) * V)
-            value = objective(
-                AreaProfile.piecewise(edges, np.asarray(alloc) / h), E, law
-            )
-            if value > best_value:
-                best_value = value
-                best_alloc = alloc
+        alloc = np.stack([fractions * V, (1.0 - fractions) * V], axis=1)
     else:
-        for t1 in fractions:
-            for t2 in fractions:
-                if t1 + t2 >= 1.0:
-                    break
-                alloc = (t1 * V, t2 * V, (1.0 - t1 - t2) * V)
-                value = objective(
-                    AreaProfile.piecewise(edges, np.asarray(alloc) / h), E, law
-                )
-                if value > best_value:
-                    best_value = value
-                    best_alloc = alloc
-
-    assert best_alloc is not None
-    return AreaProfile.piecewise(edges, np.asarray(best_alloc) / h)
+        t1, t2 = np.meshgrid(fractions, fractions, indexing="ij")
+        keep = t1 + t2 < 1.0
+        t1, t2 = t1[keep], t2[keep]
+        alloc = np.stack([t1 * V, t2 * V, (1.0 - t1 - t2) * V], axis=1)
+    areas = alloc / h
+    require_positive(float(np.min(areas)), "smallest candidate panel area")
+    require_positive(float(np.max(areas)), "largest candidate panel area")
+    scores = _torque(np.diff(edges), areas, E, law)
+    # argmax takes the first maximum: ties go to the earliest allocation
+    return AreaProfile.piecewise(edges, areas[int(np.argmax(scores))])

@@ -209,6 +209,15 @@ class TestOptimize:
         assert final["converged"] is False
         assert final["final_gap"] > 1e-3  # trace still emitted
 
+    @pytest.mark.parametrize("key", ["V", "L", "E"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_parameter_is_input_error(self, tmp_path, capsys, key, bad):
+        doc = dict(PROBLEM)
+        doc[key] = bad  # json.dumps writes NaN / Infinity, which json.loads reads
+        spec = write(tmp_path, "prob.json", doc)
+        assert main(["optimize", "--spec", spec]) == 2
+        assert "input error" in capsys.readouterr().err
+
 
 class TestNumericFailureExit:
     def test_numeric_errors_map_to_exit_3(self, tmp_path, capsys, monkeypatch):

@@ -20,6 +20,43 @@ from twistrod.sampling import Lcg64, law_for_exponent, random_areas
 from twistrod.shape import AreaProfile, CrossSectionLaw, RodSpec, ShapeFunction, area_profile
 
 LAW1 = CrossSectionLaw(1, 1.0)
+NONFINITE = [math.nan, math.inf]
+
+
+def reference_brute_force(V, L, law, E, k, grid):
+    """The exhaustive search as nested loops over validated profiles."""
+    h = L / k
+    edges = np.linspace(0.0, L, k + 1)
+    fractions = (np.arange(grid) + 0.5) / grid
+    if k == 2:
+        allocs = [(t1 * V, (1.0 - t1) * V) for t1 in fractions]
+    else:
+        allocs = [
+            (t1 * V, t2 * V, (1.0 - t1 - t2) * V)
+            for t1 in fractions
+            for t2 in fractions
+            if t1 + t2 < 1.0
+        ]
+    best_value, best = -math.inf, None
+    for alloc in allocs:
+        value = objective(AreaProfile.piecewise(edges, np.asarray(alloc) / h), E, law)
+        if value > best_value:
+            best_value, best = value, np.asarray(alloc) / h
+    return best
+
+
+@pytest.fixture
+def piecewise_count(monkeypatch):
+    """Count ``ShapeFunction.piecewise`` constructions from here on."""
+    calls = []
+    original = ShapeFunction.piecewise
+
+    def counting(cls, breakpoints, values):
+        calls.append(1)
+        return original(breakpoints, values)
+
+    monkeypatch.setattr(ShapeFunction, "piecewise", classmethod(counting))
+    return calls
 
 
 class TestObjective:
@@ -104,6 +141,17 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OptimizationProblem.from_areas([1.0, -1.0], 2.0, 1.0, LAW1, 1.0)
 
+    @pytest.mark.parametrize("key", ["V_target", "L", "E"])
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_rejects_nonfinite_parameters(self, key, bad):
+        init = AreaProfile.piecewise([0.0, 0.5, 1.0], [1.0, 3.0])  # volume 2
+        params = {"V_target": 2.0, "L": 1.0, "E": 1.0}
+        params[key] = bad
+        with pytest.raises(ValueError, match=key):
+            OptimizationProblem(law=LAW1, segments=2, init=init, **params)
+        with pytest.raises(ValueError):
+            OptimizationProblem.from_areas([1.0, 3.0], law=LAW1, **params)
+
 
 class TestOptimize:
     def test_two_segments_converge_to_constant(self):
@@ -178,6 +226,30 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_segments(2.0, 1.0, LAW1, 1.0, 2, 500)
 
+    def test_three_segments_need_two_grid_points(self):
+        # one midpoint fraction per axis is 1/2 + 1/2: no allocation remains
+        with pytest.raises(ValueError, match="grid_points"):
+            brute_force_segments(2.0, 1.0, LAW1, 1.0, 3, 1)
+        assert brute_force_segments(2.0, 1.0, LAW1, 1.0, 3, 2).panel_values.size == 3
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_rejects_nonfinite_parameters(self, index, bad):
+        args = [2.0, 1.0, LAW1, 1.0, 2, 11]
+        args[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_segments(*args)
+
+    def test_rejects_allocation_that_underflows(self):
+        # the smallest fraction of the least subnormal volume rounds to 0
+        with pytest.raises(ValueError, match="smallest candidate panel area"):
+            brute_force_segments(5e-324, 1.0, LAW1, 1.0, 2, 200)
+
+    def test_tie_goes_to_first_allocation(self):
+        # allocations (1, 3) and (3, 1) have exactly equal compliance
+        best = brute_force_segments(2.0, 1.0, LAW1, 1.0, 2, 2)
+        assert best.panel_values.tolist() == [1.0, 3.0]
+
     def test_ascent_beats_or_matches_brute_force(self):
         for k in (2, 3):
             law = law_for_exponent(k)  # n = 2 and 3 here
@@ -189,3 +261,46 @@ class TestBruteForce:
             trace = optimize(prob)
             assert trace.final.M_star >= brute_value * (1.0 - 1e-8)
             assert trace.final_gap <= 1e-3
+
+
+class TestRawAreaScoring:
+    """The ascent and the exhaustive search score raw area vectors; a
+    validated profile is built only for the brute-force result."""
+
+    def test_profile_constructions(self, piecewise_count):
+        prob = OptimizationProblem.from_areas(
+            random_areas(Lcg64(89), 16), 2.0, 1.0, law_for_exponent(2), 1.0
+        )
+        piecewise_count.clear()
+        trace = optimize(prob)
+        assert len(trace.iterates) > 2
+        assert len(piecewise_count) == 0
+        brute_force_segments(2.0, 1.0, LAW1, 1.0, 3, 17)
+        assert len(piecewise_count) == 1
+
+    @pytest.mark.parametrize("k, grids", [(2, [1, 2, 7, 50, 121, 200]), (3, [2, 3, 17, 40])])
+    def test_brute_force_matches_reference_loops(self, k, grids):
+        rng = Lcg64(97)
+        for grid in grids:
+            for n in (1, 2, 3):
+                law = law_for_exponent(n)
+                V = rng.log_uniform(0.5, 4.0)
+                L = rng.log_uniform(0.5, 4.0)
+                E = rng.log_uniform(0.5, 4.0)
+                best = brute_force_segments(V, L, law, E, k, grid)
+                expected = reference_brute_force(V, L, law, E, k, grid)
+                assert best.panel_values.tobytes() == expected.tobytes()
+
+    def test_iterates_match_validated_profiles(self):
+        rng = Lcg64(101)
+        for case in range(6):
+            k = (4, 16, 64)[case % 3]
+            law = law_for_exponent(1 + case % 3)
+            V, L, E = 1.5, 0.8, 2.5
+            prob = OptimizationProblem.from_areas(random_areas(rng, k), V, L, law, E)
+            edges = np.linspace(0.0, L, k + 1)
+            for it in optimize(prob).iterates:
+                prof = AreaProfile.piecewise(edges, it.areas)
+                assert it.M_star == objective(prof, E, law)
+                assert it.volume_residual == abs(prof.volume - V) / V
+                assert it.gap == lagrange_gap(prof)
