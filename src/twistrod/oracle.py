@@ -143,29 +143,24 @@ def build_step_grid(
     and the integrator keeps its full order.
 
     gz = 1/(E*J_z*F) multiplies the y-equation, gy = 1/(E*J_y*F) the
-    z-equation.  F is linear or constant on a panel, so a panel where F
-    agrees at its left edge and midpoint is flat: one run, with F taken at
-    the midpoint (strictly inside, so a half-open breakpoint cannot leak
-    the neighbouring value).  On any other panel each step is its own run,
-    with F at the step's three stencil points.
+    z-equation.  A panel of the profile's panel table with F equal at both
+    ends is flat: one run, with F that value.  On any other panel each step
+    is its own run, with F at the step's three stencil points.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
-    edges = shape.panel_edges()
+    edges, left, right = shape.panels()
     widths = np.diff(edges)
     counts = _panel_steps(widths, steps)
-    mid = edges[:-1] + 0.5 * widths
-    left_and_mid = np.asarray(shape.evaluate(np.concatenate([edges[:-1], mid])))
-    flat = np.equal(*np.split(left_and_mid, 2))
+    flat = left == right
     runs = np.where(flat, 1, counts)
     h = np.repeat(widths / counts, runs)
     index = np.arange(h.size) - np.repeat(np.cumsum(runs) - runs, runs)
     s0 = np.repeat(edges[:-1], runs) + h * index
     stencil = np.array([s0, s0 + 0.5 * h, np.minimum(s0 + h, shape.L)])
-    stencil[:, np.repeat(flat, runs)] = mid[flat]
-    f = np.asarray(shape.evaluate(stencil.ravel()))
-    gz = np.split(1.0 / (E * J_z * f), 3)
-    gy = np.split(1.0 / (E * J_y * f), 3)
+    f = np.where(np.repeat(flat, runs), np.repeat(left, runs), shape.evaluate(stencil))
+    gz = 1.0 / (E * J_z * f)
+    gy = 1.0 / (E * J_y * f)
 
     def coefficients(u, v):
         # (a1, a3, p2, p4) with u = gz, v = gy; (b1, b3, q2, q4) with them exchanged

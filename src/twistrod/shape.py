@@ -5,6 +5,12 @@ The dimensionless stiffness profile F is defined on the rod span
 cross-section law ties the profile to the cross-sectional area through
 F * J_ref = alpha_n * A**n with n in {1, 2, 3}.
 
+Every profile kind is a chain of panels on which F is constant or
+linear.  ``ShapeFunction.panels`` gives that chain as one table (the
+panel edges and F at each panel's left and right end); evaluation, the
+coordinate map and the shooting oracle's step grid all read the table,
+and no query but ``panels`` branches on the kind.
+
 ``integrate`` is the package's one quadrature engine: adaptive
 Gauss-Kronrod (QUADPACK's G10/K21 pair) run on all panels at once, so
 each refinement round costs one call of the integrand on an array of
@@ -20,7 +26,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,8 +40,8 @@ MIN_RELATIVE_STIFFNESS = 1e-9
 DEFAULT_QUAD_TOL = 1e-10
 # The volume is a reported result and gets a tighter budget.  Its
 # integrand A ~ F**(1/n) stays well conditioned where F is small, unlike
-# the reciprocal powers of the split identities, whose values near a
-# 1e-8 stiffness contrast carry roundoff above 1e-12 of their integral.
+# the reciprocal powers of the split identities, which at 1e-12 exhaust
+# the panel budget within a decade of the 1e-9 stiffness contrast floor.
 VOLUME_QUAD_TOL = 1e-12
 
 VALID_KINDS = ("constant", "piecewise", "sampled")
@@ -251,14 +257,11 @@ class ShapeFunction:
         require_positive(self.L, "domain length")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile values must be finite")
-        # Probe segment values / grid nodes and panel midpoints.  For the
-        # constant and piecewise kinds the probes are exhaustive; for the
-        # linear interpolant the minimum is attained at a node anyway.
-        probes = [self.values]
+        # Probe segment values / grid nodes and panel midpoints.  F is
+        # linear on every panel, so its extremes sit at the values anyway.
         edges = self.panel_edges()
-        probes.append(self.evaluate(0.5 * (edges[:-1] + edges[1:])))
-        lo = min(float(np.min(p)) for p in probes)
-        hi = max(float(np.max(p)) for p in probes)
+        probes = np.concatenate([self.values, self.evaluate(0.5 * (edges[:-1] + edges[1:]))])
+        lo, hi = float(np.min(probes)), float(np.max(probes))
         if lo <= 0.0 or lo <= MIN_RELATIVE_STIFFNESS * hi:
             raise ValueError(
                 f"profile must be strictly positive (min {lo:g} vs max {hi:g})"
@@ -281,50 +284,50 @@ class ShapeFunction:
 
     # -- queries ------------------------------------------------------
 
+    def panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The panel table ``(edges, left, right)``: the boundaries of the
+        maximal smooth panels and F at the left and right end of each.  F is
+        linear on every panel (constant where ``left == right``), so the table
+        is the whole profile; no other query branches on ``kind``."""
+        if self.kind == "sampled":
+            edges = np.linspace(0.0, self.L, self.values.size)
+            edges.setflags(write=False)
+            return edges, self.values[:-1], self.values[1:]
+        if self.kind == "piecewise":
+            return self.breakpoints, self.values, self.values
+        return _frozen_copy([0.0, self.L]), self.values, self.values
+
     def evaluate(self, xi: float | np.ndarray) -> float | np.ndarray:
-        """F(xi).  Accepts a scalar or an array; raises on out-of-domain input."""
+        """F(xi) at a scalar or an array; raises on out-of-domain input.  Panels
+        are half-open, the last one closed.  F is interpolated from the nearer
+        end of its panel, the offset measured from that end, so it keeps its
+        relative precision next to a small node value."""
         x = np.asarray(xi, dtype=float)
-        if np.any(x < 0.0) or np.any(x > self.L):
+        if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= self.L):  # NaN fails too
             raise ValueError(f"coordinate outside [0, {self.L}]")
-        if self.kind == "constant":
-            out = np.full_like(x, self.values[0])
-        elif self.kind == "piecewise":
-            idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-            idx = np.clip(idx, 0, self.values.size - 1)
-            out = self.values[idx]
-        else:  # sampled, piecewise-linear
-            grid = np.linspace(0.0, self.L, self.values.size)
-            out = np.interp(x, grid, self.values)
-        if np.isscalar(xi) or np.ndim(xi) == 0:
-            return float(out)
-        return out
+        edges, left, right = self.panels()
+        # the last panel is closed: L falls into it, not past it
+        i = np.searchsorted(edges[:-1], x, side="right") - 1
+        a, b, f0, f1 = edges[i], edges[i + 1], left[i], right[i]
+        slope = (f1 - f0) / (b - a)
+        da, db = x - a, b - x
+        out = np.where(da <= db, f0 + slope * da, f1 - slope * db)
+        return float(out) if x.ndim == 0 else out
 
     __call__ = evaluate
 
     def panel_edges(self) -> np.ndarray:
         """Boundaries of the maximal smooth panels (used to align quadrature
         and fixed-step integration with any discontinuities or kinks)."""
-        if self.kind == "piecewise":
-            return np.asarray(self.breakpoints, dtype=float)
-        if self.kind == "sampled":
-            return np.linspace(0.0, self.L, self.values.size)
-        return np.array([0.0, self.L])
-
-    def min_value(self) -> float:
-        return float(np.min(self.values))
-
-    def max_value(self) -> float:
-        return float(np.max(self.values))
+        return self.panels()[0]
 
     def scaled(self, factor: float) -> "ShapeFunction":
         """New profile with every value multiplied by ``factor`` > 0."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        if self.kind == "piecewise":
-            return ShapeFunction.piecewise(self.breakpoints, self.values * factor)
-        if self.kind == "sampled":
-            return ShapeFunction.sampled(self.values * factor, self.L)
-        return ShapeFunction.constant(self.values[0] * factor, self.L)
+        shape = replace(self, values=_frozen_copy(self.values * factor))
+        shape._validate()
+        return shape
 
     # -- JSON descriptor ----------------------------------------------
 
@@ -418,8 +421,8 @@ class AreaProfile:
     """Cross-sectional area A(xi) on [0, L] plus its integral, the volume.
 
     ``area`` evaluates pointwise (vectorized); ``panel_values`` is set only
-    for piecewise-constant profiles, where it exposes the per-panel areas
-    that the optimizer treats as design variables.
+    when the area is constant on every panel, where it exposes the
+    per-panel areas that the optimizer treats as design variables.
     """
 
     area: Callable[[np.ndarray], np.ndarray]
@@ -448,11 +451,10 @@ class AreaProfile:
         return self.volume / self.L
 
     def max_relative_deviation(self) -> float:
-        """sup |A - mean| / mean, exact from panel edges and midpoints: the
-        area is monotone on every panel, so its extremes sit at these."""
-        edges = self.panel_edges
-        pts = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
-        a = np.asarray(self.area(pts), dtype=float)
+        """sup |A - mean| / mean, exact from the panel edges: the area is
+        monotone on every panel and each panel's value is taken at its left
+        edge, so its extremes sit at these."""
+        a = np.asarray(self.area(self.panel_edges), dtype=float)
         mean = self.mean_area
         return float(np.max(np.abs(a - mean)) / mean)
 
@@ -471,11 +473,9 @@ def area_profile(spec: RodSpec) -> AreaProfile:
     def area(xi: np.ndarray) -> np.ndarray:
         return (np.asarray(shape.evaluate(xi)) * spec.J_ref / alpha) ** (1.0 / n)
 
-    edges = shape.panel_edges()
+    edges, left, right = shape.panels()
     volume = integrate(area, 0.0, shape.L, tol=VOLUME_QUAD_TOL, breakpoints=edges)
-    values = None
-    if shape.kind in ("constant", "piecewise"):
-        values = (shape.values * spec.J_ref / alpha) ** (1.0 / n)
+    values = (left * spec.J_ref / alpha) ** (1.0 / n) if np.array_equal(left, right) else None
     return AreaProfile(
         area=area,
         L=shape.L,

@@ -8,6 +8,9 @@ The rod spans xi in [0, L] with stiffness profile F(xi).  The map
 sends it to x in [0, l], l = x(L); a rod of uniform reference stiffness
 and length l buckles at the same torque.  F > 0 makes the map strictly
 increasing, so the inverse is well defined.
+
+The map is summed in closed form over the profile's panel table
+(``ShapeFunction.panels``); nothing here depends on the profile's kind.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ def physical_length(shape: ShapeFunction) -> float:
 class CoordinateMap:
     """Cached, exact-per-panel form of the map x(xi) and its inverse.
 
-    The cumulative integral of 1/F and its inverse have closed forms on
-    every smooth panel of the three supported profile kinds (constant,
-    constant segment, linear segment), so both directions are exact up to
-    roundoff.
+    F is constant or linear on every panel of the profile's panel table
+    (:meth:`ShapeFunction.panels`), so the cumulative integral of 1/F and
+    its inverse have closed forms there and both directions are exact up
+    to roundoff.
     """
 
     shape: ShapeFunction
@@ -40,9 +43,8 @@ class CoordinateMap:
 
     @classmethod
     def build(cls, shape: ShapeFunction) -> "CoordinateMap":
-        edges = shape.panel_edges()
-        f0, df = _linear_panels(shape)
-        increments = _reciprocal_integral(np.diff(edges), f0, df)
+        edges, left, right = shape.panels()
+        increments = _reciprocal_integral(np.diff(edges), left, right)
         xs = np.concatenate([[0.0], np.cumsum(increments)])
         return cls(shape=shape, nodes_xi=edges, nodes_x=xs)
 
@@ -59,13 +61,11 @@ class CoordinateMap:
         """Forward map; exact at panel nodes, closed form within panels."""
         if not 0.0 <= xi <= self.L:
             raise ValueError(f"coordinate {xi} outside [0, {self.L}]")
-        i = int(np.searchsorted(self.nodes_xi, xi, side="right")) - 1
-        i = min(max(i, 0), self.nodes_xi.size - 2)
-        a, b = self.nodes_xi[i], self.nodes_xi[i + 1]
-        f0, df = _linear_panels(self.shape)
-        # F is linear on the panel, so over [a, xi] it changes by the
-        # matching fraction of the whole panel's change.
-        partial = _reciprocal_integral(xi - a, f0[i], df[i] * (xi - a) / (b - a))
+        i = min(int(np.searchsorted(self.nodes_xi, xi, side="right")) - 1, self.nodes_xi.size - 2)
+        # F is linear on the panel, so [a, xi] is a panel from F(a) to F(xi)
+        partial = _reciprocal_integral(
+            xi - self.nodes_xi[i], self.shape.panels()[1][i], self.shape(xi)
+        )
         return float(self.nodes_x[i] + partial)
 
     def x_to_xi(self, x: float) -> float:
@@ -73,34 +73,34 @@ class CoordinateMap:
         if not 0.0 <= x <= self.l * (1.0 + 1e-12):
             raise ValueError(f"coordinate {x} outside [0, {self.l}]")
         x = min(x, self.l)
-        i = int(np.searchsorted(self.nodes_x, x, side="right")) - 1
-        i = min(max(i, 0), self.nodes_x.size - 2)
+        i = min(int(np.searchsorted(self.nodes_x, x, side="right")) - 1, self.nodes_x.size - 2)
         a, b = self.nodes_xi[i], self.nodes_xi[i + 1]
-        f0, df = _linear_panels(self.shape)
+        _, left, right = self.shape.panels()
+        f0, d = left[i], right[i] - left[i]
         u = x - self.nodes_x[i]
-        if df[i] == 0.0:
-            offset = f0[i] * u
+        if d == 0.0:
+            offset = f0 * u
         else:
-            # inverts u = w log1p(d s / (w f0)) / d, the partial integral
+            # inverts u = w log(F(a + s) / f0) / d, the partial integral
             # that xi_to_x evaluates, for the offset s into the panel
             w = b - a
-            offset = w * f0[i] / df[i] * np.expm1(df[i] * u / w)
+            offset = w * f0 / d * np.expm1(d * u / w)
         # roundoff must not carry the result past the panel's right end
         return float(min(a + offset, b))
 
 
-def _linear_panels(shape: ShapeFunction) -> tuple[np.ndarray, np.ndarray]:
-    """F at the left end of every smooth panel and its change across it."""
-    if shape.kind == "sampled":
-        return shape.values[:-1], np.diff(shape.values)
-    return shape.values, np.zeros_like(shape.values)
-
-
 def _reciprocal_integral(
-    w: np.ndarray | float, f0: np.ndarray | float, df: np.ndarray | float
+    w: np.ndarray | float, f0: np.ndarray | float, f1: np.ndarray | float
 ) -> np.ndarray:
     """integral dt / F over width ``w`` where F runs linearly from ``f0`` to
-    ``f0 + df``, in closed form; log1p keeps nearly flat panels exact."""
-    flat = df == 0.0
-    d = np.where(flat, 1.0, df)
-    return np.where(flat, w / f0, w * np.log1p(d / f0) / d)
+    ``f1``: ``w log(f1 / f0) / (f1 - f0)``, the log as ``log1p((f1 - f0) / f0)``
+    where f0/2 <= f1 <= 2 f0 (the difference is exact there, by Sterbenz's
+    lemma, which keeps nearly flat panels exact) and ``log(f1 / f0)`` on
+    steeper panels, whose rounded difference would lose the ratio."""
+    d, ratio = f1 - f0, f1 / f0
+    flat = d == 0.0
+    # rounding is monotone and 1/2, 2 are floats: the test on the rounded
+    # ratio is the test on f1 against f0/2 and 2 f0
+    near = (0.5 <= ratio) & (ratio <= 2.0)
+    log_ratio = np.where(near, np.log1p(d / f0), np.log(ratio))
+    return np.where(flat, w / f0, w * log_ratio / np.where(flat, 1.0, d))

@@ -454,6 +454,17 @@ class TestIndependence:
             imported = imported_modules(package / name)
             assert not any("transform" in module.split(".") for module in imported), name
 
+    def test_only_shape_reads_kind(self):
+        # every other module works from the panel table, ShapeFunction.panels
+        paths = sorted(Path(twistrod.__file__).parent.glob("*.py"))
+        assert len(paths) >= 10
+        for path in paths:
+            if path.name == "shape.py":
+                continue
+            tree = ast.parse(path.read_text())
+            reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "kind"]
+            assert not reads, f"{path.name} reads .kind on lines {reads}"
+
     def test_package_imports_no_scipy(self):
         # numpy is the package's one dependency; scipy is a test witness only
         paths = sorted(Path(twistrod.__file__).parent.glob("*.py"))

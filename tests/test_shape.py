@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,9 +105,35 @@ class TestEvaluate:
         assert shape.evaluate(0.5) == pytest.approx(1.5, abs=1e-12)
         assert shape.evaluate(0.505) == pytest.approx(1.505, abs=1e-4)
 
+    def test_sampled_from_nearer_node(self):
+        # near the small node the offset is taken from it, so F keeps its
+        # relative precision: F = 1e-8 + (1 - 1e-8) (1 - xi) to ~1 ulp
+        shape = ShapeFunction.sampled([1.0, 1e-8], 1.0)
+        for xi in (1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-8, 0.999, 0.6):
+            f1 = Fraction(1e-8)
+            exact = f1 + (1 - f1) * (Fraction(1.0) - Fraction(xi))
+            assert shape.evaluate(xi) == pytest.approx(float(exact), rel=4e-16, abs=0.0)
+        assert shape.evaluate(1.0) == 1e-8 and shape.evaluate(0.0) == 1.0
+
+    def test_panel_table(self):
+        edges, left, right = ShapeFunction.sampled([1.0, 3.0, 2.0], 2.0).panels()
+        np.testing.assert_array_equal(edges, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(left, [1.0, 3.0])
+        np.testing.assert_array_equal(right, [3.0, 2.0])
+        edges, left, right = PIECEWISE_12.panels()
+        np.testing.assert_array_equal(edges, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(left, right)
+        edges, left, right = ShapeFunction.constant(2.0, 3.0).panels()
+        assert edges.tolist() == [0.0, 3.0] and left.tolist() == right.tolist() == [2.0]
+        for arr in (edges, left, right):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
     def test_out_of_domain(self):
         with pytest.raises(ValueError):
             PIECEWISE_12.evaluate(-0.1)
+        with pytest.raises(ValueError):
+            PIECEWISE_12.evaluate(np.array([0.25, math.nan]))
         with pytest.raises(ValueError):
             PIECEWISE_12.evaluate(1.1)
 
@@ -305,6 +332,17 @@ class TestAreaProfile:
         with pytest.raises(ValueError):
             prof.panel_values[0] = -1.0
 
+    def test_flat_sampled_profile_carries_panel_values(self):
+        # F is constant on every panel, so the areas are per-panel values
+        law = CrossSectionLaw(2, 1.0)
+        sampled = area_profile(
+            RodSpec(E=1.0, J_ref=1.0, shape=ShapeFunction.sampled([4.0, 4.0, 4.0], 1.0), law=law)
+        )
+        np.testing.assert_array_equal(sampled.panel_values, [2.0, 2.0])
+        assert area_profile(
+            RodSpec(E=1.0, J_ref=1.0, shape=ShapeFunction.sampled([4.0, 5.0], 1.0), law=law)
+        ).panel_values is None
+
     def test_sampled_deviation_at_panel_ends(self):
         # A = 1 + xi peaks at the far end: (2 - 1.5) / 1.5
         shape = ShapeFunction.sampled([1.0, 1.5, 2.0], 1.0)
@@ -347,6 +385,8 @@ class TestStressRods:
         ShapeFunction.piecewise([0.0, 0.3, 1.0], [1.0, 1e-8]),
         ShapeFunction.piecewise([0.0, 1e-3, 0.5, 2.0], [1e-8, 1.0, 0.3]),
         ShapeFunction.constant(1e-8, 4.0),
+        # at the 1e-9 floor the split identities need F from the nearer node
+        ShapeFunction.sampled([1.0, 1.01e-9], 1000.0),
     )
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.kind)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -83,6 +84,31 @@ class TestForwardMap:
                 )
                 assert CoordinateMap.build(shape).l == pytest.approx(witness, rel=1e-12)
                 assert physical_length(shape) == pytest.approx(witness, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, 1e-8], [1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0], [1e-4, 1.0, 1e-4]]
+    )
+    def test_steep_panels_against_decimal(self, values):
+        # w log(f1/f0) / (f1 - f0) per panel (w / f0 if flat) at 50 digits,
+        # on the float edges
+        shape = ShapeFunction.sampled(values, 1.0)
+        edges = [Decimal(e) for e in shape.panel_edges().tolist()]
+        nodes = [Decimal(v) for v in values]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            reference = Decimal(0)
+            for a, b, f0, f1 in zip(edges[:-1], edges[1:], nodes[:-1], nodes[1:]):
+                reference += (b - a) / f0 if f0 == f1 else (b - a) * (f1 / f0).ln() / (f1 - f0)
+            error = abs(Decimal(CoordinateMap.build(shape).l) - reference) / reference
+        assert error <= Decimal("1e-15")
+
+    def test_quadrature_converges_at_contrast_1e8(self):
+        # 1/F evaluated from the nearer node stays smooth enough for 1e-12
+        shape = ShapeFunction.sampled([1.0, 1e-8], 1.0)
+        witness = integrate(
+            lambda t: 1.0 / shape(t), 0.0, shape.L, tol=1e-12, breakpoints=shape.panel_edges()
+        )
+        assert witness == pytest.approx(CoordinateMap.build(shape).l, rel=1e-11)
 
     @pytest.mark.parametrize("slope", [1e-6, 1e-8, 1e-10, 1e-13])
     def test_nearly_flat_sampled_panels(self, slope):
