@@ -18,7 +18,7 @@ import numpy as np
 
 from .greenhill import BucklingResult, ModeShape, critical_torque as _isotropic_critical_torque
 from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _shoot
-from .oracle import _default_bracket, build_step_grid, propagate, scan_and_refine
+from .oracle import build_step_grid, probe_torques, propagate, scan_and_refine
 from .shape import CrossSectionLaw, RodSpec, ShapeFunction, require_positive
 
 
@@ -126,10 +126,12 @@ def first_root_anisotropic(
     The unreduced system is shot and searched exactly like the isotropic
     one (:func:`~twistrod.oracle.scan_and_refine`): the first upward zero
     crossing of trace S, confirmed against det S, so the search does not
-    assume the isotropic reduction it checks.  ``bracket`` defaults to
-    (1e-3, 4) times the reduced closed-form estimate.
+    assume the isotropic reduction it checks.  The scan runs over ``probes``
+    equal intervals of ``bracket`` or, by default, geometrically between
+    bounds on M* from the extremes of F and of the two inertias
+    (:func:`~twistrod.oracle.probe_torques`), which read no closed form.
     """
-    if bracket is None:
-        bracket = _default_bracket(reduce_to_isotropic(spec))
-    grid = build_step_grid(spec.shape, spec.E, spec.section.Jy, spec.section.Jz, steps)
-    return scan_and_refine(lambda m: propagate(grid, m), bracket, probes, tol)[0]
+    section = spec.section
+    ms = probe_torques(spec.shape, spec.E, section.Jy, section.Jz, bracket, probes)
+    grid = build_step_grid(spec.shape, spec.E, section.Jy, section.Jz, steps)
+    return scan_and_refine(lambda m: propagate(grid, m), ms, tol)[0]

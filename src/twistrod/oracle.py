@@ -16,41 +16,32 @@ the values of gz and gy at the step's three stencil points,
     B22, B21: as B11, -B12 with y and z exchanged (coefficients b1, b3, q2, q4)
     A11 = 1 - M B12,  A12 = M B11,  A21 = -M B22,  A22 = 1 + M B21.
 
-``build_step_grid`` places the steps panel by panel and stores the
-eight coefficients once per run of equal steps: a panel on which F is
-constant is one run, any other step a run of its own.  ``propagate``
-evaluates one step map per run for a vector of torques at once, raises
-the maps of the runs longer than one step to their length by repeated
-squaring over the bits of the counts from the top (so every power
-computed is one the run needs) and composes the run maps pairwise as a
-balanced tree (an odd level padded with the identity map).  A sampled
-profile without flat panels has runs of one step: nothing is squared
-and the tree composes the step maps themselves.  The work is
-O(runs * bits of the longest run), and the translation part of the
-composite is S: the RK4 endpoint, reassociated.
+Grid: F is linear on each panel of ``ShapeFunction.panels()``; a panel
+from f0 to f1 gets c geometric steps, F = f0 r^k where step k starts,
+r = (f1/f0)^(1/c), so each step is r times as wide as the one before and
+F at its stencil (f0 r^k times 1, 1 + (r-1)/2, r) r times larger.  Each
+coefficient, h^j times j values of g = 1/(E J F), and so the map are the
+same on every step of the panel.  Kernel: ``propagate`` raises each
+panel's augmented map [[A, B], [0, I]] to its step count by squaring and
+composes the panel maps, for many torques at once; S is the translation.
 
-det S(M) is analytically a perfect square (it equals
-|1 - exp(-i M phi)|**2 / M**2 for the exact solution, phi the total
-reciprocal-stiffness integral), so bisection on det would fail.  The
-search tracks the trace of S instead.  For the exact isotropic solution
-
-    trace S(M) = 2 sin(M phi) / M,
-
-whose upward (minus to plus) zero crossings are exactly the eigenvalues
-k M*, while the downward ones sit at (k - 1/2) M*, where det S is at its
-largest.  An unreduced anisotropic section keeps that pattern, so one
-search serves both: ``scan_and_refine`` scans the trace, refines each
-upward crossing with ``brentq``, the package's own Brent iteration, and
-confirms it by checking that det S at the returned torque (always one
-already evaluated) is negligible against its size over the scan.  Nothing
-in the search reads phi or any other closed-form quantity (only the
-default bracket does), and a crossing that is not an eigenvalue, as when
-the steps are too coarse to follow the phase, raises instead of being
-returned.  The module needs numpy only.
+Search: det S(M) is analytically a perfect square (|1 - exp(-i M phi)|**2
+/ M**2 for the exact solution, phi the total reciprocal-stiffness
+integral), so the search tracks trace S = 2 sin(M phi) / M instead, whose
+upward zero crossings are exactly the eigenvalues k M* and the downward
+ones (k - 1/2) M*, where det S is largest; an anisotropic section keeps
+that pattern.  Default probes are geometric with ratio 1.4 < 3/2 between
+bounds on M* from the extremes of F, so no probe interval holds M* and
+another zero.  A crossing is narrowed by batches of 8 torques per kernel
+call around the zero of the inverse interpolant of the traces computed
+(after Chandrupatla, *Adv. Eng. Software* 28:145, 1997) and confirmed
+against det S.  Nothing in the search reads phi or any other closed form,
+and a crossing that is not an eigenvalue raises.  Needs numpy only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -65,25 +56,30 @@ DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
 MIN_STEPS = 16
-# Torques per kernel call while scanning.  The step maps of one call take
-# 8 * SCAN_BLOCK floats per run of the step grid: 2 MB at 4096 steps on a
-# sampled profile without flat panels, a few KB on a piecewise-constant
-# one, where runs are panels and a call costs about the same for one
-# torque as for SCAN_BLOCK.
+# Torques per kernel call while scanning.  A call holds 16 floats per
+# panel and torque in each of its maps: memory is panels x torques.
 SCAN_BLOCK = 8
+PROBE_RATIO = 1.4
 BRENT_ITERATIONS = 100
-
-_IDENTITY_MAP = np.eye(2, 4).reshape(2, 4, 1, 1)
+# Relative tolerance of a refined root, four ulps, as scipy's brentq asks
+RTOL = 8.9e-16
+# A refinement batch (_refine): offsets from the interpolated zero in twice
+# its error estimate, and the fractions of the probe interval of the first
+_OFFSETS, _EVEN = np.arange(-4, 4) / 4.0, np.arange(1, 8) / 8.0
+_NEVILLE_POINTS = 6
 _IDENTITY_4 = np.eye(4)
+# (power of M, row, column, coefficient, sign) of the terms of B, the
+# coefficient numbered in (a1, a3, p2, p4) or, in row 1, (b1, b3, q2, q4)
+_B_TERMS = np.array([
+    (0, 0, 0, 0, 1), (2, 0, 0, 1, -1), (1, 0, 1, 2, 1), (3, 0, 1, 3, -1),  # B11, B12
+    (0, 1, 1, 0, 1), (2, 1, 1, 1, -1), (1, 1, 0, 2, -1), (3, 1, 0, 3, 1),  # B22, B21
+]).T
 
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Endpoint matrix of the two basis integrations at torque M.
-
-    Columns of S are the endpoint deflections (y, z) produced by constant
-    pairs (1, 0) and (0, 1); ``det`` vanishes exactly at buckling torques.
-    """
+    """Endpoint matrix at torque M, columns the endpoint (y, z) of constant
+    pairs (1, 0) and (0, 1); ``det`` vanishes exactly at buckling torques."""
 
     S: np.ndarray
     det: float
@@ -97,29 +93,27 @@ def endpoint_det(S: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepGrid:
-    """RK4 steps as runs of equal steps: ``rows[r]`` holds the coefficients
-    (a1, a3, p2, p4, b1, b3, q2, q4) of a step repeated ``counts[r]`` times
-    along the span (module docstring).  ``len`` is the step count."""
+    """RK4 steps panel by panel: ``poly[j, p]`` is the coefficient of M**j in
+    the augmented map [[A, B], [0, I]] of each of the ``counts[p]`` steps of
+    panel p (module docstring).  ``len`` is the step count."""
 
-    rows: np.ndarray
+    poly: np.ndarray
     counts: np.ndarray
 
     def __len__(self) -> int:
         return int(self.counts.sum())
 
 
-def _panel_steps(widths: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` shared out over panels of ``widths`` in proportion to width,
-    at least one each: panels whose share is below one get one step and the
-    rest share what is left, then every panel takes the whole part of its
-    share and the steps still missing go one each to the largest fractional
-    parts (Hamilton's method).  The counts add up to ``steps`` unless the
-    panels outnumber the steps, when each panel gets one."""
-    if steps <= widths.size:
-        return np.ones(widths.size, dtype=int)
-    fixed = np.zeros(widths.size, dtype=bool)
+def _panel_steps(weights: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` shared out in proportion to ``weights``, at least one each:
+    panels whose share is below one get one and the rest share what is left
+    by Hamilton's method (whole parts, then one more to the largest remainders).
+    The counts add up to ``steps`` unless the panels outnumber the steps."""
+    if steps <= weights.size:
+        return np.ones(weights.size, dtype=int)
+    fixed = np.zeros(weights.size, dtype=bool)
     while True:
-        share = np.where(fixed, 1.0, (steps - fixed.sum()) * widths / widths[~fixed].sum())
+        share = np.where(fixed, 1.0, (steps - fixed.sum()) * weights / weights[~fixed].sum())
         short = share < 1.0
         if not short.any():
             break
@@ -130,97 +124,78 @@ def _panel_steps(widths: np.ndarray, steps: int) -> np.ndarray:
     return counts
 
 
-def build_step_grid(
-    shape: ShapeFunction,
-    E: float,
-    J_y: float,
-    J_z: float,
-    steps: int = DEFAULT_STEPS,
-) -> StepGrid:
-    """Step grid of ``steps`` RK4 steps (one per panel if the panels are
-    more), shared out over the smooth panels of ``shape`` by width
-    (:func:`_panel_steps`) so that no discontinuity of F falls inside a step
-    and the integrator keeps its full order.
+def _first_step(widths, f0, log_ratio, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Width of the first of ``counts`` geometric steps per panel, and F at its stencil."""
+    flat = log_ratio == 0.0
+    r1 = np.expm1(log_ratio / counts)
+    h = widths * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
+    return h, np.array([f0, f0 * (1.0 + 0.5 * r1), f0 * (1.0 + r1)])
 
-    gz = 1/(E*J_z*F) multiplies the y-equation, gy = 1/(E*J_y*F) the
-    z-equation.  A panel of the profile's panel table with F equal at both
-    ends is flat: one run, with F that value.  On any other panel each step
-    is its own run, with F at the step's three stencil points.
-    """
+
+def build_step_grid(
+    shape: ShapeFunction, E: float, J_y: float, J_z: float, steps: int = DEFAULT_STEPS
+) -> StepGrid:
+    """``steps`` RK4 steps (one per panel if the panels are more), geometric
+    on each panel (module docstring), shared out (:func:`_panel_steps`) by
+    share of the phase, by Simpson's rule on ceil(|log(f1/f0)| / 0.25) + 1
+    geometric steps, plus share of sum |log(f1/f0)|, the log taken of the
+    exact difference (Sterbenz) where f0/2 <= f1 <= 2 f0.  gz = 1/(E J_z F)
+    multiplies the y-equation, gy = 1/(E J_y F) the z-equation."""
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
     edges, left, right = shape.panels()
     widths = np.diff(edges)
-    counts = _panel_steps(widths, steps)
-    flat = left == right
-    runs = np.where(flat, 1, counts)
-    h = np.repeat(widths / counts, runs)
-    index = np.arange(h.size) - np.repeat(np.cumsum(runs) - runs, runs)
-    s0 = np.repeat(edges[:-1], runs) + h * index
-    stencil = np.array([s0, s0 + 0.5 * h, np.minimum(s0 + h, shape.L)])
-    f = np.where(np.repeat(flat, runs), np.repeat(left, runs), shape.evaluate(stencil))
-    gz = 1.0 / (E * J_z * f)
-    gy = 1.0 / (E * J_y * f)
-
-    def coefficients(u, v):
-        # (a1, a3, p2, p4) with u = gz, v = gy; (b1, b3, q2, q4) with them exchanged
-        return [
-            h / 6.0 * (u[0] + 4.0 * u[1] + u[2]),
-            h**3 / 12.0 * u[1] * v[1] * (u[0] + u[2]),
-            h**2 / 6.0 * (u[1] * v[0] + u[1] * v[1] + u[2] * v[1]),
-            h**4 / 24.0 * u[1] * v[1] * u[2] * v[0],
-        ]
-
-    # column-major: each coefficient is contiguous for propagate
-    rows = np.array(coefficients(gz, gy) + coefficients(gy, gz)).T
-    return StepGrid(rows, np.repeat(np.where(flat, counts, 1), runs))
-
-
-def _power(maps: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each map ``maps[..., r]`` composed with itself ``counts[r]`` times,
-    by squaring over the bits of the counts from the top: after bit k every
-    run holds its map to the power ``counts >> k``, so each power computed
-    is one the run needs, and a shorter run stays the identity until its own
-    top bit."""
-    # As augmented 4x4 matrices [[A, B], [0, I]]: on a few maps, matmul
-    # costs less per call than the tree's einsum, which suits long grids.
-    base = np.zeros(maps.shape[2:] + (4, 4))
-    base[..., :2, :] = maps.transpose(2, 3, 0, 1)
-    base[..., 2, 2] = base[..., 3, 3] = 1.0
-    width = int(counts.max()).bit_length()
-    bits = ((counts >> np.arange(width - 1, -1, -1)[:, None]) & 1 == 1)[..., None, None]
-    result = np.where(bits[0], base, _IDENTITY_4)
-    for bit in bits[1:]:
-        result = result @ result
-        result = np.where(bit, result @ base, result)
-    return result[..., :2, :].transpose(2, 3, 0, 1)
+    ratio = right / left
+    near = (0.5 <= ratio) & (ratio <= 2.0)
+    log_ratio = np.where(near, np.log1p((right - left) / left), np.log(ratio))
+    spread = np.abs(log_ratio)
+    simpson = np.ceil(spread / 0.25) + 1.0
+    h, f = _first_step(widths, left, log_ratio, simpson)
+    phase = simpson * h / 6.0 * (1.0 / f[0] + 4.0 / f[1] + 1.0 / f[2])
+    weights = phase / phase.sum() + (spread / spread.sum() if spread.any() else 0.0)
+    counts = _panel_steps(weights, steps)
+    h, f = _first_step(widths, left, log_ratio, counts)
+    # gz = g / J_z and gy = g / J_y with g = 1/(E F): (a1, b1), (a3, b3),
+    # (p2, q2) and (p4, q4) are these products of g times powers of 1/J
+    g0, g1, g2 = 1.0 / (E * f)
+    products = np.array([
+        h / 6.0 * (g0 + 4.0 * g1 + g2),
+        h**3 / 12.0 * g1 * g1 * (g0 + g2),
+        h**2 / 6.0 * g1 * (g0 + g1 + g2),
+        h**4 / 24.0 * g1 * g1 * g2 * g0,
+    ])
+    iz, iy, q = 1.0 / J_z, 1.0 / J_y, 1.0 / (J_z * J_y)
+    inverse = np.array([[iz, iy], [iz * q, iy * q], [q, q], [q * q, q * q]])
+    coefficients = products[:, None, :] * inverse[:, :, None]
+    poly = np.zeros((5, widths.size, 4, 4))
+    power, row, col, which, sign = _B_TERMS
+    poly[power, :, row, col + 2] = sign[:, None] * coefficients[which, row]
+    # A - I = M [[-B12, B11], [-B22, B21]]
+    poly[1:, :, :2, :2] = poly[:4, :, :2, :1:-1] * [-1.0, 1.0]
+    poly[0] += _IDENTITY_4
+    return StepGrid(poly, counts)
 
 
 def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     """Endpoint matrices S, shape (len(M), 2, 2), for the 1-D array of
-    torques ``M``: one step map per run of the grid, the runs longer than
-    one step raised to their length by squaring, the run maps composed as
-    a tree (module docstring)."""
-    m = np.asarray(M, dtype=float).reshape(-1, 1)
-    m2 = m * m
-    a1, a3, p2, p4, b1, b3, q2, q4 = grid.rows.T
-    b11 = a1 - m2 * a3
-    b22 = b1 - m2 * b3
-    b12 = m * (p2 - m2 * p4)
-    b21 = -m * (q2 - m2 * q4)
-    # maps[i, j]: row i of the augmented step matrix [A | B], per torque and run
-    maps = np.array([[1.0 - m * b12, m * b11, b11, b12], [-m * b22, 1.0 + m * b21, b21, b22]])
-    long = np.flatnonzero(grid.counts > 1)
-    if long.size:
-        maps[..., long] = _power(maps[..., long], grid.counts[long])
-    while maps.shape[-1] > 1:
-        if maps.shape[-1] % 2:
-            pad = np.broadcast_to(_IDENTITY_MAP, maps.shape[:-1] + (1,))
-            maps = np.concatenate([maps, pad], axis=-1)
-        earlier, later = maps[..., 0::2], maps[..., 1::2]
-        maps = np.einsum("ilkn,ljkn->ijkn", later[:, :2], earlier)
-        maps[:, 2:] += later[:, 2:]
-    return np.moveaxis(maps[:, 2:, :, 0], -1, 0)
+    torques ``M``: one augmented map per panel and torque, raised to the
+    panel's step count, then composed (module docstring)."""
+    m = np.asarray(M, dtype=float).reshape(-1, 1, 1, 1)
+    maps = grid.poly[4]
+    for coefficient in grid.poly[3::-1]:
+        maps = maps * m + coefficient
+    # after bit k every panel holds its map to the power counts >> k, and a
+    # panel with fewer bits stays the identity until its own top bit
+    shifts = np.arange(int(grid.counts.max()).bit_length())[::-1, None]
+    factors = np.where((grid.counts >> shifts & 1)[:, None, :, None, None] == 1, maps, _IDENTITY_4)
+    result = factors[0]
+    for factor in factors[1:]:
+        result = result @ result @ factor
+    while result.shape[1] > 1:
+        even = result.shape[1] // 2 * 2
+        later_after_earlier = result[:, 1:even:2] @ result[:, 0:even:2]
+        result = np.concatenate([later_after_earlier, result[:, even:]], axis=1)
+    return result[:, 0, :2, 2:]
 
 
 def _shoot(grid: StepGrid, M: float) -> ShootingResult:
@@ -231,36 +206,41 @@ def _shoot(grid: StepGrid, M: float) -> ShootingResult:
     return ShootingResult(S=S, det=float(endpoint_det(S)), M=M)
 
 
-def shoot(
-    spec: RodSpec,
-    M: float,
-    steps: int = DEFAULT_STEPS,
-) -> ShootingResult:
+def shoot(spec: RodSpec, M: float, steps: int = DEFAULT_STEPS) -> ShootingResult:
     """Endpoint matrix of the variable-stiffness system at torque ``M``."""
     grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
     return _shoot(grid, M)
 
 
-def _default_bracket(spec: RodSpec) -> tuple[float, float]:
-    """(1e-3, 4) times the closed-form critical torque of ``spec``."""
-    estimate = critical_torque_value(spec)
-    return 1e-3 * estimate, 4.0 * estimate
+def probe_torques(
+    shape: ShapeFunction, E: float, J_y: float, J_z: float, bracket, probes: int
+) -> np.ndarray:
+    """``probes + 1`` torques evenly over ``bracket`` or, if it is None,
+    PROBE_RATIO apart from a ratio below 2 pi E min(J_y, J_z) min F / L to a
+    ratio above 2 pi E max(J_y, J_z) max F / L, which bound M*; the margins
+    keep a root that discretisation moves past a bound inside the scan."""
+    if bracket is not None:
+        lo, hi = bracket
+        if not 0.0 <= lo < hi:
+            raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
+        return np.linspace(lo, hi, probes + 1)
+    _, left, right = shape.panels()
+    scale = 2.0 * math.pi * E / shape.L
+    lo = scale * min(J_y, J_z) * float(np.minimum(left, right).min())
+    hi = scale * max(J_y, J_z) * float(np.maximum(left, right).max())
+    count = math.ceil(math.log(hi / lo) / math.log(PROBE_RATIO)) + 3
+    return lo / PROBE_RATIO * PROBE_RATIO ** np.arange(count)
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
     """A zero of ``f`` between ``a`` and ``b``, where f(a) and f(b) differ in
-    sign, to within ``xtol + rtol * |x|``: Brent's method (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4), a
-    bracketing secant and inverse quadratic iteration that bisects whenever
-    those steps are poor.
-
-    The updates are those of scipy's ``brentq.c`` in its order, so the
-    result is the same float.  Signs are compared, never multiplied (a
-    product of two tiny values can underflow to zero), and a step whose
-    formula divides by zero bisects, as the C code does once the inf or nan
-    it gets fails the step test.  The point returned is always one ``f`` was
-    evaluated at.  Raises ValueError when f(a) and f(b) have the same sign
-    and RootSearchError when ``f`` returns nan or after
+    sign, to within ``xtol + rtol * |x|``: Brent's method (Brent, 1973, ch.
+    4), with the updates of scipy's ``brentq.c`` in its order, so the result
+    is the same float.  Signs are compared, never multiplied (a product of
+    two tiny values can underflow to zero), a step whose formula divides by
+    zero bisects, as the C code does, and the point returned is always one
+    ``f`` was evaluated at.  Raises ValueError when f(a) and f(b) have the
+    same sign and RootSearchError when ``f`` returns nan or after
     ``BRENT_ITERATIONS`` iterations without convergence.
     """
 
@@ -320,53 +300,96 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: f
     )
 
 
-def scan_and_refine(
-    endpoint: Callable[[np.ndarray], np.ndarray],
-    bracket: tuple[float, float],
-    probes: int,
-    tol: float,
-    first: bool = True,
-) -> list[float]:
-    """Eigenvalues in ``bracket``: upward zero crossings of trace S, with
-    S = ``endpoint(M)`` the stack of endpoint matrices at torques M.
+def _interpolated_zero(x: list[float], t: list[float], j: int) -> tuple[float, float]:
+    """Zero of the inverse interpolant of traces ``t`` at sorted torques ``x``
+    (t[j-1] < 0 <= t[j]) and its last correction as its error: Neville's
+    scheme on the _NEVILLE_POINTS torques nearest the crossing over which t
+    increases, so that x is a function of t, the farthest from zero last."""
+    start, stop = j - 1, j + 1
+    while start > 0 and t[start - 1] < t[start]:
+        start -= 1
+    while stop < len(t) and t[stop - 1] < t[stop]:
+        stop += 1
+    middle = 0.5 * (x[j - 1] + x[j])
+    near = sorted(range(start, stop), key=lambda i: abs(x[i] - middle))[:_NEVILLE_POINTS]
+    near.sort(key=lambda i: abs(t[i]))
+    ts = [t[i] for i in near]
+    p = previous = [x[i] for i in near]
+    for k in range(1, len(p)):
+        previous = p
+        p = [(ts[i + k] * p[i] - ts[i] * p[i + 1]) / (ts[i + k] - ts[i]) for i in range(len(p) - 1)]
+    return p[0], abs(p[0] - previous[0])
 
-    ``probes + 1`` equally spaced torques are evaluated ``SCAN_BLOCK`` at a
-    time; each probe interval (a, b] over which the trace goes from minus
-    to plus is refined by ``brentq`` to relative tolerance ``tol``, and with
-    ``first`` the scan stops there.  :func:`brentq` is the package's own
-    Brent iteration; it starts from the two probe matrices and returns a
-    torque it evaluated, so each root is confirmed by
-    det S(root) <= 1e-6 * max |det S| over the probes scanned so far from
-    the matrix already computed there.  Raises RootSearchError for a
-    crossing that fails the check or does not converge and, with ``first``,
-    when there is no crossing at all.
-    """
-    lo, hi = bracket
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
-    # endpoint matrices by torque, the probes' included: brentq starts at two
-    evaluated: dict[float, np.ndarray] = {}
+
+def _evaluate(endpoint: Callable, evaluated: dict, torques: np.ndarray) -> np.ndarray:
+    """Endpoint matrices at ``torques``, kept as torque: (trace, matrix)."""
+    S = endpoint(torques)
+    evaluated.update(zip(torques.tolist(), zip((S[:, 0, 0] + S[:, 1, 1]).tolist(), S)))
+    return S
+
+
+def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float) -> float:
+    """A torque in ``evaluated`` within ``xtol + RTOL * b`` of the zero of
+    the trace in (a, b], where it goes from minus to plus.  A batch is the
+    zero z of :func:`_interpolated_zero` and seven torques e/2 apart around
+    it, e twice its error estimate and at least a quarter of the tolerance
+    (the first, from probes too far apart to trust, spreads seven evenly).
+    The end of smaller |trace| of the first sign change is returned once it
+    is within tolerance after a batch centred on a z estimated to within
+    that quarter; :func:`brentq` takes over if a batch fails to halve it."""
 
     def trace(m: float) -> float:
-        S = evaluated.get(m)
-        if S is None:
-            S = evaluated[m] = endpoint(np.array([m]))[0]
-        return float(S[0, 0] + S[1, 1])
+        if m not in evaluated:
+            _evaluate(endpoint, evaluated, np.array([m]))
+        return evaluated[m][0]
 
-    ms = np.linspace(lo, hi, probes + 1)
-    mats: list[np.ndarray] = []
+    width, centred = math.inf, False
+    while True:
+        x = sorted(evaluated)
+        t = [evaluated[m][0] for m in x]
+        j = bisect.bisect_left(x, a) + 1
+        while not t[j - 1] < 0.0 <= t[j]:
+            j += 1
+        a, b = x[j - 1], x[j]
+        tolerance = xtol + RTOL * b
+        if t[j] == 0.0 or (centred and b - a < tolerance):
+            return b if abs(t[j]) <= abs(t[j - 1]) else a
+        if b - a > 0.5 * width:
+            return brentq(trace, a, b, xtol=xtol, rtol=RTOL)
+        zero, error = _interpolated_zero(x, t, j)
+        if not a < zero < b:
+            zero, error = 0.5 * (a + b), b - a
+        centred = error <= 0.25 * tolerance
+        if width == math.inf:
+            batch = np.append(a + (b - a) * _EVEN, zero)
+        else:
+            batch = zero + min(max(2.0 * error, 0.25 * tolerance), b - a) * _OFFSETS
+        width = b - a
+        _evaluate(endpoint, evaluated, batch[(a < batch) & (batch < b)])
+
+
+def scan_and_refine(
+    endpoint: Callable[[np.ndarray], np.ndarray], probes: np.ndarray, tol: float, first: bool = True
+) -> list[float]:
+    """Eigenvalues among the increasing torques ``probes``: upward zero
+    crossings of trace S, S = ``endpoint(M)`` the endpoint matrices at M.
+    The probes are evaluated SCAN_BLOCK at a time, each crossing interval
+    (a, b] is refined to within ``tol * b`` (:func:`_refine`), and with
+    ``first`` the scan stops there.  Each root, an evaluated torque, must
+    pass det S(root) <= 1e-6 * max |det S| over the probes scanned so far.
+    Raises RootSearchError for a crossing that fails the check or does not
+    converge and, with ``first``, when there is no crossing at all."""
+    evaluated: dict[float, tuple[float, np.ndarray]] = {}
     roots: list[float] = []
-    for start in range(0, ms.size, SCAN_BLOCK):
-        block = ms[start : start + SCAN_BLOCK]
-        mats.append(endpoint(block))
-        evaluated.update(zip(block.tolist(), mats[-1]))
-        S = np.concatenate(mats)
+    S = np.empty((0, 2, 2))
+    for start in range(0, probes.size, SCAN_BLOCK):
+        S = np.concatenate([S, _evaluate(endpoint, evaluated, probes[start : start + SCAN_BLOCK])])
         t = S[:, 0, 0] + S[:, 1, 1]
         for i in range(max(start, 1), t.size):
             if not t[i - 1] < 0.0 <= t[i]:
                 continue
-            root = float(brentq(trace, ms[i - 1], ms[i], xtol=tol * ms[i], rtol=8.9e-16))
-            det_at_root = float(endpoint_det(evaluated[root]))
+            root = _refine(endpoint, evaluated, probes[i - 1], probes[i], tol * probes[i])
+            det_at_root = float(endpoint_det(evaluated[root][1]))
             det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
             if det_at_root > 1e-6 * det_scale:
                 raise RootSearchError(
@@ -378,66 +401,42 @@ def scan_and_refine(
                 return roots
     if first:
         raise RootSearchError(
-            f"no upward trace crossing in ({lo}, {hi}): trace runs over "
+            f"no upward trace crossing in ({probes[0]:.6g}, {probes[-1]:.6g}): trace runs over "
             f"[{t.min():.3e}, {t.max():.3e}] without a sign change from minus to plus"
         )
     return roots
 
 
 def critical_torque_oracle(
-    spec: RodSpec,
-    bracket: tuple[float, float] | None = None,
-    tol: float = DEFAULT_TOL,
-    steps: int = DEFAULT_STEPS,
-    probes: int = DEFAULT_PROBES,
+    spec: RodSpec, bracket: tuple[float, float] | None = None, tol: float = DEFAULT_TOL,
+    steps: int = DEFAULT_STEPS, probes: int = DEFAULT_PROBES,
 ) -> float:
-    """Smallest buckling torque in ``bracket``: the first confirmed upward
-    trace crossing (:func:`scan_and_refine`) over ``probes`` intervals,
-    refined to relative tolerance ``tol``.
-
-    ``bracket`` defaults to (1e-3, 4) times the closed-form estimate.
-    Raises RootSearchError when the bracket holds no crossing, reporting
-    the trace range, or when the crossing found is not an eigenvalue.
-    """
-    if bracket is None:
-        bracket = _default_bracket(spec)
+    """Smallest buckling torque, to relative tolerance ``tol``: the first
+    confirmed upward trace crossing of a scan over ``probes`` equal intervals
+    of ``bracket`` or, by default, between bounds on M* from the extremes of
+    F (:func:`probe_torques`, no closed form).  Raises RootSearchError when
+    the scan holds no crossing or the crossing found is not an eigenvalue."""
+    ms = probe_torques(spec.shape, spec.E, spec.J_ref, spec.J_ref, bracket, probes)
     grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
-    return scan_and_refine(lambda m: propagate(grid, m), bracket, probes, tol)[0]
+    return scan_and_refine(lambda m: propagate(grid, m), ms, tol)[0]
 
 
 def eigenvalues_in(
-    spec: RodSpec,
-    M_lo: float,
-    M_hi: float,
-    probes: int = 256,
-    tol: float = DEFAULT_TOL,
+    spec: RodSpec, M_lo: float, M_hi: float, probes: int = 256, tol: float = DEFAULT_TOL,
     steps: int = DEFAULT_STEPS,
 ) -> list[float]:
-    """All buckling torques in (M_lo, M_hi]: every confirmed upward trace
-    crossing of an exhaustive scan; needs 0 <= M_lo < M_hi (M_lo = 0 finds
-    every torque up to M_hi)."""
+    """All buckling torques in (M_lo, M_hi], 0 <= M_lo < M_hi: every confirmed
+    upward trace crossing of an exhaustive scan."""
+    ms = probe_torques(spec.shape, spec.E, spec.J_ref, spec.J_ref, (M_lo, M_hi), probes)
     grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
-    return scan_and_refine(lambda m: propagate(grid, m), (M_lo, M_hi), probes, tol, first=False)
+    return scan_and_refine(lambda m: propagate(grid, m), ms, tol, first=False)
 
 
-def convergence_study(
-    spec: RodSpec,
-    steps_list: list[int],
-) -> list[tuple[int, float]]:
-    """Relative eigenvalue error of the shooting method per step count.
-
-    The reference is the closed-form critical torque; the root search runs
-    at a tolerance far below the discretization error so the table shows
-    the integrator's convergence order.
-    """
+def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:
+    """Relative error against the closed-form critical torque, the one closed
+    form the module reads, per step count, the root search running far below
+    the discretization error to show the integrator's convergence order."""
     exact = critical_torque_value(spec)
-    table = []
-    for steps in steps_list:
-        approx = critical_torque_oracle(
-            spec,
-            bracket=(0.5 * exact, 1.5 * exact),
-            tol=1e-13,
-            steps=steps,
-        )
-        table.append((steps, abs(approx - exact) / exact))
-    return table
+    bracket = (0.5 * exact, 1.5 * exact)
+    approx = [critical_torque_oracle(spec, bracket, 1e-13, steps) for steps in steps_list]
+    return [(steps, abs(m - exact) / exact) for steps, m in zip(steps_list, approx)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 import twistrod.cli as cli
@@ -232,12 +233,17 @@ class TestNumericFailureExit:
         assert main(["analyze", "--spec", spec, "--oracle"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_unconfirmed_oracle_root_exits_3(self, tmp_path, capsys):
-        # 4096 even steps cannot follow the phase into the 1e-8 end; the
-        # trace crossing found there is no eigenvalue and must not be reported
-        doc = dict(CONSTANT_ROD)
-        doc["shape"] = {"kind": "sampled", "L": 1.0, "values": [1.0, 1e-8]}
-        spec = write(tmp_path, "rod.json", doc)
+    def test_unconfirmed_oracle_root_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a kernel whose trace crosses zero upward at M = 5, where det S is
+        # 1: the crossing is no eigenvalue and must not be reported
+        def unconfirmable(grid, M):
+            half_trace = 0.5 * (np.asarray(M, dtype=float) - 5.0)
+            ones = np.ones_like(half_trace)
+            rows = [np.stack([half_trace, -ones], -1), np.stack([ones, half_trace], -1)]
+            return np.stack(rows, -2)
+
+        monkeypatch.setattr(cli.oracle, "propagate", unconfirmable)
+        spec = write(tmp_path, "rod.json", CONSTANT_ROD)
         assert main(["analyze", "--spec", spec, "--oracle"]) == 3
         assert "not an eigenvalue" in capsys.readouterr().err
 

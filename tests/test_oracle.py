@@ -15,6 +15,12 @@ from scipy.optimize import brentq as scipy_brentq
 
 import twistrod
 from twistrod import oracle
+from twistrod.anisotropic import (
+    AnisotropicRodSpec,
+    AnisotropicSection,
+    first_root_anisotropic,
+    reduce_to_isotropic,
+)
 from twistrod.errors import RootSearchError
 from twistrod.greenhill import critical_torque_value
 from twistrod.oracle import (
@@ -25,10 +31,11 @@ from twistrod.oracle import (
     convergence_study,
     critical_torque_oracle,
     eigenvalues_in,
+    probe_torques,
     propagate,
     shoot,
 )
-from twistrod.sampling import Lcg64, random_piecewise_shape
+from twistrod.sampling import Lcg64, random_piecewise_shape, random_rod_spec
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
 from twistrod.transform import physical_length
 
@@ -48,22 +55,24 @@ PIECEWISE = rod(ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]))
 
 def reference_endpoint(shape, E, J_y, J_z, M, c1, c2, steps=4096):
     """Scalar classical RK4 for y' = (M z + c1) gz, z' = (c2 - M y) gy from
-    (0, 0), one step at a time on the oracle's step placement."""
-    starts, widths = [], []
-    edges = shape.panel_edges()
-    # the whole part of each panel's share of the steps, one more to each of
-    # the largest fractional parts until they add up to ``steps``
-    shares = steps * np.diff(edges) / np.diff(edges).sum()
-    counts = np.maximum(1, np.floor(shares)).astype(int)
-    counts[np.argsort(counts - shares, kind="stable")[: steps - counts.sum()]] += 1
-    for a, b, m in zip(edges[:-1], edges[1:], counts):
-        starts.extend(a + (b - a) / m * np.arange(m))
-        widths.extend([(b - a) / m] * m)
-    s, h = np.array(starts), np.array(widths)
-    if shape.kind in ("constant", "piecewise"):
-        f = [shape.evaluate(s + 0.5 * h)] * 3
-    else:
-        f = [shape.evaluate(x) for x in (s, s + 0.5 * h, np.minimum(s + h, shape.L))]
+    (0, 0), one step at a time on the oracle's step placement: the grid's
+    step count per panel, step k of a panel from f0 to f1 starting where
+    F = f0 (f1/f0)^(k/c), and F evaluated on the profile (at the step's
+    midpoint on a flat panel, whose right end may belong to the next one)."""
+    edges, left, right = shape.panels()
+    counts = build_step_grid(shape, E, J_y, J_z, steps).counts
+    h, f = [], []
+    for a, b, f0, f1, c in zip(edges[:-1], edges[1:], left, right, counts):
+        fraction = np.arange(c + 1) / c
+        if f0 != f1:
+            fraction = ((f1 / f0) ** fraction - 1.0) / (f1 / f0 - 1.0)
+        x = a + (b - a) * fraction
+        s0, h0 = x[:-1], np.diff(x)
+        ends = (s0, s0 + 0.5 * h0, np.minimum(s0 + h0, shape.L))
+        f.append([shape.evaluate(s0 + 0.5 * h0 if f0 == f1 else end) for end in ends])
+        h.append(h0)
+    widths = np.concatenate(h).tolist()
+    f = [np.concatenate([panel[i] for panel in f]) for i in range(3)]
     gz = [(1.0 / (E * J_z * fi)).tolist() for fi in f]
     gy = [(1.0 / (E * J_y * fi)).tolist() for fi in f]
     y = z = 0.0
@@ -205,7 +214,7 @@ class TestRunLengthKernel:
     """Runs of equal steps are raised to their length by squaring."""
 
     def test_one_step_panel_and_unequal_runs(self):
-        # panels of 1, 1228 and 2867 steps: different count bit patterns
+        # panels of 2, 891 and 3203 steps: different count bit patterns
         shape = ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 0.3, 1.0], [0.7, 2.0, 1.3])
         torques = np.array([0.05, 2.0, 6.5, 11.0])
         worst = 0.0
@@ -223,16 +232,17 @@ class TestRunLengthKernel:
         assert worst <= 1e-12
 
     def test_run_counts(self):
-        # a panel on which F is constant is one run, any other step its own
+        # every panel is one run; steps go by share of the phase plus share
+        # of |log(f1/f0)|: 2/3 and 1/3 of them here, where F is 1 and 2
         grid = build_step_grid(PIECEWISE.shape, 1.0, 1.0, 1.0, 4096)
-        assert grid.counts.tolist() == [2048, 2048] and len(grid) == 4096
+        assert grid.counts.tolist() == [2731, 1365] and len(grid) == 4096
         flat = rod(ShapeFunction.sampled([2.0, 2.0]))
         assert build_step_grid(flat.shape, 1.0, 1.0, 1.0, 4096).counts.tolist() == [4096]
-        assert critical_torque_oracle(flat) == critical_torque_oracle(DOUBLE) == 12.566370614362913
+        assert critical_torque_oracle(flat) == critical_torque_oracle(DOUBLE) == 12.566370614359172
         dip = ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0])
         grid = build_step_grid(dip, 1.0, 1.0, 1.0, 4096)
-        assert sorted(grid.counts[grid.counts > 1].tolist()) == [585] * 4 + [586]
-        assert len(grid) == 4096 and grid.counts.size == len(grid.rows) == 5 + 2 * 585
+        assert grid.counts.tolist() == [73, 73, 73, 1866, 1865, 73, 73]
+        assert len(grid) == 4096 and grid.poly.shape == (5, 7, 4, 4)
 
     def test_piecewise_memory_independent_of_steps(self):
         tracemalloc.start()
@@ -259,6 +269,18 @@ class TestRunLengthKernel:
         assert peak < 8 * 2**20
 
 
+def random_sampled_rods() -> list[RodSpec]:
+    """120 sampled rods of 2-39 nodes, log-uniform values down to contrasts
+    1e-6, 1e-8 and 1e-3 (numpy seeds 5, 6 and 7, 40 rods each)."""
+    rods = []
+    for seed, lo in ((5, 1e-6), (6, 1e-8), (7, 1e-3)):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            values = np.exp(rng.uniform(np.log(lo), 0.0, rng.integers(2, 40)))
+            rods.append(rod(ShapeFunction.sampled(values)))
+    return rods
+
+
 class TestOracleStressRods:
     @pytest.mark.parametrize(
         "spec",
@@ -276,6 +298,16 @@ class TestOracleStressRods:
     def test_matches_closed_form(self, spec):
         exact = critical_torque_value(spec)
         assert abs(critical_torque_oracle(spec) - exact) <= 1e-10 * exact
+
+    def test_sampled_rods_and_narrow_soft_panel(self):
+        # steps shared by width put 4 of 4096 in the soft panel of the last rod
+        # and missed its root by 1.15%, and the sampled rods' by up to 2.7e-2
+        soft = rod(ShapeFunction.piecewise([0.0, 0.999, 1.0], [1.0, 1e-6]))
+        worst = 0.0
+        for spec in random_sampled_rods() + [soft]:
+            exact = critical_torque_value(spec)
+            worst = max(worst, abs(critical_torque_oracle(spec) - exact) / exact)
+        assert worst <= 1e-7
 
 
 class TestTrace:
@@ -355,7 +387,7 @@ class TestBrentq:
         for shape in shapes:
             spec = rod(shape)
             grid = build_step_grid(shape, spec.E, spec.J_ref, spec.J_ref, 4096)
-            ms = np.linspace(*oracle._default_bracket(spec), DEFAULT_PROBES + 1)
+            ms = probe_torques(shape, spec.E, spec.J_ref, spec.J_ref, None, DEFAULT_PROBES)
             S = propagate(grid, ms)
             t = S[:, 0, 0] + S[:, 1, 1]
             i = int(np.flatnonzero((t[:-1] < 0.0) & (t[1:] >= 0.0))[0]) + 1
@@ -396,16 +428,43 @@ class TestBrentq:
         )[1]
         assert not info.converged and info.function_calls == len(points)
 
+    def test_takes_over_when_a_batch_fails_to_halve_the_bracket(self, monkeypatch):
+        # a triple zero of the trace defeats the interpolated batches
+        def cubic_trace(M):
+            half = 0.5 * (np.asarray(M, dtype=float) - 5.3) ** 3
+            zero = np.zeros_like(half)
+            return np.stack([np.stack([half, zero], -1), np.stack([zero, half], -1)], -2)
+
+        brackets = []
+        brentq = oracle.brentq
+
+        def recording(f, a, b, **tolerances):
+            brackets.append((a, b))
+            return brentq(f, a, b, **tolerances)
+
+        monkeypatch.setattr(oracle, "brentq", recording)
+        [root] = oracle.scan_and_refine(cubic_trace, np.linspace(1.0, 9.0, 17), 1e-10)
+        assert len(brackets) == 1 and brackets[0][0] < 5.3 < brackets[0][1]
+        assert abs(root - 5.3) <= 1e-10 * 5.5  # tol times the probe above the zero
+
     def test_nan_raises(self):
         with pytest.raises(RootSearchError, match="nan"):
             oracle.brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 8.9e-16)
 
 
+def unconfirmable_kernel(grid, M):
+    """Endpoint matrices whose trace, M - 5, crosses zero upward at M = 5,
+    where det S = 1 + (M - 5)**2 / 4 is not small: no eigenvalue."""
+    half_trace = 0.5 * (np.asarray(M, dtype=float) - 5.0)
+    ones = np.ones_like(half_trace)
+    return np.stack([np.stack([half_trace, -ones], -1), np.stack([ones, half_trace], -1)], -2)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestUnresolvedRods:
-    """Rods whose soft part 4096 panel-proportional steps cannot follow: a
-    trace crossing that is not an eigenvalue must raise, never be returned,
-    and no step map may overflow on the way."""
+    """Rods whose soft part 4096 steps shared out by width could not follow:
+    geometric steps shared by phase resolve them, and no step map may
+    overflow on the way."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -425,13 +484,17 @@ class TestUnresolvedRods:
         ],
     )
     def test_right_root_or_error(self, shape):
+        # the name predates geometric steps: an error now fails it, and the
+        # error path is test_crossing_that_is_no_eigenvalue_raises
         spec = rod(shape)
         exact = critical_torque_value(spec)
-        try:
-            found = critical_torque_oracle(spec)
-        except RootSearchError:
-            return
-        assert abs(found - exact) <= 1e-6 * exact
+        assert abs(critical_torque_oracle(spec) - exact) <= 1e-7 * exact
+
+    def test_crossing_that_is_no_eigenvalue_raises(self, monkeypatch):
+        # a trace crossing where det S is large must raise, never be returned
+        monkeypatch.setattr(oracle, "propagate", unconfirmable_kernel)
+        with pytest.raises(RootSearchError, match="not an eigenvalue"):
+            critical_torque_oracle(UNIFORM)
 
 
 def imported_modules(path: Path) -> list[str]:
@@ -465,6 +528,20 @@ class TestIndependence:
             reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "kind"]
             assert not reads, f"{path.name} reads .kind on lines {reads}"
 
+    def test_default_search_reads_no_closed_form(self, monkeypatch):
+        spec = rod(ShapeFunction.sampled([1.0, 0.3, 2.0, 0.7]))
+        aspec = AnisotropicRodSpec(1.3, AnisotropicSection(2.0, 0.5), PIECEWISE.shape, LAW)
+        exact = critical_torque_value(spec)
+        exact_aniso = critical_torque_value(reduce_to_isotropic(aspec))
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the closed form was read")
+
+        monkeypatch.setattr(twistrod.greenhill, "critical_torque_value", closed_form)
+        monkeypatch.setattr(oracle, "critical_torque_value", closed_form)
+        assert abs(critical_torque_oracle(spec) - exact) <= 1e-10 * exact
+        assert abs(first_root_anisotropic(aspec) - exact_aniso) <= 1e-10 * exact_aniso
+
     def test_package_imports_no_scipy(self):
         # numpy is the package's one dependency; scipy is a test witness only
         paths = sorted(Path(twistrod.__file__).parent.glob("*.py"))
@@ -492,8 +569,8 @@ class TestCriticalTorqueOracle:
             8.0 * math.pi / 3.0, rel=1e-6
         )
 
-    def test_seven_kernel_calls_per_root(self, monkeypatch):
-        # the scan's probe matrices serve brentq's first two calls
+    def test_four_kernel_calls_per_root(self, monkeypatch):
+        # one scan call, then batches of at most 8 new torques
         calls = []
 
         def counting(grid, M):
@@ -502,11 +579,15 @@ class TestCriticalTorqueOracle:
 
         monkeypatch.setattr(oracle, "propagate", counting)
         critical_torque_oracle(PIECEWISE)
-        probes = np.linspace(*oracle._default_bracket(PIECEWISE), DEFAULT_PROBES + 1)
-        refined = [float(m[0]) for m in calls if m.size == 1]
-        assert len(calls) == 7
-        assert len(refined) == 4
-        assert not set(refined) & set(probes.tolist())
+        refined = np.concatenate(calls[1:]).tolist()
+        assert len(calls) <= 4
+        assert max(m.size for m in calls[1:]) <= 8
+        assert not set(refined) & set(calls[0].tolist())
+        calls.clear()
+        rng = Lcg64(2024)
+        for _ in range(50):
+            critical_torque_oracle(random_rod_spec(rng))
+        assert len(calls) <= 4 * 50
 
     def test_no_root_reports_endpoints(self):
         with pytest.raises(RootSearchError) as err:
