@@ -170,16 +170,22 @@ def split_identity_residuals(
 
     With the correct split, integral f**p is the volume, integral g**q is
     the reciprocal-power integral of the area, and integral f*g is the
-    length.  Returns the relative deviations in that order.
+    length.  Returns the relative deviations in that order.  The split is
+    ``law_split_instance``'s, f = A**theta and g = A**(-theta), integrated
+    by quadrature without building the instance: both factors of a
+    validated profile are positive, so its nonnegativity probe is moot.
     """
-    inst = law_split_instance(profile, n, theta)
+    default_theta, p, q = holder_exponents_for_law(n)
+    th = default_theta if theta is None else theta
+
+    def area(t: np.ndarray) -> np.ndarray:
+        return np.asarray(profile.area(t))
+
     bp = profile.panel_edges
-    f_p = integrate(lambda t: inst.f(t) ** inst.p, 0.0, profile.L, breakpoints=bp)
-    g_q = integrate(lambda t: inst.g(t) ** inst.q, 0.0, profile.L, breakpoints=bp)
-    f_g = integrate(lambda t: inst.f(t) * inst.g(t), 0.0, profile.L, breakpoints=bp)
-    inv_n = integrate(
-        lambda t: np.asarray(profile.area(t)) ** (-float(n)), 0.0, profile.L, breakpoints=bp
-    )
+    f_p = integrate(lambda t: (area(t) ** th) ** p, 0.0, profile.L, breakpoints=bp)
+    g_q = integrate(lambda t: (area(t) ** (-th)) ** q, 0.0, profile.L, breakpoints=bp)
+    f_g = integrate(lambda t: area(t) ** th * area(t) ** (-th), 0.0, profile.L, breakpoints=bp)
+    inv_n = integrate(lambda t: area(t) ** (-float(n)), 0.0, profile.L, breakpoints=bp)
     return (
         abs(f_p - profile.volume) / profile.volume,
         abs(g_q - inv_n) / inv_n,

@@ -10,8 +10,11 @@ critical torque at fixed volume and length.
 Both search the raw panel-area vector and score it with one panel
 formula, ``2*pi*E*alpha / sum(w * A**(-n))``: the ascent on each rescaled
 candidate, the exhaustive search on its whole grid of allocations as one
-array.  A validated ``AreaProfile`` is built only where one enters (the
-problem's initial profile) or leaves (the brute-force winner).
+array.  The ascent keeps only the accepted areas and torques while it
+runs; the volumes, volume residuals and gaps of all its iterates are
+formed once afterwards from the stacked ``(iterates, k)`` area array.  A
+validated ``AreaProfile`` is built only where one enters (the problem's
+initial profile) or leaves (the brute-force winner).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .shape import AreaProfile, CrossSectionLaw, require_positive
+from .shape import AreaProfile, CrossSectionLaw, _frozen_copy, require_positive
 
 GAP_CONVERGED = 1e-3
 VOLUME_TOL = 1e-10
@@ -32,7 +35,7 @@ VOLUME_TOL = 1e-10
 def _torque(widths: np.ndarray, areas: np.ndarray, E: float, law: CrossSectionLaw):
     """Critical torque of piecewise-constant rods from their panel widths
     and areas, which must be positive: one value per row of ``areas``."""
-    return 2.0 * math.pi * E * law.alpha / np.sum(widths * areas ** (-law.n), axis=-1)
+    return 2.0 * math.pi * E * law.alpha / (widths * areas ** (-law.n)).sum(axis=-1)
 
 
 def _require_scales(V: float, L: float, E: float, volume_name: str) -> None:
@@ -79,12 +82,18 @@ class OptimizationProblem:
         _require_scales(self.V_target, self.L, self.E, "V_target")
         if self.segments < 1:
             raise ValueError(f"need at least one segment, got {self.segments}")
-        if self.init.panel_values is None or self.init.panel_values.size != self.segments:
+        edges = self.init.panel_edges
+        if (
+            self.init.panel_values is None
+            or self.init.panel_values.size != self.segments
+            or edges.size != self.segments + 1
+        ):
             raise ValueError(
                 f"initial profile must be piecewise with {self.segments} panels"
             )
-        widths = np.diff(self.init.panel_edges)
-        if not np.allclose(widths, self.L / self.segments, rtol=1e-9, atol=0.0):
+        # Every width within 1e-9 relative of L/k; a NaN width fails too.
+        width = self.L / self.segments
+        if not np.abs(edges[1:] - edges[:-1] - width).max() <= 1e-9 * width:
             raise ValueError("initial profile panels must have equal length")
         if abs(self.init.volume - self.V_target) > VOLUME_TOL * self.V_target:
             raise ValueError(
@@ -103,11 +112,11 @@ class OptimizationProblem:
         """Build a problem from raw panel areas, rescaled to the target volume."""
         _require_scales(V_target, L, E, "V_target")
         vals = np.asarray(areas, dtype=float)
-        if np.any(vals <= 0):
+        if (vals <= 0).any():
             raise ValueError("panel areas must be positive")
         k = vals.size
         h = L / k
-        vals = vals * (V_target / (h * float(np.sum(vals))))
+        vals = vals * (V_target / (h * vals.sum()))
         edges = np.linspace(0.0, L, k + 1)
         return cls(
             V_target=V_target,
@@ -121,10 +130,30 @@ class OptimizationProblem:
 
 @dataclass(frozen=True)
 class OptimizerIterate:
+    """One accepted iterate of the ascent: its panel areas (read-only),
+    critical torque, relative volume residual and Lagrange gap.  Iterates
+    compare and hash by value."""
+
     areas: np.ndarray
     M_star: float
     volume_residual: float
     gap: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.areas, np.ndarray) or self.areas.flags.writeable:
+            object.__setattr__(self, "areas", _frozen_copy(self.areas))
+
+    def _key(self) -> tuple:
+        return (tuple(self.areas.tolist()), self.M_star, self.volume_residual, self.gap)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal ``areas``, ``M_star``, ``volume_residual`` and ``gap``."""
+        if not isinstance(other, OptimizerIterate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -170,68 +199,61 @@ def optimize(
     Candidates are scored as raw area vectors.  A step adds more to a
     smaller panel and the rescale is multiplicative, so no candidate has
     a larger max/min contrast than the validated initial profile; only
-    positivity is checked per candidate.  Each iterate's volume and gap
-    are the sums ``AreaProfile.piecewise`` and ``lagrange_gap`` form for
-    the same areas.
+    positivity is checked per candidate.  The loop keeps the accepted
+    areas and torques; the volumes, volume residuals and gaps of all
+    iterates are formed once from the stacked ``(iterates, k)`` areas,
+    with row sums and row maxima along the contiguous axis.  These are
+    the same floats that ``AreaProfile.piecewise`` and ``lagrange_gap``
+    form for each iterate's areas, and the iterates' ``areas`` are
+    read-only rows of that array.
     """
-    n = problem.law.n
-    h = problem.L / problem.segments
-    mean = problem.V_target / problem.L
-    widths = np.diff(np.linspace(0.0, problem.L, problem.segments + 1))
+    V, L, E, law = problem.V_target, problem.L, problem.E, problem.law
+    n = law.n
+    h = L / problem.segments
+    reach = 0.1 * (V / L)  # the first trial step moves the steepest panel this far
+    widths = np.diff(np.linspace(0.0, L, problem.segments + 1))
 
-    def rescale(a: np.ndarray) -> np.ndarray:
-        return a * (problem.V_target / (h * float(np.sum(a))))
-
-    def score(a: np.ndarray) -> float:
-        return float(_torque(widths, a, problem.E, problem.law))
-
-    def record(a: np.ndarray, m: float) -> OptimizerIterate:
-        volume = float(np.sum(widths * a))
-        profile_mean = volume / problem.L
-        return OptimizerIterate(
-            areas=a.copy(),
-            M_star=m,
-            volume_residual=abs(volume - problem.V_target) / problem.V_target,
-            gap=float(np.max(np.abs(a - profile_mean)) / profile_mean),
-        )
-
-    areas = rescale(problem.init.panel_values.copy())
-    current = score(areas)
-    iterates = [record(areas, current)]
+    areas = problem.init.panel_values
+    areas = areas * (V / (h * areas.sum()))
+    current = _torque(widths, areas, E, law)
+    accepted_areas, torques = [areas], [current]
 
     for _ in range(max_iters):
         grad = n * h * areas ** (-n - 1)
-        step = 0.1 * mean / float(np.max(grad))
-        accepted = None
+        step = reach / grad.max()
         for _halving in range(80):
             candidate = areas + step * grad
-            if np.any(candidate <= 0.0):
+            if candidate.min() <= 0.0:
                 step *= 0.5
                 if step == 0.0:
                     raise ConvergenceError(
                         "step size underflowed while restoring positivity"
                     )
                 continue
-            candidate = rescale(candidate)
-            value = score(candidate)
+            candidate = candidate * (V / (h * candidate.sum()))
+            value = _torque(widths, candidate, E, law)
             if value > current:
-                accepted = (candidate, value)
                 break
             step *= 0.5
-        if accepted is None:
+        else:
             break  # no ascent direction left at this resolution
-        candidate, value = accepted
-        improvement = (value - current) / current
-        if improvement < tol:
+        if (value - current) / current < tol:
             break
         areas, current = candidate, value
-        iterates.append(record(areas, current))
+        accepted_areas.append(areas)
+        torques.append(current)
 
-    final_gap = iterates[-1].gap
+    stacked = np.array(accepted_areas)
+    stacked.setflags(write=False)
+    volumes = (widths * stacked).sum(axis=1)
+    means = volumes / L
+    gaps = (np.abs(stacked - means[:, None]).max(axis=1) / means).tolist()
+    residuals = (np.abs(volumes - V) / V).tolist()
+    iterates = list(map(OptimizerIterate, stacked, np.array(torques).tolist(), residuals, gaps))
     return OptimizationTrace(
         iterates=iterates,
-        converged=final_gap <= GAP_CONVERGED,
-        final_gap=final_gap,
+        converged=gaps[-1] <= GAP_CONVERGED,
+        final_gap=gaps[-1],
     )
 
 

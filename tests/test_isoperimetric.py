@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from twistrod.greenhill import critical_torque_value
+import twistrod.isoperimetric as iso
 from twistrod.isoperimetric import (
     HolderInstance,
     holder_check,
@@ -21,7 +22,7 @@ from twistrod.isoperimetric import (
     verify_bound,
 )
 from twistrod.sampling import Lcg64, law_for_exponent, random_piecewise_shape
-from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
+from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile, integrate
 
 
 class TestConjugate:
@@ -227,7 +228,52 @@ class TestVerifyBound:
         assert set(payload) == {"M_star", "M_bound", "ratio", "equality_gap"}
 
 
+def reference_split_identity_residuals(profile, n, theta=None):
+    """The split identities integrated through the ``HolderInstance`` of
+    ``law_split_instance``."""
+    inst = law_split_instance(profile, n, theta)
+    bp = profile.panel_edges
+    f_p = integrate(lambda t: inst.f(t) ** inst.p, 0.0, profile.L, breakpoints=bp)
+    g_q = integrate(lambda t: inst.g(t) ** inst.q, 0.0, profile.L, breakpoints=bp)
+    f_g = integrate(lambda t: inst.f(t) * inst.g(t), 0.0, profile.L, breakpoints=bp)
+    inv_n = integrate(
+        lambda t: np.asarray(profile.area(t)) ** (-float(n)), 0.0, profile.L, breakpoints=bp
+    )
+    return (
+        abs(f_p - profile.volume) / profile.volume,
+        abs(g_q - inv_n) / inv_n,
+        abs(f_g - profile.L) / profile.L,
+    )
+
+
 class TestSplitIdentities:
+    def test_residuals_match_split_instance_bit_for_bit(self, monkeypatch):
+        rng = Lcg64(2024)
+        profiles = []
+        for case in range(24):
+            n = 1 + case % 3
+            if case % 4 == 3:
+                values = [rng.log_uniform(0.2, 5.0) for _ in range(2 + case % 7)]
+                shape = ShapeFunction.sampled(values, rng.log_uniform(0.5, 2.0))
+            else:
+                shape = random_piecewise_shape(rng)
+            spec = RodSpec(E=1.0, J_ref=1.0, shape=shape, law=law_for_exponent(n))
+            profiles.append((area_profile(spec), n))
+        expected = [
+            (reference_split_identity_residuals(profile, n, theta), theta)
+            for profile, n in profiles
+            for theta in (None, 1.0 / (n + 1.0))
+        ]
+        built = []
+        monkeypatch.setattr(iso.HolderInstance, "__post_init__", lambda inst: built.append(inst))
+        got = [
+            split_identity_residuals(profile, n, theta)
+            for profile, n in profiles
+            for theta in (None, 1.0 / (n + 1.0))
+        ]
+        assert got == [residuals for residuals, _ in expected]
+        assert built == []
+
     def test_residuals_small_on_random_shapes(self):
         rng = Lcg64(61)
         for case in range(15):

@@ -8,9 +8,12 @@ import math
 import numpy as np
 import pytest
 
+from twistrod.cli import main
+from twistrod.errors import ConvergenceError
 from twistrod.isoperimetric import upper_bound
 from twistrod.optimizer import (
     OptimizationProblem,
+    OptimizerIterate,
     brute_force_segments,
     lagrange_gap,
     objective,
@@ -43,6 +46,80 @@ def reference_brute_force(V, L, law, E, k, grid):
         if value > best_value:
             best_value, best = value, np.asarray(alloc) / h
     return best
+
+
+def reference_optimize(problem, max_iters=1000, tol=1e-10):
+    """The projected ascent as one loop that forms every iterate's volume
+    and gap from that iterate's own areas.  Returns the iterates as
+    ``(areas, M_star, volume_residual, gap)`` tuples, ``converged`` and
+    ``final_gap``."""
+    n = problem.law.n
+    h = problem.L / problem.segments
+    mean = problem.V_target / problem.L
+    widths = np.diff(np.linspace(0.0, problem.L, problem.segments + 1))
+
+    def rescale(a):
+        return a * (problem.V_target / (h * float(np.sum(a))))
+
+    def score(a):
+        compliance = np.sum(widths * a ** (-problem.law.n), axis=-1)
+        return float(2.0 * math.pi * problem.E * problem.law.alpha / compliance)
+
+    def record(a, m):
+        volume = float(np.sum(widths * a))
+        profile_mean = volume / problem.L
+        return (
+            a.copy(),
+            m,
+            abs(volume - problem.V_target) / problem.V_target,
+            float(np.max(np.abs(a - profile_mean)) / profile_mean),
+        )
+
+    areas = rescale(problem.init.panel_values.copy())
+    current = score(areas)
+    iterates = [record(areas, current)]
+
+    for _ in range(max_iters):
+        grad = n * h * areas ** (-n - 1)
+        step = 0.1 * mean / float(np.max(grad))
+        accepted = None
+        for _halving in range(80):
+            candidate = areas + step * grad
+            if np.any(candidate <= 0.0):
+                step *= 0.5
+                if step == 0.0:
+                    raise ConvergenceError("step size underflowed while restoring positivity")
+                continue
+            candidate = rescale(candidate)
+            value = score(candidate)
+            if value > current:
+                accepted = (candidate, value)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        candidate, value = accepted
+        improvement = (value - current) / current
+        if improvement < tol:
+            break
+        areas, current = candidate, value
+        iterates.append(record(areas, current))
+
+    final_gap = iterates[-1][3]
+    return iterates, final_gap <= 1e-3, final_gap
+
+
+def assert_trace_matches_reference(trace, problem, **kwargs):
+    """Every iterate of ``trace`` carries the reference loop's floats, bit for bit."""
+    expected, converged, final_gap = reference_optimize(problem, **kwargs)
+    assert len(trace.iterates) == len(expected)
+    for it, (areas, m_star, residual, gap) in zip(trace.iterates, expected):
+        assert it.areas.tobytes() == areas.tobytes()
+        assert type(it.M_star) is float and it.M_star == m_star
+        assert type(it.volume_residual) is float and it.volume_residual == residual
+        assert type(it.gap) is float and it.gap == gap
+    assert trace.converged is converged
+    assert trace.final_gap == final_gap
 
 
 @pytest.fixture
@@ -304,3 +381,102 @@ class TestRawAreaScoring:
                 assert it.M_star == objective(prof, E, law)
                 assert it.volume_residual == abs(prof.volume - V) / V
                 assert it.gap == lagrange_gap(prof)
+
+
+class TestStackedIterates:
+    """The ascent keeps accepted areas and torques and forms volumes and
+    gaps once from the stacked iterates; the traces are the reference
+    loop's, byte for byte."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_starts_match_reference(self, k, n):
+        rng = Lcg64(1000 * k + n)
+        law = law_for_exponent(n)
+        for _ in range(4):
+            V, L, E = (rng.log_uniform(0.2, 5.0) for _ in range(3))
+            prob = OptimizationProblem.from_areas(random_areas(rng, k), V, L, law, E)
+            assert_trace_matches_reference(optimize(prob), prob)
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_truncated_runs_match_reference(self, max_iters, k):
+        prob = OptimizationProblem.from_areas(
+            random_areas(Lcg64(7 + k), k), 1.3, 0.7, law_for_exponent(2), 1.9
+        )
+        trace = optimize(prob, max_iters=max_iters)
+        assert len(trace.iterates) <= max_iters + 1
+        assert_trace_matches_reference(trace, prob, max_iters=max_iters)
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_constant_start_matches_reference(self, k):
+        prob = OptimizationProblem.from_areas([1.0] * k, 2.0, 1.0, law_for_exponent(3), 1.0)
+        trace = optimize(prob)
+        assert_trace_matches_reference(trace, prob)
+        assert trace.final_gap == 0.0
+
+    def test_loose_tolerance_matches_reference(self):
+        prob = OptimizationProblem.from_areas(
+            random_areas(Lcg64(31), 8), 2.0, 1.0, law_for_exponent(1), 1.0
+        )
+        assert_trace_matches_reference(optimize(prob, tol=1e-3), prob, tol=1e-3)
+
+    def test_cli_output_matches_reference(self, tmp_path, capsys):
+        doc = {"V": 1.7, "L": 1.2, "E": 0.9, "law": {"n": 2, "alpha": 0.25}}
+        spec = tmp_path / "prob.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["optimize", "--spec", str(spec), "--segments", "12", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+
+        law = CrossSectionLaw(2, 0.25)
+        prob = OptimizationProblem.from_areas(random_areas(Lcg64(7), 12), 1.7, 1.2, law, 0.9)
+        iterates, converged, final_gap = reference_optimize(prob)
+        lines = [
+            json.dumps({"iteration": i, "M_star": m, "gap": g, "volume_residual": r})
+            for i, (_, m, r, g) in enumerate(iterates)
+        ]
+        summary = {
+            "converged": converged,
+            "iterations": len(iterates) - 1,
+            "final_gap": final_gap,
+            "final_M_star": iterates[-1][1],
+            "M_bound": upper_bound(0.9, law, 1.7, 1.2),
+        }
+        assert out == "\n".join(lines) + "\n" + json.dumps(summary) + "\n"
+
+
+class TestIterateValues:
+    def trace(self):
+        prob = OptimizationProblem.from_areas([1.0, 3.0, 2.0], 2.0, 1.0, LAW1, 1.0)
+        return optimize(prob)
+
+    def test_equal_runs_compare_and_hash_equal(self):
+        first, second = self.trace().iterates, self.trace().iterates
+        assert first[0].areas is not second[0].areas
+        assert first == second
+        assert [hash(it) for it in first] == [hash(it) for it in second]
+        assert len(set(first) | set(second)) == len(first)
+
+    def test_distinct_iterates_differ(self):
+        iterates = self.trace().iterates
+        assert iterates[0] != iterates[-1]
+        assert iterates[0] != iterates[0].M_star
+        moved = OptimizerIterate(
+            iterates[0].areas, iterates[0].M_star, iterates[0].volume_residual, 1.0
+        )
+        assert moved != iterates[0]
+
+    def test_areas_are_read_only(self):
+        for it in self.trace().iterates:
+            with pytest.raises(ValueError):
+                it.areas[0] = 1.0
+        assert not it.areas.flags.writeable
+
+    def test_constructor_freezes_a_copy(self):
+        areas = np.array([1.0, 2.0])
+        it = OptimizerIterate(areas, 1.0, 0.0, 0.5)
+        areas[0] = 5.0
+        assert it.areas.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            it.areas[1] = 0.0
+        assert it == OptimizerIterate([1.0, 2.0], 1.0, 0.0, 0.5)
