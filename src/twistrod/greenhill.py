@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EigenvalueConsistencyError
-from .shape import RodSpec
+from .shape import RodSpec, _ArrayRecord
 from .transform import CoordinateMap
 
 # Endpoint residual above this fraction of the mode amplitude means the
@@ -34,13 +34,14 @@ from .transform import CoordinateMap
 ENDPOINT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ModeShape:
+@dataclass(frozen=True, eq=False)
+class ModeShape(_ArrayRecord):
     """Buckling mode sampled on a uniform grid of the stretched coordinate.
 
     Samples are normalized so max sqrt(y**2 + z**2) = 1; ``c1`` and ``c2``
     are the integration constants rescaled consistently, so the samples
-    and constants jointly satisfy the once-integrated balance.
+    and constants jointly satisfy the once-integrated balance.  The
+    samples are read-only and modes compare and hash by value.
     """
 
     x: np.ndarray
@@ -48,6 +49,8 @@ class ModeShape:
     z: np.ndarray
     c1: float
     c2: float
+
+    _arrays = ("x", "y", "z")
 
     def amplitude(self) -> np.ndarray:
         return np.hypot(self.y, self.z)

@@ -13,20 +13,23 @@ candidate, the exhaustive search on its whole grid of allocations as one
 array.  The ascent keeps only the accepted areas and torques while it
 runs; the volumes, volume residuals and gaps of all its iterates are
 formed once afterwards from the stacked ``(iterates, k)`` area array.  A
-validated ``AreaProfile`` is built only where one enters (the problem's
-initial profile) or leaves (the brute-force winner).
+validated ``AreaProfile`` (a piecewise profile in area units) is built
+only where one enters (the problem's initial profile) or leaves (the
+brute-force winner), so every area the optimizer sees is positive.  The
+problem, its iterates and the trace (a tuple of iterates) are frozen
+values that compare and hash by value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .shape import AreaProfile, CrossSectionLaw, _frozen_copy, require_positive
+from .shape import AreaProfile, CrossSectionLaw, _ArrayRecord, require_positive
 
 GAP_CONVERGED = 1e-3
 VOLUME_TOL = 1e-10
@@ -53,8 +56,6 @@ def objective(A: AreaProfile, E: float, law: CrossSectionLaw) -> float:
     """
     if A.panel_values is None:
         raise ValueError("objective needs a piecewise-constant area profile")
-    if np.any(A.panel_values <= 0.0):
-        return 0.0
     return float(_torque(np.diff(A.panel_edges), A.panel_values, E, law))
 
 
@@ -82,16 +83,10 @@ class OptimizationProblem:
         _require_scales(self.V_target, self.L, self.E, "V_target")
         if self.segments < 1:
             raise ValueError(f"need at least one segment, got {self.segments}")
-        edges = self.init.panel_edges
-        if (
-            self.init.panel_values is None
-            or self.init.panel_values.size != self.segments
-            or edges.size != self.segments + 1
-        ):
-            raise ValueError(
-                f"initial profile must be piecewise with {self.segments} panels"
-            )
+        if self.init.panel_values is None or self.init.panel_values.size != self.segments:
+            raise ValueError(f"initial profile must be piecewise with {self.segments} panels")
         # Every width within 1e-9 relative of L/k; a NaN width fails too.
+        edges = self.init.panel_edges
         width = self.L / self.segments
         if not np.abs(edges[1:] - edges[:-1] - width).max() <= 1e-9 * width:
             raise ValueError("initial profile panels must have equal length")
@@ -128,8 +123,8 @@ class OptimizationProblem:
         )
 
 
-@dataclass(frozen=True)
-class OptimizerIterate:
+@dataclass(frozen=True, eq=False)
+class OptimizerIterate(_ArrayRecord):
     """One accepted iterate of the ascent: its panel areas (read-only),
     critical torque, relative volume residual and Lagrange gap.  Iterates
     compare and hash by value."""
@@ -139,30 +134,19 @@ class OptimizerIterate:
     volume_residual: float
     gap: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.areas, np.ndarray) or self.areas.flags.writeable:
-            object.__setattr__(self, "areas", _frozen_copy(self.areas))
-
-    def _key(self) -> tuple:
-        return (tuple(self.areas.tolist()), self.M_star, self.volume_residual, self.gap)
-
-    def __eq__(self, other: object) -> bool:
-        """Equal ``areas``, ``M_star``, ``volume_residual`` and ``gap``."""
-        if not isinstance(other, OptimizerIterate):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    _arrays = ("areas",)
 
 
 @dataclass(frozen=True)
 class OptimizationTrace:
     """Accepted iterates of the projected ascent, oldest first."""
 
-    iterates: list[OptimizerIterate] = field(default_factory=list)
+    iterates: tuple[OptimizerIterate, ...] = ()
     converged: bool = False
     final_gap: float = math.inf
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "iterates", tuple(self.iterates))
 
     @property
     def final(self) -> OptimizerIterate:
@@ -249,9 +233,9 @@ def optimize(
     means = volumes / L
     gaps = (np.abs(stacked - means[:, None]).max(axis=1) / means).tolist()
     residuals = (np.abs(volumes - V) / V).tolist()
-    iterates = list(map(OptimizerIterate, stacked, np.array(torques).tolist(), residuals, gaps))
+    iterates = map(OptimizerIterate, stacked, np.array(torques).tolist(), residuals, gaps)
     return OptimizationTrace(
-        iterates=iterates,
+        iterates=tuple(iterates),
         converged=gaps[-1] <= GAP_CONVERGED,
         final_gap=gaps[-1],
     )

@@ -18,15 +18,19 @@ nodes.  Integrands must therefore accept an ndarray.  It shares no
 code with the closed-form panel integrals in ``transform``, so checks
 that compare the two stay independent.
 
-All types are immutable after construction (profiles keep read-only
-copies of their arrays) and every operation is a pure function, so
-everything here is safe to share across threads.
+Every type here is a frozen value: each construction path validates,
+array fields hold read-only copies, and records compare and hash by
+value.  ``AreaProfile`` is a ``ShapeFunction`` seen through a
+cross-section law, so it carries no data of its own but its volume.
+Every operation is a pure function, so everything here is safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +56,35 @@ def _frozen_copy(values: Sequence[float]) -> np.ndarray:
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
+
+
+class _ArrayRecord:
+    """Base of frozen dataclasses (``eq=False``) with array fields ``_arrays``:
+    stores read-only float copies of those not read-only yet, and compares
+    and hashes by value (equal class and fields, arrays element by element).
+    """
+
+    _arrays: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self._arrays:
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, np.ndarray) and not value.flags.writeable
+            ):
+                object.__setattr__(self, name, _frozen_copy(value))
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def require_positive(value: float, what: str) -> None:
@@ -185,8 +218,8 @@ def integrate(
         error = np.concatenate([error[keep], new_error])
 
 
-@dataclass(frozen=True)
-class ShapeFunction:
+@dataclass(frozen=True, eq=False)
+class ShapeFunction(_ArrayRecord):
     """Positive stiffness profile F on the rod span [0, L].
 
     Three representations are supported:
@@ -197,24 +230,24 @@ class ShapeFunction:
     * ``sampled`` -- values on a uniform grid, piecewise-linear in
       between.
 
-    Use the classmethod constructors; they validate positivity (min F
-    must exceed 1e-9 of max F), domain length, and breakpoint ordering,
-    and store read-only copies of ``values`` and ``breakpoints``.
-    Profiles compare and hash by value.
+    Use the classmethod constructors.  Every construction validates
+    positivity (min F must exceed 1e-9 of max F), domain length, and
+    breakpoint ordering, and stores read-only copies of ``values`` and
+    ``breakpoints``.  Profiles compare and hash by value.
     """
 
     kind: str
     L: float
     values: np.ndarray
-    breakpoints: np.ndarray | None = field(default=None)
+    breakpoints: np.ndarray | None = None
+
+    _arrays = ("values", "breakpoints")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, value: float, L: float = 1.0) -> "ShapeFunction":
-        shape = cls(kind="constant", L=float(L), values=_frozen_copy([float(value)]))
-        shape._validate()
-        return shape
+        return cls(kind="constant", L=float(L), values=_frozen_copy([float(value)]))
 
     @classmethod
     def piecewise(
@@ -223,64 +256,51 @@ class ShapeFunction:
         """Piecewise-constant profile; ``breakpoints`` run from 0 to L and
         bound one more point than there are segment ``values``."""
         bp = _frozen_copy(breakpoints)
-        vals = _frozen_copy(values)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("piecewise profile needs at least two breakpoints")
-        if vals.size != bp.size - 1:
-            raise ValueError(
-                f"expected {bp.size - 1} segment values for {bp.size} breakpoints, "
-                f"got {vals.size}"
-            )
-        if bp[0] != 0.0:
-            raise ValueError("first breakpoint must be 0")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        shape = cls(kind="piecewise", L=float(bp[-1]), values=vals, breakpoints=bp)
-        shape._validate()
-        return shape
+        L = float(bp[-1]) if bp.ndim == 1 and bp.size else math.nan
+        return cls(kind="piecewise", L=L, values=_frozen_copy(values), breakpoints=bp)
 
     @classmethod
     def sampled(cls, values: Sequence[float], L: float = 1.0) -> "ShapeFunction":
         """Profile sampled on a uniform grid over [0, L], linear in between."""
-        vals = _frozen_copy(values)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("sampled profile needs at least two grid values")
-        shape = cls(kind="sampled", L=float(L), values=vals)
-        shape._validate()
-        return shape
+        return cls(kind="sampled", L=float(L), values=_frozen_copy(values))
 
     # -- validation ---------------------------------------------------
 
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
+        bp, vals = self.breakpoints, self.values
+        if self.kind == "piecewise":
+            if bp is None or bp.ndim != 1 or bp.size < 2:
+                raise ValueError("piecewise profile needs at least two breakpoints")
+            if vals.shape != (bp.size - 1,):
+                raise ValueError(
+                    f"expected {bp.size - 1} segment values for {bp.size} breakpoints, "
+                    f"got {vals.size}"
+                )
+            if bp[0] != 0.0 or bp[-1] != self.L:
+                raise ValueError(f"breakpoints must run from 0 to L, got {bp[0]} to {bp[-1]}")
+            if not (bp[1:] > bp[:-1]).all():
+                raise ValueError("breakpoints must be strictly increasing")
+        elif bp is not None:
+            raise ValueError(f"a {self.kind} profile takes no breakpoints")
+        elif self.kind == "sampled" and (vals.ndim != 1 or vals.size < 2):
+            raise ValueError("sampled profile needs at least two grid values")
+        elif self.kind == "constant" and vals.shape != (1,):
+            raise ValueError("constant profile needs exactly one value")
         require_positive(self.L, "domain length")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(vals).all():
             raise ValueError("profile values must be finite")
         # Probe segment values / grid nodes and panel midpoints.  F is
         # linear on every panel, so its extremes sit at the values anyway.
         edges = self.panel_edges()
-        probes = np.concatenate([self.values, self.evaluate(0.5 * (edges[:-1] + edges[1:]))])
-        lo, hi = float(np.min(probes)), float(np.max(probes))
+        probes = np.concatenate([vals, self.evaluate(0.5 * (edges[:-1] + edges[1:]))])
+        lo, hi = float(probes.min()), float(probes.max())
         if lo <= 0.0 or lo <= MIN_RELATIVE_STIFFNESS * hi:
             raise ValueError(
                 f"profile must be strictly positive (min {lo:g} vs max {hi:g})"
             )
-
-    # -- value semantics ----------------------------------------------
-
-    def _key(self) -> tuple:
-        breakpoints = None if self.breakpoints is None else tuple(self.breakpoints.tolist())
-        return (self.kind, self.L, tuple(self.values.tolist()), breakpoints)
-
-    def __eq__(self, other: object) -> bool:
-        """Equal kind, ``L``, ``values`` and ``breakpoints``."""
-        if not isinstance(other, ShapeFunction):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     # -- queries ------------------------------------------------------
 
@@ -325,9 +345,7 @@ class ShapeFunction:
         """New profile with every value multiplied by ``factor`` > 0."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        shape = replace(self, values=_frozen_copy(self.values * factor))
-        shape._validate()
-        return shape
+        return replace(self, values=_frozen_copy(self.values * factor))
 
     # -- JSON descriptor ----------------------------------------------
 
@@ -379,6 +397,11 @@ class CrossSectionLaw:
             raise ValueError(f"section-law exponent must be 1, 2 or 3, got {self.n}")
         require_positive(self.alpha, "section-law coefficient")
 
+    def area(self, stiffness: float | np.ndarray) -> float | np.ndarray:
+        """Area (F * J_ref / alpha)**(1/n) of sections whose bending inertia
+        F * J_ref is ``stiffness``."""
+        return (stiffness / self.alpha) ** (1.0 / self.n)
+
     @classmethod
     def solid_circle(cls) -> "CrossSectionLaw":
         return cls(n=2, alpha=1.0 / (4.0 * math.pi))
@@ -418,33 +441,54 @@ class RodSpec:
 
 @dataclass(frozen=True)
 class AreaProfile:
-    """Cross-sectional area A(xi) on [0, L] plus its integral, the volume.
+    """Cross-sectional area A = (F * J_ref / alpha)**(1/n) of a validated
+    profile ``shape`` under ``law``, with its integral, the volume.
 
-    ``area`` evaluates pointwise (vectorized); ``panel_values`` is set only
-    when the area is constant on every panel, where it exposes the
-    per-panel areas that the optimizer treats as design variables.
+    ``L`` and ``panel_edges`` are the profile's; ``panel_values`` (read-only)
+    is set only when the area is constant on every panel, where it
+    exposes the per-panel areas that the optimizer treats as design
+    variables.  Profiles compare and hash by value.
     """
 
-    area: Callable[[np.ndarray], np.ndarray]
-    L: float
+    shape: ShapeFunction
+    J_ref: float
+    law: CrossSectionLaw
     volume: float
-    panel_edges: np.ndarray
-    panel_values: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        require_positive(self.J_ref, "reference inertia")
+        require_positive(self.volume, "volume")
 
     @classmethod
     def piecewise(cls, breakpoints: Sequence[float], areas: Sequence[float]) -> "AreaProfile":
-        profile = ShapeFunction.piecewise(breakpoints, areas)
-        return cls(
-            area=profile.evaluate,
-            L=profile.L,
-            volume=float(np.sum(np.diff(profile.breakpoints) * profile.values)),
-            panel_edges=profile.panel_edges(),
-            panel_values=profile.values,
-        )
+        """Piecewise-constant profile in area units (n = 1, alpha = J_ref = 1,
+        so A = F exactly), with the exact volume sum(w * A)."""
+        shape = ShapeFunction.piecewise(breakpoints, areas)
+        volume = float((np.diff(shape.breakpoints) * shape.values).sum())
+        return cls(shape=shape, J_ref=1.0, law=CrossSectionLaw(1, 1.0), volume=volume)
 
     @classmethod
     def constant(cls, value: float, L: float) -> "AreaProfile":
         return cls.piecewise([0.0, L], [value])
+
+    def area(self, xi: float | np.ndarray) -> float | np.ndarray:
+        """A(xi) at a scalar or an array."""
+        return self.law.area(np.asarray(self.shape.evaluate(xi)) * self.J_ref)
+
+    @property
+    def L(self) -> float:
+        return self.shape.L
+
+    @property
+    def panel_edges(self) -> np.ndarray:
+        return self.shape.panels()[0]
+
+    @cached_property
+    def panel_values(self) -> np.ndarray | None:
+        _, left, right = self.shape.panels()
+        if left is not right and not np.array_equal(left, right):
+            return None
+        return _frozen_copy(self.law.area(left * self.J_ref))
 
     @property
     def mean_area(self) -> float:
@@ -460,27 +504,15 @@ class AreaProfile:
 
 
 def area_profile(spec: RodSpec) -> AreaProfile:
-    """Derive the area profile A = (F * J_ref / alpha)**(1/n) of a rod.
+    """The area profile of a rod.
 
-    The area is evaluated pointwise from the exact stiffness profile (no
-    resampling); the volume integrates it with the profile's panels as
+    The volume integrates the area, evaluated pointwise from the exact
+    stiffness profile (no resampling), with the profile's panels as
     quadrature boundaries, to relative tolerance ``VOLUME_QUAD_TOL``.
     """
-    n = spec.law.n
-    alpha = spec.law.alpha
-    shape = spec.shape
-
-    def area(xi: np.ndarray) -> np.ndarray:
-        return (np.asarray(shape.evaluate(xi)) * spec.J_ref / alpha) ** (1.0 / n)
-
-    edges, left, right = shape.panels()
-    volume = integrate(area, 0.0, shape.L, tol=VOLUME_QUAD_TOL, breakpoints=edges)
-    values = (left * spec.J_ref / alpha) ** (1.0 / n) if np.array_equal(left, right) else None
-    return AreaProfile(
-        area=area,
-        L=shape.L,
-        volume=volume,
-        panel_edges=edges,
-        panel_values=values,
+    shape, J_ref, law = spec.shape, spec.J_ref, spec.law
+    volume = integrate(
+        lambda xi: law.area(shape.evaluate(xi) * J_ref),
+        0.0, shape.L, tol=VOLUME_QUAD_TOL, breakpoints=shape.panels()[0],
     )
-
+    return AreaProfile(shape=shape, J_ref=J_ref, law=law, volume=volume)

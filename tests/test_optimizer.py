@@ -165,15 +165,11 @@ class TestObjective:
                 lam**n * objective(prof, 1.0, law), rel=1e-12
             )
 
-    def test_degenerate_area_scores_zero(self):
-        prof = AreaProfile(
-            area=lambda t: np.zeros_like(t),
-            L=1.0,
-            volume=0.0,
-            panel_edges=np.array([0.0, 1.0]),
-            panel_values=np.array([0.0]),
-        )
-        assert objective(prof, 1.0, LAW1) == 0.0
+    def test_degenerate_area_cannot_be_built(self):
+        # a zero or negative panel area never reaches the objective
+        for areas in ([0.0], [1.0, 0.0], [1.0, -2.0], [-1.0]):
+            with pytest.raises(ValueError):
+                AreaProfile.piecewise(np.linspace(0.0, 1.0, len(areas) + 1), areas)
 
     def test_rejects_profile_without_panel_values(self):
         shape = ShapeFunction.sampled([1.0, 2.0], 1.0)
