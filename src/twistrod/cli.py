@@ -156,18 +156,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
-def _suite(n: int, tolerance: float, check) -> dict:
-    """Report of one verify suite: ``check(case)`` returns the disagreement
-    of case ``case`` and the labels a failure of it reports."""
+def _suite(disagreements: list[tuple[float, dict]], tolerance: float) -> dict:
+    """Report of one verify suite from each case's disagreement and the
+    labels a failure of it reports."""
     worst = 0.0
     failures = []
-    for case in range(n):
-        d, labels = check(case)
+    for case, (d, labels) in enumerate(disagreements):
         worst = max(worst, d)
         if d > tolerance:
             failures.append({"case": case, "disagreement": d, **labels})
     return {
-        "cases": n,
+        "cases": len(disagreements),
         "max_disagreement": worst,
         "tolerance": tolerance,
         "pass": not failures,
@@ -175,59 +174,47 @@ def _suite(n: int, tolerance: float, check) -> dict:
     }
 
 
-def _suite_torque_vs_oracle(seed: int, n: int, steps: int) -> dict:
-    rng = Lcg64(seed)
-
-    def check(case: int) -> tuple[float, dict]:
-        spec = random_rod_spec(rng)
-        m_exact = critical_torque_value(spec)
-        m_oracle = oracle.critical_torque_oracle(spec, steps=steps)
-        return abs(m_oracle - m_exact) / m_exact, {}
-
-    return _suite(n, ORACLE_TOLERANCE, check)
-
-
-def _suite_isoperimetric(seed: int, n: int, theta_override: bool) -> dict:
-    rng = Lcg64(seed)
-
-    def check(case: int) -> tuple[float, dict]:
-        exponent = 1 + case % 3
-        spec = RodSpec(
-            E=1.0,
-            J_ref=1.0,
-            shape=random_piecewise_shape(rng),
-            law=law_for_exponent(exponent),
-        )
-        profile = area_profile(spec)
-        report = iso._bound_report(spec, profile, critical_torque_value(spec))
-        violation = max(0.0, report.ratio - 1.0)
-
-        theta = 1.0 / (exponent + 1.0) if theta_override else None
-        residuals = iso.split_identity_residuals(profile, exponent, theta)
-        return max(violation, *residuals), {"n": exponent}
-
-    return _suite(n, BOUND_TOLERANCE, check)
-
-
-def _suite_anisotropic(seed: int, n: int, steps: int) -> dict:
-    rng = Lcg64(seed)
-
-    def check(case: int) -> tuple[float, dict]:
-        aspec = random_anisotropic_spec(rng)
-        m_reduced = critical_torque_value(aniso.reduce_to_isotropic(aspec))
-        m_shot = aniso.first_root_anisotropic(aspec, steps=steps)
-        return abs(m_shot - m_reduced) / m_reduced, {}
-
-    return _suite(n, ORACLE_TOLERANCE, check)
+def _isoperimetric_case(spec: RodSpec, theta_override: bool) -> tuple[float, dict]:
+    exponent = spec.law.n
+    profile = area_profile(spec)
+    report = iso._bound_report(spec, profile, critical_torque_value(spec))
+    violation = max(0.0, report.ratio - 1.0)
+    theta = 1.0 / (exponent + 1.0) if theta_override else None
+    residuals = iso.split_identity_residuals(profile, exponent, theta)
+    return max(violation, *residuals), {"n": exponent}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Three suites of ``args.n`` seeded cases each: the closed form against
+    the shooting oracle, the isoperimetric bound with its split identity,
+    and the anisotropic reduction against the unreduced shooting.  Every
+    case is drawn first; the oracle roots of both shooting suites are then
+    found together (:func:`~twistrod.oracle.first_roots`)."""
+    n = args.n
+    rng = Lcg64(args.seed)
+    rods = [random_rod_spec(rng) for _ in range(n)]
+    rng = Lcg64(args.seed + 1)
+    bound_cases = [
+        RodSpec(E=1.0, J_ref=1.0, shape=random_piecewise_shape(rng), law=law_for_exponent(1 + case % 3))
+        for case in range(n)
+    ]
+    rng = Lcg64(args.seed + 2)
+    anisotropic = [random_anisotropic_spec(rng) for _ in range(n)]
+    shot = oracle.first_roots(
+        [(s.shape, s.E, s.J_ref, s.J_ref) for s in rods]
+        + [(a.shape, a.E, a.section.Jy, a.section.Jz) for a in anisotropic],
+        steps=args.steps,
+    )
+    exact = [critical_torque_value(s) for s in rods]
+    exact += [critical_torque_value(aniso.reduce_to_isotropic(a)) for a in anisotropic]
+    disagreements = [(abs(m - e) / e, {}) for m, e in zip(shot, exact)]
     suites = {
-        "torque_vs_oracle": _suite_torque_vs_oracle(args.seed, args.n, args.steps),
-        "isoperimetric_bound": _suite_isoperimetric(
-            args.seed + 1, args.n, args.inject_wrong_exponent
+        "torque_vs_oracle": _suite(disagreements[:n], ORACLE_TOLERANCE),
+        "isoperimetric_bound": _suite(
+            [_isoperimetric_case(spec, args.inject_wrong_exponent) for spec in bound_cases],
+            BOUND_TOLERANCE,
         ),
-        "anisotropic_reduction": _suite_anisotropic(args.seed + 2, args.n, args.steps),
+        "anisotropic_reduction": _suite(disagreements[n:], ORACLE_TOLERANCE),
     }
     all_pass = all(s["pass"] for s in suites.values())
     print(

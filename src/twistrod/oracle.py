@@ -22,8 +22,10 @@ r = (f1/f0)^(1/c), so each step is r times as wide as the one before and
 F at its stencil (f0 r^k times 1, 1 + (r-1)/2, r) r times larger.  Each
 coefficient, h^j times j values of g = 1/(E J F), and so the map are the
 same on every step of the panel.  Kernel: ``propagate`` raises each
-panel's augmented map [[A, B], [0, I]] to its step count by squaring and
-composes the panel maps, for many torques at once; S is the translation.
+panel's augmented map [[A, B], [0, I]] to its step count in closed form,
+from the trace and determinant of A - I (Cayley-Hamilton), and composes
+the panel maps pairwise, for many torques and many rods at once; S is
+the translation.  A call costs about the same whatever the step counts.
 
 Search: det S(M) is analytically a perfect square (|1 - exp(-i M phi)|**2
 / M**2 for the exact solution, phi the total reciprocal-stiffness
@@ -36,7 +38,10 @@ another zero.  A crossing is narrowed by batches of 8 torques per kernel
 call around the zero of the inverse interpolant of the traces computed
 (after Chandrupatla, *Adv. Eng. Software* 28:145, 1997) and confirmed
 against det S.  Nothing in the search reads phi or any other closed form,
-and a crossing that is not an eigenvalue raises.  Needs numpy only.
+and a crossing that is not an eigenvalue raises.  Each rod's search is a
+generator that yields the torques it needs next, so ``first_roots``
+advances the searches of many rods with one kernel call per round.
+Needs numpy only.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,8 +61,8 @@ DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
 MIN_STEPS = 16
-# Torques per kernel call while scanning.  A call holds 16 floats per
-# panel and torque in each of its maps: memory is panels x torques.
+# Torques per rod and kernel call while scanning.  A call holds a few
+# dozen floats per rod, panel and torque: memory is rods x panels x torques.
 SCAN_BLOCK = 8
 PROBE_RATIO = 1.4
 BRENT_ITERATIONS = 100
@@ -67,13 +72,8 @@ RTOL = 8.9e-16
 # its error estimate, and the fractions of the probe interval of the first
 _OFFSETS, _EVEN = np.arange(-4, 4) / 4.0, np.arange(1, 8) / 8.0
 _NEVILLE_POINTS = 6
-_IDENTITY_4 = np.eye(4)
-# (power of M, row, column, coefficient, sign) of the terms of B, the
-# coefficient numbered in (a1, a3, p2, p4) or, in row 1, (b1, b3, q2, q4)
-_B_TERMS = np.array([
-    (0, 0, 0, 0, 1), (2, 0, 0, 1, -1), (1, 0, 1, 2, 1), (3, 0, 1, 3, -1),  # B11, B12
-    (0, 1, 1, 0, 1), (2, 1, 1, 1, -1), (1, 1, 0, 2, -1), (3, 1, 0, 3, 1),  # B22, B21
-]).T
+# Rows of the augmented identity [[I, 0]], the map of a panel of no steps
+_IDENTITY_ROWS = np.eye(2, 4)
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,35 @@ def endpoint_det(S: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepGrid:
-    """RK4 steps panel by panel: ``poly[j, p]`` is the coefficient of M**j in
-    the augmented map [[A, B], [0, I]] of each of the ``counts[p]`` steps of
-    panel p (module docstring).  ``len`` is the step count."""
+    """RK4 steps panel by panel: ``poly[k, i, p]`` is coefficient k of
+    (a1, a3, p2, p4) for row i = 0 and (b1, b3, q2, q4) for row i = 1 of
+    each of the ``counts[p]`` steps of panel p (module docstring).  A grid
+    of several rods (:meth:`stack`) has a rod axis before the panel axis,
+    its shorter rods padded with panels of no steps.  ``len`` is the step
+    count of all rods."""
 
     poly: np.ndarray
     counts: np.ndarray
 
     def __len__(self) -> int:
         return int(self.counts.sum())
+
+    @classmethod
+    def stack(cls, grids: Sequence["StepGrid"]) -> "StepGrid":
+        """One grid of the rods of ``grids``, in their order, each padded
+        with copies of its last panel given no steps."""
+        width = max(g.counts.size for g in grids)
+        poly = np.empty((4, 2, len(grids), width))
+        counts = np.zeros((len(grids), width), dtype=int)
+        for rod, g in enumerate(grids):
+            panels = g.counts.size
+            poly[:, :, rod, :panels], poly[:, :, rod, panels:] = g.poly, g.poly[:, :, -1:]
+            counts[rod, :panels] = g.counts
+        return cls(poly, counts)
+
+    def rods(self, index: Sequence[int]) -> "StepGrid":
+        """The rods numbered ``index`` of a stacked grid."""
+        return StepGrid(self.poly[:, :, index], self.counts[index])
 
 
 def _panel_steps(weights: np.ndarray, steps: int) -> np.ndarray:
@@ -166,36 +186,111 @@ def build_step_grid(
     ])
     iz, iy, q = 1.0 / J_z, 1.0 / J_y, 1.0 / (J_z * J_y)
     inverse = np.array([[iz, iy], [iz * q, iy * q], [q, q], [q * q, q * q]])
-    coefficients = products[:, None, :] * inverse[:, :, None]
-    poly = np.zeros((5, widths.size, 4, 4))
-    power, row, col, which, sign = _B_TERMS
-    poly[power, :, row, col + 2] = sign[:, None] * coefficients[which, row]
-    # A - I = M [[-B12, B11], [-B22, B21]]
-    poly[1:, :, :2, :2] = poly[:4, :, :2, :1:-1] * [-1.0, 1.0]
-    poly[0] += _IDENTITY_4
-    return StepGrid(poly, counts)
+    return StepGrid(products[:, None, :] * inverse[:, :, None], counts)
+
+
+def _real_spectrum(a: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta (:func:`propagate`) of A**c, first, and of the sum of
+    A**k, k < c, second, for maps whose N = A - I has the real eigenvalues
+    mu = a +- w, w = sqrt(-q): the mean of f over the two and its difference
+    quotient, or its derivative at mu = a where w = 0.  At M = 0, N = 0, so
+    A**c = I and the sum is c I."""
+    w = np.sqrt(-q)
+    mu = a + np.stack([w, -w])
+    positive = mu > -1.0
+    log_lam = np.log1p(np.where(positive, mu, 0.0))
+    power = np.where(positive, np.exp(c * log_lam), (1.0 + mu) ** c)
+    at_one = mu == 0.0
+    growth = np.where(positive, np.expm1(c * log_lam), power - 1.0)
+    total = np.where(at_one, c, growth / np.where(at_one, 1.0, mu))
+    # derivatives in lam at lam = 1 + a: c lam**(c-1) and (c lam**(c-1) - sum) / a
+    lam = 1.0 + a
+    slope = c * np.where(lam == 0.0, c == 1.0, lam ** np.maximum(c - 1.0, 0.0))
+    flat = a == 0.0
+    total_slope = np.where(flat, 0.5 * c * (c - 1.0), (slope - total[0]) / np.where(flat, 1.0, a))
+    double = w == 0.0
+    spread = np.where(double, 1.0, 2.0 * w)
+    alpha = 0.5 * np.stack([power[0] + power[1], total[0] + total[1]])
+    quotient = np.stack([power[0] - power[1], total[0] - total[1]]) / spread
+    return alpha, np.where(double, np.stack([slope, total_slope]), quotient)
 
 
 def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
-    """Endpoint matrices S, shape (len(M), 2, 2), for the 1-D array of
-    torques ``M``: one augmented map per panel and torque, raised to the
-    panel's step count, then composed (module docstring)."""
-    m = np.asarray(M, dtype=float).reshape(-1, 1, 1, 1)
-    maps = grid.poly[4]
-    for coefficient in grid.poly[3::-1]:
-        maps = maps * m + coefficient
-    # after bit k every panel holds its map to the power counts >> k, and a
-    # panel with fewer bits stays the identity until its own top bit
-    shifts = np.arange(int(grid.counts.max()).bit_length())[::-1, None]
-    factors = np.where((grid.counts >> shifts & 1)[:, None, :, None, None] == 1, maps, _IDENTITY_4)
-    result = factors[0]
-    for factor in factors[1:]:
-        result = result @ result @ factor
-    while result.shape[1] > 1:
-        even = result.shape[1] // 2 * 2
-        later_after_earlier = result[:, 1:even:2] @ result[:, 0:even:2]
-        result = np.concatenate([later_after_earlier, result[:, even:]], axis=1)
-    return result[:, 0, :2, 2:]
+    """Endpoint matrices S at the torques ``M``: shape (len(M), 2, 2) for
+    the 1-D ``M`` of a one-rod grid, (rods, torques, 2, 2) for ``M`` of
+    shape (rods, torques) on a stacked grid.  Each panel's step map
+    [[A, B], [0, I]] is raised to its count c in closed form, then the
+    panel maps are composed pairwise.
+
+    With N = A - I, a = tr N / 2, delta = det N and omega**2 = delta - a**2,
+    the eigenvalues of A are lam = 1 + a +- i omega, and by Cayley-Hamilton
+    f(A) = alpha I + beta (N - a I) with alpha = Re f(lam) and beta =
+    Im f(lam) / omega (Putzer, *Amer. Math. Monthly* 73:2, 1966).  Here
+    log lam = log1p(2 a + delta) / 2 + i atan2(omega, 1 + a), formed from N
+    without cancellation.  A**c takes f = lam**c and the translation, the
+    sum of A**k for k < c times B, f = expm1(c log lam) / (a + i omega).
+    Maps whose omega**2 is not positive (M = 0 among them) take
+    :func:`_real_spectrum` instead."""
+    counts = grid.counts.reshape(-1, grid.counts.shape[-1])
+    rods, panels = counts.shape
+    poly = grid.poly.reshape(4, 2, rods, 1, panels)
+    m = np.asarray(M, dtype=float).reshape(rods, -1, 1)
+    m2 = m * m
+    # (B11, B22) and (B12, -B21); N = M [[-B12, B11], [-B22, B21]]
+    diagonal = poly[0] - m2 * poly[1]
+    off = m * (poly[2] - m2 * poly[3])
+    md, mo = m * diagonal, m * off
+    # N - a I = [[d, n12], [n21, -d]]
+    n12, n21 = md[0], -md[1]
+    a = -0.5 * (mo[0] + mo[1])
+    d = 0.5 * (mo[1] - mo[0])
+    cross = md[0] * md[1]
+    q = cross - d * d
+    delta = mo[0] * mo[1] + cross
+    real = q <= 0.0
+    rare = real.any()
+    if rare:
+        # a stand-in a = -1/2, omega**2 = 3/4, delta = 1 (lam = exp(i pi/3))
+        # for the maps that _real_spectrum takes
+        a_c, q_c, delta = np.where(real, -0.5, a), np.where(real, 0.75, q), np.where(real, 1.0, delta)
+    else:
+        a_c, q_c = a, q
+    omega = np.sqrt(q_c)
+    log_lam = np.empty(omega.shape, complex)
+    log_lam.real = 0.5 * np.log1p(2.0 * a_c + delta)
+    log_lam.imag = np.arctan2(omega, 1.0 + a_c)
+    c = counts[:, None, :]
+    z = c * log_lam
+    # f(lam) of A**c and of the sum of A**k, k < c
+    f = np.empty((2, *z.shape), complex)
+    np.exp(z, out=f[0])
+    np.expm1(z, out=f[1])
+    f[1] /= a_c + 1j * omega
+    alpha, beta = f.real, f.imag / omega
+    if rare:
+        alpha[:, real], beta[:, real] = _real_spectrum(a[real], q[real], np.broadcast_to(c, q.shape)[real])
+    # alpha I + beta (N - a I), then the panel maps [A**c, sum B] and
+    # identities up to a power of two of panels
+    bd = beta * d
+    powers = np.empty((*alpha.shape, 2, 2))
+    np.add(alpha, bd, out=powers[..., 0, 0])
+    np.multiply(beta, n12, out=powers[..., 0, 1])
+    np.multiply(beta, n21, out=powers[..., 1, 0])
+    np.subtract(alpha, bd, out=powers[..., 1, 1])
+    B = np.empty((*q.shape, 2, 2))
+    B[..., 0, 0], B[..., 0, 1], B[..., 1, 1] = diagonal[0], off[0], diagonal[1]
+    np.negative(off[1], out=B[..., 1, 0])
+    maps = np.empty((*q.shape[:2], 1 << (panels - 1).bit_length(), 2, 4))
+    maps[:, :, panels:] = _IDENTITY_ROWS
+    maps[:, :, :panels, :, :2] = powers[0]
+    np.matmul(powers[1], B, out=maps[:, :, :panels, :, 2:])
+    # pairwise, later after earlier: [A2, b2] [A1, b1] = [A2 A1, A2 b1 + b2]
+    while maps.shape[2] > 1:
+        later = maps[:, :, 1::2]
+        maps = later[..., :2] @ maps[:, :, 0::2]
+        maps[..., 2:] += later[..., 2:]
+    S = maps[:, :, 0, :, 2:]
+    return S if grid.counts.ndim == 2 else S[0]
 
 
 def _shoot(grid: StepGrid, M: float) -> ShootingResult:
@@ -321,14 +416,13 @@ def _interpolated_zero(x: list[float], t: list[float], j: int) -> tuple[float, f
     return p[0], abs(p[0] - previous[0])
 
 
-def _evaluate(endpoint: Callable, evaluated: dict, torques: np.ndarray) -> np.ndarray:
-    """Endpoint matrices at ``torques``, kept as torque: (trace, matrix)."""
-    S = endpoint(torques)
+def _store(evaluated: dict, torques: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Keep the endpoint matrices ``S`` at ``torques`` as torque: (trace, matrix)."""
     evaluated.update(zip(torques.tolist(), zip((S[:, 0, 0] + S[:, 1, 1]).tolist(), S)))
     return S
 
 
-def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float) -> float:
+def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float):
     """A torque in ``evaluated`` within ``xtol + RTOL * b`` of the zero of
     the trace in (a, b], where it goes from minus to plus.  A batch is the
     zero z of :func:`_interpolated_zero` and seven torques e/2 apart around
@@ -336,11 +430,13 @@ def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float
     (the first, from probes too far apart to trust, spreads seven evenly).
     The end of smaller |trace| of the first sign change is returned once it
     is within tolerance after a batch centred on a z estimated to within
-    that quarter; :func:`brentq` takes over if a batch fails to halve it."""
+    that quarter; :func:`brentq` takes over, calling ``endpoint`` itself,
+    if a batch fails to halve it.  A generator like :func:`_search`."""
 
     def trace(m: float) -> float:
         if m not in evaluated:
-            _evaluate(endpoint, evaluated, np.array([m]))
+            torque = np.array([m])
+            _store(evaluated, torque, endpoint(torque))
         return evaluated[m][0]
 
     width, centred = math.inf, False
@@ -365,30 +461,25 @@ def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float
         else:
             batch = zero + min(max(2.0 * error, 0.25 * tolerance), b - a) * _OFFSETS
         width = b - a
-        _evaluate(endpoint, evaluated, batch[(a < batch) & (batch < b)])
+        batch = batch[(a < batch) & (batch < b)]
+        _store(evaluated, batch, (yield batch))
 
 
-def scan_and_refine(
-    endpoint: Callable[[np.ndarray], np.ndarray], probes: np.ndarray, tol: float, first: bool = True
-) -> list[float]:
-    """Eigenvalues among the increasing torques ``probes``: upward zero
-    crossings of trace S, S = ``endpoint(M)`` the endpoint matrices at M.
-    The probes are evaluated SCAN_BLOCK at a time, each crossing interval
-    (a, b] is refined to within ``tol * b`` (:func:`_refine`), and with
-    ``first`` the scan stops there.  Each root, an evaluated torque, must
-    pass det S(root) <= 1e-6 * max |det S| over the probes scanned so far.
-    Raises RootSearchError for a crossing that fails the check or does not
-    converge and, with ``first``, when there is no crossing at all."""
+def _search(endpoint: Callable, probes: np.ndarray, tol: float, first: bool):
+    """The search of :func:`scan_and_refine` as a generator: it yields the
+    torques it needs next, is sent their endpoint matrices and returns the
+    roots.  ``endpoint`` serves the :func:`brentq` safeguard only."""
     evaluated: dict[float, tuple[float, np.ndarray]] = {}
     roots: list[float] = []
     S = np.empty((0, 2, 2))
     for start in range(0, probes.size, SCAN_BLOCK):
-        S = np.concatenate([S, _evaluate(endpoint, evaluated, probes[start : start + SCAN_BLOCK])])
+        block = probes[start : start + SCAN_BLOCK]
+        S = np.concatenate([S, _store(evaluated, block, (yield block))])
         t = S[:, 0, 0] + S[:, 1, 1]
         for i in range(max(start, 1), t.size):
             if not t[i - 1] < 0.0 <= t[i]:
                 continue
-            root = _refine(endpoint, evaluated, probes[i - 1], probes[i], tol * probes[i])
+            root = yield from _refine(endpoint, evaluated, probes[i - 1], probes[i], tol * probes[i])
             det_at_root = float(endpoint_det(evaluated[root][1]))
             det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
             if det_at_root > 1e-6 * det_scale:
@@ -405,6 +496,79 @@ def scan_and_refine(
             f"[{t.min():.3e}, {t.max():.3e}] without a sign change from minus to plus"
         )
     return roots
+
+
+def _lockstep(searches: list, shoot: Callable) -> list[list[float]]:
+    """Roots of every search (:func:`_search`), run side by side: each
+    round, one call ``shoot(live, torques)`` returns the endpoint matrices
+    at the torques each live search (numbered in ``live``) asked for.
+    Raises, once all are done, the RootSearchError of the first search in
+    order that failed."""
+    results: list = [None] * len(searches)
+    failures: dict[int, RootSearchError] = {}
+    requests: dict[int, np.ndarray] = {}
+
+    def advance(i: int, S) -> None:
+        try:
+            requests[i] = searches[i].send(S)
+        except StopIteration as done:
+            results[i] = done.value
+        except RootSearchError as error:
+            failures[i] = error
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while requests:
+        live = list(requests)
+        torques = [requests.pop(i) for i in live]
+        for i, S in zip(live, shoot(live, torques)):
+            advance(i, S)
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def scan_and_refine(
+    endpoint: Callable[[np.ndarray], np.ndarray], probes: np.ndarray, tol: float, first: bool = True
+) -> list[float]:
+    """Eigenvalues among the increasing torques ``probes``: upward zero
+    crossings of trace S, S = ``endpoint(M)`` the endpoint matrices at M.
+    The probes are evaluated SCAN_BLOCK at a time, each crossing interval
+    (a, b] is refined to within ``tol * b`` (:func:`_refine`), and with
+    ``first`` the scan stops there.  Each root, an evaluated torque, must
+    pass det S(root) <= 1e-6 * max |det S| over the probes scanned so far.
+    Raises RootSearchError for a crossing that fails the check or does not
+    converge and, with ``first``, when there is no crossing at all."""
+    search = _search(endpoint, probes, tol, first)
+    return _lockstep([search], lambda live, torques: [endpoint(torques[0])])[0]
+
+
+def first_roots(
+    rods: Sequence[tuple[ShapeFunction, float, float, float]], tol: float = DEFAULT_TOL,
+    steps: int = DEFAULT_STEPS, probes: int = DEFAULT_PROBES,
+) -> list[float]:
+    """Smallest buckling torque of each rod (shape, E, J_y, J_z), searched
+    as :func:`critical_torque_oracle` searches one, to the same float, with
+    the rods shot together: one :func:`propagate` call per round on their
+    stacked grids, each rod's torques padded with its last.  Raises the
+    RootSearchError of the first rod in order that has no root."""
+    if not rods:
+        return []
+    grids = [build_step_grid(shape, E, J_y, J_z, steps) for shape, E, J_y, J_z in rods]
+    stacked = StepGrid.stack(grids)
+    searches = [
+        _search(lambda m, grid=grid: propagate(grid, m), probe_torques(*rod, None, probes), tol, True)
+        for grid, rod in zip(grids, rods)
+    ]
+
+    def shoot(live: list[int], torques: list[np.ndarray]) -> list[np.ndarray]:
+        M = np.empty((len(live), max(t.size for t in torques)))
+        for row, t in zip(M, torques):
+            row[: t.size], row[t.size :] = t, t[-1]
+        S = propagate(stacked if len(live) == len(rods) else stacked.rods(live), M)
+        return [S_rod[: t.size] for S_rod, t in zip(S, torques)]
+
+    return [roots[0] for roots in _lockstep(searches, shoot)]
 
 
 def critical_torque_oracle(

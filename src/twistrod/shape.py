@@ -58,10 +58,22 @@ def _frozen_copy(values: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _frozen(value) -> bool:
+    """Whether ``value`` is a read-only array that nothing writable shares:
+    it and every array down its ``base`` chain, to the owner of the memory,
+    are read-only."""
+    while isinstance(value, np.ndarray) and not value.flags.writeable:
+        if value.base is None:
+            return True
+        value = value.base
+    return False
+
+
 class _ArrayRecord:
     """Base of frozen dataclasses (``eq=False``) with array fields ``_arrays``:
-    stores read-only float copies of those not read-only yet, and compares
-    and hashes by value (equal class and fields, arrays element by element).
+    stores read-only float copies of those not :func:`_frozen` yet, so a
+    read-only view of a writable array is copied too, and compares and
+    hashes by value (equal class and fields, arrays element by element).
     """
 
     _arrays: tuple[str, ...] = ()
@@ -69,9 +81,7 @@ class _ArrayRecord:
     def __post_init__(self) -> None:
         for name in self._arrays:
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, np.ndarray) and not value.flags.writeable
-            ):
+            if value is not None and not _frozen(value):
                 object.__setattr__(self, name, _frozen_copy(value))
 
     def _key(self) -> tuple:
@@ -371,7 +381,10 @@ class ShapeFunction(_ArrayRecord):
         if kind == "piecewise":
             if "breakpoints" not in d:
                 raise ValueError("piecewise shape needs 'breakpoints'")
-            return cls.piecewise(d["breakpoints"], d.get("values", []))
+            shape = cls.piecewise(d["breakpoints"], d.get("values", []))
+            if "L" in d and float(d["L"]) != shape.L:
+                raise ValueError(f"piecewise shape has 'L' {d['L']!r} but its breakpoints end at {shape.L!r}")
+            return shape
         if kind == "sampled":
             if "L" not in d:
                 raise ValueError("sampled shape needs 'L'")

@@ -11,6 +11,7 @@ import pytest
 import twistrod.cli as cli
 import twistrod.greenhill as greenhill
 import twistrod.isoperimetric as iso
+import twistrod.oracle as oracle
 from twistrod.cli import main
 
 CONSTANT_ROD = {
@@ -268,6 +269,12 @@ class TestVerify:
         assert suites["isoperimetric_bound"]["max_disagreement"] <= 1e-10
         assert suites["anisotropic_reduction"]["max_disagreement"] <= 1e-6
 
+    def test_no_cases_pass(self, capsys):
+        assert main(["verify", "--n", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True
+        assert [s["cases"] for s in report["suites"].values()] == [0, 0, 0]
+
     def test_injected_wrong_exponent_fails(self, capsys):
         argv = [
             "verify", "--n", "2", "--seed", "42", "--steps", "1024",
@@ -279,3 +286,21 @@ class TestVerify:
         failing = report["suites"]["isoperimetric_bound"]
         assert failing["pass"] is False
         assert failing["failures"]  # offending cases are listed
+
+    def test_shooting_suites_share_kernel_calls(self, capsys, monkeypatch):
+        # the rods of both shooting suites are searched together: each kernel
+        # call serves every rod still searching (one call per rod and round
+        # before)
+        calls = []
+        propagate = cli.oracle.propagate
+
+        def counting(grid, M):
+            calls.append(np.shape(M))
+            return propagate(grid, M)
+
+        monkeypatch.setattr(cli.oracle, "propagate", counting)
+        for n, most in ((1, 5), (10, 8)):
+            calls.clear()
+            assert main(["verify", "--n", str(n), "--seed", "2024"]) == 0
+            assert json.loads(capsys.readouterr().out)["pass"] is True
+            assert len(calls) <= most and calls[0] == (2 * n, oracle.SCAN_BLOCK)

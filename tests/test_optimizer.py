@@ -468,6 +468,22 @@ class TestIterateValues:
                 it.areas[0] = 1.0
         assert not it.areas.flags.writeable
 
+    def test_iterates_share_the_stacked_areas(self):
+        # no copy per iterate: every row views one read-only array
+        iterates = self.trace().iterates
+        shared = iterates[0].areas.base
+        assert shared is not None and not shared.flags.writeable
+        assert all(it.areas.base is shared for it in iterates)
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        areas = np.array([1.0, 2.0])
+        view = areas[:]
+        view.setflags(write=False)
+        it = OptimizerIterate(view, 1.0, 0.0, 0.5)
+        before = hash(it)
+        areas[0] = 5.0
+        assert it.areas.tolist() == [1.0, 2.0] and hash(it) == before
+
     def test_constructor_freezes_a_copy(self):
         areas = np.array([1.0, 2.0])
         it = OptimizerIterate(areas, 1.0, 0.0, 0.5)

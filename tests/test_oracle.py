@@ -27,6 +27,7 @@ from twistrod.oracle import (
     DEFAULT_PROBES,
     DEFAULT_TOL,
     MIN_STEPS,
+    StepGrid,
     build_step_grid,
     convergence_study,
     critical_torque_oracle,
@@ -210,8 +211,82 @@ class TestBatchedKernel:
         assert peak < 8 * 2**20
 
 
+def longdouble_endpoint(grid: StepGrid, M) -> np.ndarray:
+    """Endpoint matrices of a one-rod ``grid`` at the torques ``M`` in
+    np.longdouble: each panel's augmented step map [[A, B], [0, I]], formed
+    from the grid's coefficients as the oracle docstring writes it, raised
+    to its count by repeated squaring and composed in panel order."""
+    (a1, b1), (a3, b3), (p2, q2), (p4, q4) = grid.poly.astype(np.longdouble)
+    m = np.asarray(M, dtype=np.longdouble)[:, None]
+    B11, B22 = a1 - m * m * a3, b1 - m * m * b3
+    B12, B21 = m * (p2 - m * m * p4), -m * (q2 - m * m * q4)
+    one, zero = np.ones_like(B11), np.zeros_like(B11)
+    rows = [
+        [1 - m * B12, m * B11, B11, B12],
+        [-m * B22, 1 + m * B21, B21, B22],
+        [zero, zero, one, zero],
+        [zero, zero, zero, one],
+    ]
+    step = np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    power = np.broadcast_to(np.eye(4, dtype=np.longdouble), step.shape).copy()
+    counts = grid.counts.copy()
+    while counts.any():
+        odd = counts % 2 == 1
+        power[:, odd] = step[:, odd] @ power[:, odd]
+        step = step @ step
+        counts //= 2
+    total = power[:, 0]
+    for panel in range(1, grid.counts.size):
+        total = power[:, panel] @ total
+    return total[:, :2, 2:]
+
+
+def kernel_error(grid: StepGrid, M) -> float:
+    """Largest difference of ``propagate`` from the long-double reference,
+    relative to max |S| at each torque."""
+    reference = longdouble_endpoint(grid, M)
+    error = np.abs(propagate(grid, np.asarray(M, dtype=float)) - reference)
+    return float(np.max(error.max(axis=(1, 2)) / np.abs(reference).max(axis=(1, 2))))
+
+
+class TestClosedFormPowers:
+    """Each panel's map is raised to its count in closed form."""
+
+    def test_matches_longdouble_powers(self):
+        # squaring in double was up to 1e-11 off on these grids
+        worst = 0.0
+        for seed in range(10):
+            rng = Lcg64(seed)
+            shapes = [random_piecewise_shape(rng), random_sampled_shape(rng)]
+            shapes += [ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 1e-8]), ShapeFunction.sampled([1.0, 1e-8])]
+            for shape in shapes:
+                for J_y, J_z in ((1.0, 1.0), (16.0, 1.0)):
+                    m_star = critical_torque_value(RodSpec(1.0, math.sqrt(J_y * J_z), shape, LAW))
+                    for steps, factors in (
+                        (MIN_STEPS, [0.0, 0.37, 1.3, 97.0, 103.0]),
+                        (4096, [0.0, 0.37, 1.3, 3.1]),
+                        (2**18, [0.0, 1e-3, 0.37, 1.3]),
+                    ):
+                        grid = build_step_grid(shape, 1.0, J_y, J_z, steps)
+                        worst = max(worst, kernel_error(grid, m_star * np.array(factors)))
+        assert worst <= 1e-12
+
+    def test_real_spectrum_and_zero_torque(self):
+        # coefficients no rod has.  Panel 0: B11 B22 < 0, so N has the real
+        # eigenvalues +-M sqrt(2) (omega**2 < 0).  Panel 1: B22 = 0, a
+        # nilpotent N (omega = 0 and det N = 0).  Panel 3: a double eigenvalue
+        # 1/2 of A at M = 1, real ones of opposite signs at M = 1.5 and of
+        # one sign at M = 2.  At M = 0, N = 0 and S is the sum of B.
+        poly = np.zeros((4, 2, 4))
+        poly[0] = [[1.0, 0.3, 1.0, 0.25], [-2.0, 0.0, 1.0, 0.25]]
+        poly[2] = [[0.0, 0.0, 0.4, 0.25], [0.0, 0.0, 0.1, 0.75]]
+        grid = StepGrid(poly, np.array([3, 1000, 7, 5]))
+        assert kernel_error(grid, [0.0, 1e-3, 0.5, 1.0, 1.5, 2.0]) <= 1e-12
+        np.testing.assert_array_equal(propagate(grid, [0.0])[0], [[311.25, 0.0], [0.0, 2.25]])
+
+
 class TestRunLengthKernel:
-    """Runs of equal steps are raised to their length by squaring."""
+    """Each panel's steps, all alike, raised to their count at once."""
 
     def test_one_step_panel_and_unequal_runs(self):
         # panels of 2, 891 and 3203 steps: different count bit patterns
@@ -242,7 +317,7 @@ class TestRunLengthKernel:
         dip = ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0])
         grid = build_step_grid(dip, 1.0, 1.0, 1.0, 4096)
         assert grid.counts.tolist() == [73, 73, 73, 1866, 1865, 73, 73]
-        assert len(grid) == 4096 and grid.poly.shape == (5, 7, 4, 4)
+        assert len(grid) == 4096 and grid.poly.shape == (4, 2, 7)
 
     def test_piecewise_memory_independent_of_steps(self):
         tracemalloc.start()
@@ -618,6 +693,58 @@ class TestCriticalTorqueOracle:
         exact = critical_torque_value(spec)
         found = critical_torque_oracle(spec)
         assert found == pytest.approx(exact, rel=1e-8)
+
+
+class TestLockstep:
+    """Rods searched together, one kernel call per round for all of them."""
+
+    @staticmethod
+    def rods() -> list[tuple]:
+        # 1-8 panels; Lcg64(15) and Lcg64(24) hold rods that fall back to
+        # brentq at tol 1e-15
+        rods = []
+        for seed in (15, 24, 61, 62):
+            rng = Lcg64(seed)
+            rods += [(random_piecewise_shape(rng), 1.0, 1.0, 1.0), (random_sampled_shape(rng), 1.0, 1.0, 1.0)]
+            rods.append((random_piecewise_shape(rng), 1.3, 16.0 * rng.uniform(), 1.0))
+        rods.append((ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0]), 1.0, 1.0, 1.0))
+        rods.append((ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 1.0], [1e-8, 1.0]), 2e11, 1e-8, 4e-8))
+        return rods
+
+    def test_batched_roots_equal_single_roots(self, monkeypatch):
+        brackets = []
+        brentq = oracle.brentq
+
+        def recording(f, a, b, **tolerances):
+            brackets.append((a, b))
+            return brentq(f, a, b, **tolerances)
+
+        monkeypatch.setattr(oracle, "brentq", recording)
+        rods = self.rods()
+        single = []
+        for shape, E, J_y, J_z in rods:
+            aspec = AnisotropicRodSpec(E, AnisotropicSection(J_y, J_z), shape, LAW)
+            single.append(first_root_anisotropic(aspec, tol=1e-15))
+        fallbacks = sorted(brackets)
+        brackets.clear()
+        assert oracle.first_roots(rods, tol=1e-15) == single
+        assert fallbacks and sorted(brackets) == fallbacks
+
+    def test_failing_rod_raises_its_own_error(self):
+        # at 16 steps these two find a trace crossing that is no eigenvalue
+        good = self.rods()[:3]
+        bad = [(ShapeFunction.sampled([1.0, 1e-8]), 1.0, 1.0, 1.0)]
+        bad.append((ShapeFunction.sampled([1.0, 1e-8, 1.0, 1e-8, 1.0]), 1.0, 1.0, 1.0))
+        errors = []
+        for shape, E, J_y, J_z in bad:
+            with pytest.raises(RootSearchError) as alone:
+                critical_torque_oracle(RodSpec(E, J_y, shape, LAW), steps=MIN_STEPS)
+            errors.append(str(alone.value))
+        assert errors[0] != errors[1]
+        for rods, expected in ((good + bad, errors[0]), (bad[::-1] + good, errors[1]), (good + bad[1:], errors[1])):
+            with pytest.raises(RootSearchError) as batched:
+                oracle.first_roots(rods, steps=MIN_STEPS)
+            assert str(batched.value) == expected
 
 
 class TestEigenvalueSequence:

@@ -1,31 +1,40 @@
-"""Properties of the closed forms that the paper implies, over every
-profile kind (hypothesis).
+"""Properties that the paper implies, over every profile kind (hypothesis).
 
 Rods draw their kind (constant, unequal-width piecewise or sampled), a
 stiffness contrast down to 1e-8, a span L from 1e-3 to 1e3 and a modulus
-up to 1e11.  Only the closed-form torque, the volume and the bound run;
-nothing shoots.  The search is derandomized, so every run draws the
-same rods.
+up to 1e11, for the closed-form torque, the volume and the bound.  The
+shooting oracle runs on fewer rods (:func:`shot_rods`), of equal- or
+unequal-width piecewise or sampled profiles.  The search is
+derandomized, so every run draws the same rods.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistrod.greenhill import critical_torque_value
 from twistrod.isoperimetric import verify_bound
+from twistrod.oracle import critical_torque_oracle
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# A root costs a few milliseconds, so the shooting properties draw fewer
+ORACLE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=25)
 # A sweep of 3000 rods from these strategies found worst relative errors
 # of 7e-16 (scaling), 4e-16 (E), 1e-15 (reversed torque) and 3e-15
 # (reversed volume); the volume's own quadrature tolerance is 1e-12.
 CLOSED_FORM_TOL = 1e-13
 VOLUME_TOL = 1e-12
+# 150 rods of shot_rods: reversed roots within 1.1e-14 of the root, roots
+# within 2.3e-10 of the closed form (the RK4 error at 4096 steps); steps
+# shared by width instead of phase fail the second property
+REVERSAL_TOL = 1e-9
+ORACLE_TOL = 1e-7
 
 
 def exponent(lo: float, hi: float):
@@ -104,3 +113,44 @@ def test_reversal_keeps_torque_and_volume(spec):
 @given(rods())
 def test_bound_holds(spec):
     assert verify_bound(spec).ratio <= 1.0 + 1e-12
+
+
+@st.composite
+def shot_rods(draw) -> RodSpec:
+    """A rod for the shooting properties: an equal-width piecewise, an
+    unequal-width piecewise (widths log-uniform over three decades, so
+    that narrow soft panels occur) or a sampled profile of 1-9 panels
+    whose values span the drawn contrast, at unit or SI scale (E = 2e11,
+    J_ref 1e-9 to 1e-7).
+    The values come from a numpy generator seeded by the draw, so that few
+    examples still spread over the kinds and contrasts."""
+    kind = draw(st.sampled_from(["equal", "unequal", "sampled"]))
+    contrast = draw(st.sampled_from([1e-8, 1e-6, 1e-3, 0.1]))
+    si = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(rng.integers(2 if kind == "sampled" else 1, 10))
+    values = contrast ** rng.uniform(0.0, 1.0, count)
+    if count > 1:
+        values[rng.permutation(count)[:2]] = contrast, 1.0
+    L = rng.uniform(0.5, 5.0) if si else 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "sampled":
+        shape = ShapeFunction.sampled(values, L)
+    else:
+        widths = np.ones(count) if kind == "equal" else 10.0 ** rng.uniform(-3.0, 0.0, count)
+        edges = np.concatenate([[0.0], np.cumsum(widths)])
+        shape = ShapeFunction.piecewise(L * edges / edges[-1], values)
+    E, J = (2e11, 10.0 ** rng.uniform(-9.0, -7.0)) if si else 10.0 ** rng.uniform(-2.0, 2.0, 2)
+    return RodSpec(E=E, J_ref=J, shape=shape, law=CrossSectionLaw(2, 1.0 / (4.0 * np.pi)))
+
+
+@ORACLE_SETTINGS
+@given(shot_rods())
+def test_reversal_keeps_oracle_root(spec):
+    root = critical_torque_oracle(spec)
+    assert critical_torque_oracle(reversed_rod(spec)) == pytest.approx(root, rel=REVERSAL_TOL)
+
+
+@ORACLE_SETTINGS
+@given(shot_rods())
+def test_oracle_matches_closed_form(spec):
+    assert critical_torque_oracle(spec) == pytest.approx(critical_torque_value(spec), rel=ORACLE_TOL)

@@ -478,3 +478,14 @@ class TestJsonDescriptors:
             ShapeFunction.from_dict({"kind": "piecewise", "values": [1.0]})
         with pytest.raises(ValueError):
             CrossSectionLaw.from_dict({"n": 2})
+
+    def test_piecewise_length_must_match_breakpoints(self):
+        d = {"kind": "piecewise", "L": 5.0, "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 2.0]}
+        with pytest.raises(ValueError, match="'L'"):
+            ShapeFunction.from_dict(d)
+        with pytest.raises(ValueError, match="'L'"):
+            ShapeFunction.from_dict({**d, "L": float("nan")})
+        expected = ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0])
+        assert ShapeFunction.from_dict({**d, "L": 1.0}) == expected
+        del d["L"]
+        assert ShapeFunction.from_dict(d) == expected
