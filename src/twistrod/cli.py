@@ -191,6 +191,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     case is drawn first; the oracle roots of both shooting suites are then
     found together (:func:`~twistrod.oracle.first_roots`)."""
     n = args.n
+    if n < 0:
+        raise ValueError(f"--n must be at least 0, got {n}")
     rng = Lcg64(args.seed)
     rods = [random_rod_spec(rng) for _ in range(n)]
     rng = Lcg64(args.seed + 1)

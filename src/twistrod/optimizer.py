@@ -12,10 +12,14 @@ formula, ``2*pi*E*alpha / sum(w * A**(-n))``: the ascent on each rescaled
 candidate, the exhaustive search on its whole grid of allocations as one
 array.  The ascent keeps only the accepted areas and torques while it
 runs; the volumes, volume residuals and gaps of all its iterates are
-formed once afterwards from the stacked ``(iterates, k)`` area array.  A
-validated ``AreaProfile`` (a piecewise profile in area units) is built
-only where one enters (the problem's initial profile) or leaves (the
-brute-force winner), so every area the optimizer sees is positive.  The
+formed once afterwards from the stacked ``(iterates, k)`` area array,
+whose read-only rows the iterates share.  A step is a handful of numpy
+calls on small arrays, so the loop reduces with the ufuncs themselves
+(``np.add.reduce`` and its kin, not the array methods' Python wrappers)
+and keeps its scalars as Python floats.  A validated ``AreaProfile`` (a
+piecewise profile in area units) is built only where one enters (the
+problem's initial profile) or leaves (the brute-force winner), so every
+area the optimizer sees is positive.  The
 problem, its iterates and the trace (a tuple of iterates) are frozen
 values that compare and hash by value.
 """
@@ -107,6 +111,8 @@ class OptimizationProblem:
         """Build a problem from raw panel areas, rescaled to the target volume."""
         _require_scales(V_target, L, E, "V_target")
         vals = np.asarray(areas, dtype=float)
+        if vals.ndim != 1 or vals.size == 0:
+            raise ValueError(f"need a non-empty vector of panel areas, got shape {vals.shape}")
         if (vals <= 0).any():
             raise ValueError("panel areas must be positive")
         k = vals.size
@@ -189,33 +195,45 @@ def optimize(
     with row sums and row maxima along the contiguous axis.  These are
     the same floats that ``AreaProfile.piecewise`` and ``lagrange_gap``
     form for each iterate's areas, and the iterates' ``areas`` are
-    read-only rows of that array.
+    read-only rows of that array, which is checked read-only once for
+    all of them.  The loop reduces with ``np.add.reduce``,
+    ``np.maximum.reduce`` and ``np.minimum.reduce`` to Python floats,
+    forms ``2*pi*E*alpha`` and ``n*h`` once, in the order of the panel
+    formula and the gradient, and rescales each fresh candidate in place,
+    so its floats are those of the formulas above.  Raises ValueError
+    when ``max_iters`` is negative.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     V, L, E, law = problem.V_target, problem.L, problem.E, problem.law
     n = law.n
     h = L / problem.segments
     reach = 0.1 * (V / L)  # the first trial step moves the steepest panel this far
     widths = np.diff(np.linspace(0.0, L, problem.segments + 1))
+    # the constant factors of _torque and of the gradient, in their order
+    numerator = 2.0 * math.pi * E * law.alpha
+    slope = n * h
+    total, largest, smallest = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
     areas = problem.init.panel_values
-    areas = areas * (V / (h * areas.sum()))
-    current = _torque(widths, areas, E, law)
+    areas = areas * (V / (h * float(total(areas))))
+    current = numerator / float(total(widths * areas ** (-n)))
     accepted_areas, torques = [areas], [current]
 
     for _ in range(max_iters):
-        grad = n * h * areas ** (-n - 1)
-        step = reach / grad.max()
+        grad = slope * areas ** (-n - 1)
+        step = reach / float(largest(grad))
         for _halving in range(80):
             candidate = areas + step * grad
-            if candidate.min() <= 0.0:
+            if smallest(candidate) <= 0.0:
                 step *= 0.5
                 if step == 0.0:
                     raise ConvergenceError(
                         "step size underflowed while restoring positivity"
                     )
                 continue
-            candidate = candidate * (V / (h * candidate.sum()))
-            value = _torque(widths, candidate, E, law)
+            candidate *= V / (h * float(total(candidate)))
+            value = numerator / float(total(widths * candidate ** (-n)))
             if value > current:
                 break
             step *= 0.5
@@ -229,13 +247,12 @@ def optimize(
 
     stacked = np.array(accepted_areas)
     stacked.setflags(write=False)
-    volumes = (widths * stacked).sum(axis=1)
+    volumes = total(widths * stacked, axis=1)
     means = volumes / L
-    gaps = (np.abs(stacked - means[:, None]).max(axis=1) / means).tolist()
+    gaps = (largest(np.abs(stacked - means[:, None]), axis=1) / means).tolist()
     residuals = (np.abs(volumes - V) / V).tolist()
-    iterates = map(OptimizerIterate, stacked, np.array(torques).tolist(), residuals, gaps)
     return OptimizationTrace(
-        iterates=tuple(iterates),
+        iterates=OptimizerIterate._of_rows(stacked, torques, residuals, gaps),
         converged=gaps[-1] <= GAP_CONVERGED,
         final_gap=gaps[-1],
     )

@@ -84,6 +84,25 @@ class _ArrayRecord:
             if value is not None and not _frozen(value):
                 object.__setattr__(self, name, _frozen_copy(value))
 
+    @classmethod
+    def _of_rows(cls, *columns) -> tuple:
+        """One record per row of ``columns``, the values of every field in
+        field order, array fields as stacks of rows.  Each stack is made
+        :func:`_frozen` once and its rows are shared, where the constructor
+        would check every row; nothing else is validated, so the values must
+        be what the constructor would store."""
+        names = [f.name for f in fields(cls)]
+        columns = [
+            c if name not in cls._arrays or _frozen(c) else _frozen_copy(c)
+            for name, c in zip(names, columns)
+        ]
+        records = []
+        for row in zip(*columns):
+            record = object.__new__(cls)
+            record.__dict__.update(zip(names, row))
+            records.append(record)
+        return tuple(records)
+
     def _key(self) -> tuple:
         values = (getattr(self, f.name) for f in fields(self))
         return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values)
@@ -329,19 +348,27 @@ class ShapeFunction(_ArrayRecord):
 
     def evaluate(self, xi: float | np.ndarray) -> float | np.ndarray:
         """F(xi) at a scalar or an array; raises on out-of-domain input.  Panels
-        are half-open, the last one closed.  F is interpolated from the nearer
-        end of its panel, the offset measured from that end, so it keeps its
-        relative precision next to a small node value."""
+        are half-open, the last one closed.  Where the panel table's ``left``
+        is its ``right`` (piecewise and constant profiles), F is the panel
+        value itself.  Otherwise F is interpolated from the nearer end of its
+        panel, the offset measured from that end, so it keeps its relative
+        precision next to a small node value."""
         x = np.asarray(xi, dtype=float)
-        if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= self.L):  # NaN fails too
+        # the ufuncs' own reductions: ``x.min()`` adds numpy's Python wrapper
+        lo = np.minimum.reduce(x, axis=None, initial=0.0)
+        hi = np.maximum.reduce(x, axis=None, initial=0.0)
+        if not (lo >= 0.0 and hi <= self.L):  # NaN fails too
             raise ValueError(f"coordinate outside [0, {self.L}]")
         edges, left, right = self.panels()
         # the last panel is closed: L falls into it, not past it
         i = np.searchsorted(edges[:-1], x, side="right") - 1
-        a, b, f0, f1 = edges[i], edges[i + 1], left[i], right[i]
-        slope = (f1 - f0) / (b - a)
-        da, db = x - a, b - x
-        out = np.where(da <= db, f0 + slope * da, f1 - slope * db)
+        if left is right:
+            out = left[i]
+        else:
+            a, b, f0, f1 = edges[i], edges[i + 1], left[i], right[i]
+            slope = (f1 - f0) / (b - a)
+            da, db = x - a, b - x
+            out = np.where(da <= db, f0 + slope * da, f1 - slope * db)
         return float(out) if x.ndim == 0 else out
 
     __call__ = evaluate

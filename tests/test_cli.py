@@ -220,6 +220,25 @@ class TestOptimize:
         assert main(["optimize", "--spec", spec]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("segments", ["0", "-3"])
+    def test_no_segments_is_input_error(self, tmp_path, capsys, segments):
+        doc = {k: v for k, v in PROBLEM.items() if k != "init"}
+        spec = write(tmp_path, "prob.json", doc)
+        assert main(["optimize", "--spec", spec, "--segments", segments]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_empty_init_is_input_error(self, tmp_path, capsys):
+        doc = {**PROBLEM, "segments": 0, "init": []}
+        spec = write(tmp_path, "prob.json", doc)
+        assert main(["optimize", "--spec", spec]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_negative_max_iters_is_input_error(self, tmp_path, capsys):
+        spec = write(tmp_path, "prob.json", PROBLEM)
+        assert main(["optimize", "--spec", spec, "--max-iters", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "input error" in captured.err and captured.out == ""
+
 
 class TestNumericFailureExit:
     def test_numeric_errors_map_to_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -274,6 +293,11 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert [s["cases"] for s in report["suites"].values()] == [0, 0, 0]
+
+    def test_negative_count_is_input_error(self, capsys):
+        assert main(["verify", "--n", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "input error" in captured.err and captured.out == ""
 
     def test_injected_wrong_exponent_fails(self, capsys):
         argv = [

@@ -214,6 +214,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OptimizationProblem.from_areas([1.0, -1.0], 2.0, 1.0, LAW1, 1.0)
 
+    @pytest.mark.parametrize("areas", [[], np.zeros(0), 2.0, [[1.0, 3.0]]])
+    def test_rejects_areas_that_are_no_vector(self, areas):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            OptimizationProblem.from_areas(areas, 2.0, 1.0, LAW1, 1.0)
+
     @pytest.mark.parametrize("key", ["V_target", "L", "E"])
     @pytest.mark.parametrize("bad", NONFINITE)
     def test_rejects_nonfinite_parameters(self, key, bad):
@@ -268,6 +273,11 @@ class TestOptimize:
             assert nxt >= prev * (1.0 - 1e-12)
         for it in trace.iterates:
             assert it.volume_residual <= 1e-10
+
+    def test_rejects_negative_max_iters(self):
+        prob = OptimizationProblem.from_areas([1.0, 3.0], 2.0, 1.0, LAW1, 1.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            optimize(prob, max_iters=-1)
 
     def test_json_lines(self):
         prob = OptimizationProblem.from_areas([1.0, 3.0], 2.0, 1.0, LAW1, 1.0)
@@ -492,3 +502,21 @@ class TestIterateValues:
         with pytest.raises(ValueError):
             it.areas[1] = 0.0
         assert it == OptimizerIterate([1.0, 2.0], 1.0, 0.0, 0.5)
+
+
+class TestIteratesOfRows:
+    def test_rows_equal_constructed_iterates(self):
+        stacked = np.array([[1.0, 2.0], [1.5, 1.5]])
+        stacked.setflags(write=False)
+        rows = OptimizerIterate._of_rows(stacked, [1.0, 2.0], [0.0, 1e-16], [0.5, 0.0])
+        assert rows == tuple(map(OptimizerIterate, stacked, [1.0, 2.0], [0.0, 1e-16], [0.5, 0.0]))
+        assert all(it.areas.base is stacked for it in rows)
+
+    def test_writable_stack_is_copied_once(self):
+        stacked = np.array([[1.0, 2.0], [1.5, 1.5]])
+        rows = OptimizerIterate._of_rows(stacked, [1.0, 2.0], [0.0, 0.0], [0.5, 0.0])
+        stacked[0, 0] = 5.0
+        assert rows[0].areas.tolist() == [1.0, 2.0]
+        assert rows[0].areas.base is rows[1].areas.base is not stacked
+        with pytest.raises(ValueError):
+            rows[1].areas[0] = 0.0

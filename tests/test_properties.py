@@ -4,8 +4,10 @@ Rods draw their kind (constant, unequal-width piecewise or sampled), a
 stiffness contrast down to 1e-8, a span L from 1e-3 to 1e3 and a modulus
 up to 1e11, for the closed-form torque, the volume and the bound.  The
 shooting oracle runs on fewer rods (:func:`shot_rods`), of equal- or
-unequal-width piecewise or sampled profiles.  The search is
-derandomized, so every run draws the same rods.
+unequal-width piecewise or sampled profiles; it also checks that
+refining a profile (splitting a piecewise panel, inserting a sampled
+rod's midpoints) changes neither the closed forms nor the root.  The
+search is derandomized, so every run draws the same rods.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ ORACLE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=25)
 # (reversed volume); the volume's own quadrature tolerance is 1e-12.
 CLOSED_FORM_TOL = 1e-13
 VOLUME_TOL = 1e-12
+# Refinement, 60 draws of each case: closed forms, volume and bound ratio
+# within 9.4e-16; split piecewise roots within 7.7e-16 and sampled roots
+# with their midpoints inserted within 1.6e-12
+REFINE_TOL = 1e-13
+SPLIT_ROOT_TOL = 1e-12
+MIDPOINT_ROOT_TOL = 1e-10
 # 150 rods of shot_rods: reversed roots within 1.1e-14 of the root, roots
 # within 2.3e-10 of the closed form (the RK4 error at 4096 steps); steps
 # shared by width instead of phase fail the second property
@@ -116,15 +124,15 @@ def test_bound_holds(spec):
 
 
 @st.composite
-def shot_rods(draw) -> RodSpec:
+def shot_rods(draw, kinds=("equal", "unequal", "sampled")) -> RodSpec:
     """A rod for the shooting properties: an equal-width piecewise, an
     unequal-width piecewise (widths log-uniform over three decades, so
     that narrow soft panels occur) or a sampled profile of 1-9 panels
     whose values span the drawn contrast, at unit or SI scale (E = 2e11,
-    J_ref 1e-9 to 1e-7).
+    J_ref 1e-9 to 1e-7), of one of ``kinds``.
     The values come from a numpy generator seeded by the draw, so that few
     examples still spread over the kinds and contrasts."""
-    kind = draw(st.sampled_from(["equal", "unequal", "sampled"]))
+    kind = draw(st.sampled_from(kinds))
     contrast = draw(st.sampled_from([1e-8, 1e-6, 1e-3, 0.1]))
     si = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -154,3 +162,38 @@ def test_reversal_keeps_oracle_root(spec):
 @given(shot_rods())
 def test_oracle_matches_closed_form(spec):
     assert critical_torque_oracle(spec) == pytest.approx(critical_torque_value(spec), rel=ORACLE_TOL)
+
+
+def assert_refinement_changes_nothing(spec: RodSpec, shape: ShapeFunction, root_tol: float):
+    """``shape``, a refinement of the rod's profile, has the rod's closed-form
+    torque, volume, bound ratio and, within ``root_tol``, oracle root."""
+    refined = replace(spec, shape=shape)
+    assert critical_torque_value(refined) == pytest.approx(
+        critical_torque_value(spec), rel=REFINE_TOL
+    )
+    assert area_profile(refined).volume == pytest.approx(area_profile(spec).volume, rel=REFINE_TOL)
+    assert verify_bound(refined).ratio == pytest.approx(verify_bound(spec).ratio, rel=REFINE_TOL)
+    assert critical_torque_oracle(refined) == pytest.approx(
+        critical_torque_oracle(spec), rel=root_tol
+    )
+
+
+@ORACLE_SETTINGS
+@given(shot_rods(kinds=("equal", "unequal")), st.integers(0, 8), st.floats(0.01, 0.99))
+def test_splitting_a_panel_changes_nothing(spec, panel, fraction):
+    edges, values = spec.shape.breakpoints, spec.shape.values
+    j = panel % values.size
+    cut = edges[j] + fraction * (edges[j + 1] - edges[j])
+    split = ShapeFunction.piecewise(np.insert(edges, j + 1, cut), np.insert(values, j, values[j]))
+    assert_refinement_changes_nothing(spec, split, SPLIT_ROOT_TOL)
+
+
+@ORACLE_SETTINGS
+@given(shot_rods(kinds=("sampled",)))
+def test_sampled_midpoints_change_nothing(spec):
+    nodes = spec.shape.values
+    fine = np.empty(2 * nodes.size - 1)
+    fine[::2], fine[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
+    assert_refinement_changes_nothing(
+        spec, ShapeFunction.sampled(fine, spec.shape.L), MIDPOINT_ROOT_TOL
+    )

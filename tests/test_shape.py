@@ -141,6 +141,58 @@ class TestEvaluate:
         out = PIECEWISE_12.evaluate(np.array([0.25, 0.75]))
         np.testing.assert_allclose(out, [1.0, 2.0])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flat_panels_return_segment_values(self, seed):
+        # piecewise and constant profiles look F up, exactly, in half-open
+        # panels; L belongs to the last panel
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 40))
+        edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, k - 1)), [3.0]])
+        values = np.exp(rng.uniform(-18.0, 2.0, k))
+        for shape in (ShapeFunction.piecewise(edges, values), ShapeFunction.constant(values[0], 3.0)):
+            bounds, vals = shape.panel_edges(), shape.values
+            x = rng.uniform(0.0, 3.0, 200)
+            expected = vals[np.searchsorted(bounds, x, side="right") - 1]
+            at_bounds = np.append(vals, vals[-1])
+            for points, want in ((x, expected), (bounds, at_bounds)):
+                got = shape.evaluate(points)
+                assert got.dtype == float and got.tobytes() == want.tobytes()
+                assert [shape.evaluate(p) for p in points.tolist()] == want.tolist()
+                assert all(type(shape.evaluate(p)) is float for p in points[:3].tolist())
+
+    def test_sampled_equal_neighbours_still_interpolate(self):
+        shape = ShapeFunction.sampled([1.0, 2.0, 2.0, 4.0], 3.0)
+        assert shape.evaluate([0.25, 0.5, 1.5, 2.5, 3.0]).tolist() == [1.25, 1.5, 2.0, 3.0, 4.0]
+        flat = ShapeFunction.sampled([2.0, 2.0, 2.0], 1.0)
+        assert flat.evaluate(np.linspace(0.0, 1.0, 9)).tolist() == [2.0] * 9
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ShapeFunction.constant(2.0, 3.0),
+            lambda: ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]),
+            lambda: ShapeFunction.sampled([1.0, 3.0, 2.0], 2.0),
+            lambda: ShapeFunction(kind="sampled", L=1.0, values=np.array([1.0, 2.0])),
+            lambda: ShapeFunction.from_dict({"kind": "piecewise", "breakpoints": [0, 1], "values": [2]}),
+            lambda: AreaProfile.piecewise([0.0, 0.5, 1.0], [1.0, 2.0]),
+            lambda: AreaProfile.constant(2.0, 1.0),
+        ],
+    )
+    def test_each_construction_evaluates_once(self, build, monkeypatch):
+        # validation probes the panel midpoints through one evaluate call
+        calls = []
+        original = ShapeFunction.evaluate
+
+        def counting(self, xi):
+            calls.append(1)
+            return original(self, xi)
+
+        monkeypatch.setattr(ShapeFunction, "evaluate", counting)
+        build()
+        assert len(calls) == 1
+        PIECEWISE_12.scaled(2.0)
+        assert len(calls) == 2
+
 
 class TestIntegrate:
     def test_const(self):
