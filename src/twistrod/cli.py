@@ -21,7 +21,7 @@ from . import isoperimetric as iso
 from . import optimizer as opt
 from . import oracle
 from .errors import ConvergenceError, EigenvalueConsistencyError, QuadratureError, RootSearchError
-from .greenhill import critical_torque, critical_torque_value
+from .greenhill import critical_torque_value, mode_shape
 from .sampling import (
     Lcg64,
     law_for_exponent,
@@ -82,29 +82,34 @@ def _parse_rod(doc: dict) -> tuple[RodSpec, aniso.AnisotropicRodSpec | None, dic
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """One rod's report: M* (from one closed-form call), its isoperimetric
+    bound and the equivalent length.  The buckling mode is built only to
+    be written to ``--out``; an anisotropic rod's mode is mapped back to
+    physical deflections, as ``anisotropic.critical_torque`` does."""
     doc = _load_json(args.spec)
     spec, aspec, echo = _parse_rod(doc)
 
-    result = (
-        aniso.critical_torque(aspec) if aspec is not None else critical_torque(spec)
-    )
+    m_star = critical_torque_value(spec)
     profile = area_profile(spec)
-    report_bound = iso._bound_report(spec, profile, result.M_crit)
+    report_bound = iso._bound_report(spec, profile, m_star)
 
     mode_csv = None
     if args.out:
-        result.mode.to_csv(args.out)
+        mode = mode_shape(spec, m_star)
+        if aspec is not None:
+            mode = aniso.mode_to_anisotropic(mode, aspec.section.k)
+        mode.to_csv(args.out)
         mode_csv = str(Path(args.out))
 
     report = {
         "input": echo,
-        "M_star": result.M_crit,
+        "M_star": m_star,
         "M_bound": report_bound.M_bound,
         "ratio": report_bound.ratio,
         "equality_gap": report_bound.equality_gap,
         "l_physical": physical_length(spec.shape),
         "volume": profile.volume,
-        "mode_index": result.mode_index,
+        "mode_index": 1,
         "mode_csv": mode_csv,
     }
     if args.oracle:
@@ -114,7 +119,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             m_oracle = oracle.critical_torque_oracle(spec, steps=args.steps)
         report["oracle"] = {
             "M": m_oracle,
-            "disagreement": abs(m_oracle - result.M_crit) / result.M_crit,
+            "disagreement": abs(m_oracle - m_star) / m_star,
         }
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -248,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--oracle", action="store_true", help="Also run the shooting eigensolver."
     )
-    p_analyze.add_argument("--steps", type=int, default=4096, help="Shooting steps.")
+    p_analyze.add_argument(
+        "--steps", type=int, default=oracle.DEFAULT_STEPS, help="Shooting steps."
+    )
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_opt = sub.add_parser("optimize", help="Run the fixed-volume shape optimizer.")
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="Cross-validation suites on random cases.")
     p_verify.add_argument("--n", type=int, default=50, help="Cases per suite.")
     p_verify.add_argument("--seed", type=int, default=2024)
-    p_verify.add_argument("--steps", type=int, default=4096)
+    p_verify.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS)
     p_verify.add_argument(
         "--inject-wrong-exponent", action="store_true", help=argparse.SUPPRESS
     )

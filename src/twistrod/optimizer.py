@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .shape import AreaProfile, CrossSectionLaw, _ArrayRecord, require_positive
 
 GAP_CONVERGED = 1e-3
@@ -186,21 +185,23 @@ def optimize(
     ``converged`` reports whether the final profile is constant to within
     the 1e-3 deviation threshold.
 
-    Candidates are scored as raw area vectors.  A step adds more to a
+    Candidates are scored as raw area vectors and need no check: the
+    areas, the step and the gradient are positive, so a candidate is at
+    least the current areas elementwise, and a step adds more to a
     smaller panel and the rescale is multiplicative, so no candidate has
-    a larger max/min contrast than the validated initial profile; only
-    positivity is checked per candidate.  The loop keeps the accepted
-    areas and torques; the volumes, volume residuals and gaps of all
-    iterates are formed once from the stacked ``(iterates, k)`` areas,
-    with row sums and row maxima along the contiguous axis.  These are
-    the same floats that ``AreaProfile.piecewise`` and ``lagrange_gap``
-    form for each iterate's areas, and the iterates' ``areas`` are
-    read-only rows of that array, which is checked read-only once for
-    all of them.  The loop reduces with ``np.add.reduce``,
-    ``np.maximum.reduce`` and ``np.minimum.reduce`` to Python floats,
-    forms ``2*pi*E*alpha`` and ``n*h`` once, in the order of the panel
-    formula and the gradient, and rescales each fresh candidate in place,
-    so its floats are those of the formulas above.  Raises ValueError
+    a larger max/min contrast than the validated initial profile.  The
+    panel widths are those of the initial profile.  The loop keeps the
+    accepted areas and torques; the volumes, volume residuals and gaps
+    of all iterates are formed once from the stacked ``(iterates, k)``
+    areas, with row sums and row maxima along the contiguous axis.
+    These are the same floats that ``AreaProfile.piecewise`` and
+    ``lagrange_gap`` form for each iterate's areas, and the iterates'
+    ``areas`` are read-only rows of that array, which is checked
+    read-only once for all of them.  The loop reduces with
+    ``np.add.reduce`` and ``np.maximum.reduce`` to Python floats, forms
+    ``2*pi*E*alpha`` and ``n*h`` once, in the order of the panel formula
+    and the gradient, and rescales each fresh candidate in place, so its
+    floats are those of the formulas above.  Raises ValueError
     when ``max_iters`` is negative.
     """
     if max_iters < 0:
@@ -209,11 +210,11 @@ def optimize(
     n = law.n
     h = L / problem.segments
     reach = 0.1 * (V / L)  # the first trial step moves the steepest panel this far
-    widths = np.diff(np.linspace(0.0, L, problem.segments + 1))
+    widths = np.diff(problem.init.panel_edges)
     # the constant factors of _torque and of the gradient, in their order
     numerator = 2.0 * math.pi * E * law.alpha
     slope = n * h
-    total, largest, smallest = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+    total, largest = np.add.reduce, np.maximum.reduce
 
     areas = problem.init.panel_values
     areas = areas * (V / (h * float(total(areas))))
@@ -225,13 +226,6 @@ def optimize(
         step = reach / float(largest(grad))
         for _halving in range(80):
             candidate = areas + step * grad
-            if smallest(candidate) <= 0.0:
-                step *= 0.5
-                if step == 0.0:
-                    raise ConvergenceError(
-                        "step size underflowed while restoring positivity"
-                    )
-                continue
             candidate *= V / (h * float(total(candidate)))
             value = numerator / float(total(widths * candidate ** (-n)))
             if value > current:

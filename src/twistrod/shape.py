@@ -7,9 +7,10 @@ F * J_ref = alpha_n * A**n with n in {1, 2, 3}.
 
 Every profile kind is a chain of panels on which F is constant or
 linear.  ``ShapeFunction.panels`` gives that chain as one table (the
-panel edges and F at each panel's left and right end); evaluation, the
-coordinate map and the shooting oracle's step grid all read the table,
-and no query but ``panels`` branches on the kind.
+panel edges and F at each panel's left and right end), built once when
+the profile is constructed; evaluation, the coordinate map, the
+shooting oracle's step grid and the area's extremes all read the table,
+and nothing but its construction branches on the kind.
 
 ``integrate`` is the package's one quadrature engine: adaptive
 Gauss-Kronrod (QUADPACK's G10/K21 pair) run on all panels at once, so
@@ -321,9 +322,19 @@ class ShapeFunction(_ArrayRecord):
         require_positive(self.L, "domain length")
         if not np.isfinite(vals).all():
             raise ValueError("profile values must be finite")
+        # the panel table, built once: ``panels`` returns it
+        if self.kind == "sampled":
+            edges = np.linspace(0.0, self.L, vals.size)
+            edges.setflags(write=False)
+            table = (edges, vals[:-1], vals[1:])
+        elif self.kind == "piecewise":
+            table = (bp, vals, vals)
+        else:
+            table = (_frozen_copy([0.0, self.L]), vals, vals)
+        object.__setattr__(self, "_panels", table)
         # Probe segment values / grid nodes and panel midpoints.  F is
         # linear on every panel, so its extremes sit at the values anyway.
-        edges = self.panel_edges()
+        edges = table[0]
         probes = np.concatenate([vals, self.evaluate(0.5 * (edges[:-1] + edges[1:]))])
         lo, hi = float(probes.min()), float(probes.max())
         if lo <= 0.0 or lo <= MIN_RELATIVE_STIFFNESS * hi:
@@ -337,14 +348,10 @@ class ShapeFunction(_ArrayRecord):
         """The panel table ``(edges, left, right)``: the boundaries of the
         maximal smooth panels and F at the left and right end of each.  F is
         linear on every panel (constant where ``left == right``), so the table
-        is the whole profile; no other query branches on ``kind``."""
-        if self.kind == "sampled":
-            edges = np.linspace(0.0, self.L, self.values.size)
-            edges.setflags(write=False)
-            return edges, self.values[:-1], self.values[1:]
-        if self.kind == "piecewise":
-            return self.breakpoints, self.values, self.values
-        return _frozen_copy([0.0, self.L]), self.values, self.values
+        is the whole profile; no other query branches on ``kind``.  The table
+        is built once, when the profile is constructed, and every call returns
+        that same tuple of read-only arrays."""
+        return self._panels
 
     def evaluate(self, xi: float | np.ndarray) -> float | np.ndarray:
         """F(xi) at a scalar or an array; raises on out-of-domain input.  Panels
@@ -535,10 +542,12 @@ class AreaProfile:
         return self.volume / self.L
 
     def max_relative_deviation(self) -> float:
-        """sup |A - mean| / mean, exact from the panel edges: the area is
-        monotone on every panel and each panel's value is taken at its left
-        edge, so its extremes sit at these."""
-        a = np.asarray(self.area(self.panel_edges), dtype=float)
+        """sup |A - mean| / mean, exact from the panel table: the area is
+        monotone on every panel, so its extremes sit at the panel edges,
+        where F is the table's ``left`` values and the last ``right`` one
+        (the same floats ``evaluate`` gives there, at offset 0)."""
+        _, left, right = self.shape.panels()
+        a = self.law.area(np.concatenate([left, right[-1:]]) * self.J_ref)
         mean = self.mean_area
         return float(np.max(np.abs(a - mean)) / mean)
 

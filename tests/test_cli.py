@@ -8,11 +8,13 @@ import math
 import numpy as np
 import pytest
 
+import twistrod.anisotropic as aniso
 import twistrod.cli as cli
 import twistrod.greenhill as greenhill
 import twistrod.isoperimetric as iso
 import twistrod.oracle as oracle
 from twistrod.cli import main
+from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
 
 CONSTANT_ROD = {
     "E": 1.0,
@@ -111,6 +113,48 @@ class TestAnalyze:
             report = json.loads(capsys.readouterr().out)
             assert len(calls) == 1
             assert report["M_star"] == original(calls[0])
+
+    def test_mode_built_only_for_out(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = cli.mode_shape
+
+        def counting(spec, M):
+            calls.append(M)
+            return original(spec, M)
+
+        monkeypatch.setattr(cli, "mode_shape", counting)
+        for name, rod in (("rod.json", PIECEWISE_ROD), ("aniso.json", ANISO_ROD)):
+            spec = write(tmp_path, name, rod)
+            calls.clear()
+            assert main(["analyze", "--spec", spec]) == 0
+            assert calls == []
+            report = json.loads(capsys.readouterr().out)
+            assert main(["analyze", "--spec", spec, "--out", str(tmp_path / "mode.csv")]) == 0
+            assert calls == [report["M_star"]]
+            capsys.readouterr()
+
+    def test_mode_csv_is_the_critical_torque_mode(self, tmp_path, capsys):
+        sampled = {"kind": "sampled", "L": 1.7, "values": [1.0, 2.5, 0.4, 1.2]}
+        rods = [
+            PIECEWISE_ROD,
+            {**PIECEWISE_ROD, "shape": sampled, "J_ref": 0.3},
+            ANISO_ROD,
+            {**ANISO_ROD, "shape": sampled, "Jy": 0.2, "Jz": 1.3},
+        ]
+        for rod in rods:
+            out, expected = tmp_path / "mode.csv", tmp_path / "expected.csv"
+            assert main(["analyze", "--spec", write(tmp_path, "rod.json", rod), "--out", str(out)]) == 0
+            capsys.readouterr()
+            shape = ShapeFunction.from_dict(rod["shape"])
+            law = CrossSectionLaw.from_dict(rod["law"])
+            if "Jy" in rod:
+                section = aniso.AnisotropicSection(Jy=rod["Jy"], Jz=rod["Jz"])
+                aspec = aniso.AnisotropicRodSpec(E=rod["E"], section=section, shape=shape, law=law)
+                aniso.critical_torque(aspec).mode.to_csv(expected)
+            else:
+                spec = RodSpec(E=rod["E"], J_ref=rod["J_ref"], shape=shape, law=law)
+                greenhill.critical_torque(spec).mode.to_csv(expected)
+            assert out.read_bytes() == expected.read_bytes()
 
     def test_mode_csv_written(self, tmp_path, capsys):
         spec = write(tmp_path, "rod.json", CONSTANT_ROD)
@@ -328,3 +372,9 @@ class TestVerify:
             assert main(["verify", "--n", str(n), "--seed", "2024"]) == 0
             assert json.loads(capsys.readouterr().out)["pass"] is True
             assert len(calls) <= most and calls[0] == (2 * n, oracle.SCAN_BLOCK)
+
+
+def test_step_defaults_are_the_oracle_default():
+    parser = cli.build_parser()
+    for argv in (["analyze", "--spec", "rod.json"], ["verify"]):
+        assert parser.parse_args(argv).steps == oracle.DEFAULT_STEPS

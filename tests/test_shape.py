@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from twistrod.errors import QuadratureError
@@ -128,6 +130,25 @@ class TestEvaluate:
         for arr in (edges, left, right):
             with pytest.raises(ValueError):
                 arr[0] = 7.0
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ShapeFunction.constant(2.0, 3.0),
+            PIECEWISE_12,
+            ShapeFunction.sampled([1.0, 3.0, 2.0], 2.0),
+            ShapeFunction.sampled([1.0, 3.0, 2.0], 2.0).scaled(0.5),
+            PIECEWISE_12.scaled(3.0),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_panel_table_is_built_once(self, shape):
+        table = shape.panels()
+        assert type(table) is tuple and len(table) == 3
+        assert all(shape.panels() is table for _ in range(3))
+        assert shape.panel_edges() is table[0]
+        for arr in table:
+            assert not arr.flags.writeable
 
     def test_out_of_domain(self):
         with pytest.raises(ValueError):
@@ -400,6 +421,36 @@ class TestAreaProfile:
         shape = ShapeFunction.sampled([1.0, 1.5, 2.0], 1.0)
         prof = area_profile(RodSpec(E=1.0, J_ref=1.0, shape=shape, law=CrossSectionLaw(1, 1.0)))
         assert prof.max_relative_deviation() == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+@st.composite
+def area_profiles(draw) -> AreaProfile:
+    """Area profiles of every kind, contrast down to 1e-8, any of the laws."""
+    kind = draw(st.sampled_from(["constant", "piecewise", "sampled"]))
+    L = 10.0 ** draw(st.floats(-3.0, 3.0))
+    count = 1 if kind == "constant" else draw(st.integers(1 if kind == "piecewise" else 2, 12))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    values = [scale * 10.0 ** draw(st.floats(-8.0, 0.0)) for _ in range(count)]
+    if kind == "constant":
+        shape = ShapeFunction.constant(values[0], L)
+    elif kind == "sampled":
+        shape = ShapeFunction.sampled(values, L)
+    else:
+        cuts = sorted(draw(st.sets(st.floats(0.01, 0.99), min_size=count - 1, max_size=count - 1)))
+        shape = ShapeFunction.piecewise([0.0] + [L * c for c in cuts] + [L], values)
+    law = CrossSectionLaw(draw(st.integers(1, 3)), 10.0 ** draw(st.floats(-4.0, 1.0)))
+    spec = RodSpec(E=1.0, J_ref=10.0 ** draw(st.floats(-10.0, 0.0)), shape=shape, law=law)
+    return area_profile(spec)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(area_profiles())
+def test_max_relative_deviation_is_the_area_at_the_edges(profile):
+    # the panel table's left values and last right value are F at the
+    # edges, so the deviation equals the evaluate-at-edges formula exactly
+    a = profile.law.area(np.asarray(profile.shape.evaluate(profile.panel_edges)) * profile.J_ref)
+    mean = profile.volume / profile.L
+    assert profile.max_relative_deviation() == float(np.max(np.abs(a - mean)) / mean)
 
 
 def panel_power_integral(w: float, f0: float, f1: float, p: float) -> float:
