@@ -15,7 +15,6 @@ from .anisotropic import (
     shoot_anisotropic,
 )
 from .errors import (
-    ConvergenceError,
     EigenvalueConsistencyError,
     QuadratureError,
     RootSearchError,
@@ -41,7 +40,6 @@ from .optimizer import (
     OptimizationProblem,
     OptimizationTrace,
     brute_force_segments,
-    lagrange_gap,
     objective,
     optimize,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "AnisotropicSection",
     "AreaProfile",
     "BucklingResult",
-    "ConvergenceError",
     "CoordinateMap",
     "CrossSectionLaw",
     "EigenvalueConsistencyError",
@@ -91,7 +88,6 @@ __all__ = [
     "holder_conjugate",
     "holder_exponents_for_law",
     "integrate",
-    "lagrange_gap",
     "mode_shape",
     "objective",
     "optimize",

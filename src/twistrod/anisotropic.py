@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greenhill import BucklingResult, ModeShape, critical_torque as _isotropic_critical_torque
+from .greenhill import ModeShape
 from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _shoot
 from .oracle import build_step_grid, probe_torques, propagate, scan_and_refine
 from .shape import CrossSectionLaw, RodSpec, ShapeFunction, require_positive
@@ -88,15 +88,6 @@ def mode_to_anisotropic(mode: ModeShape, k: float) -> ModeShape:
     c2 = mode.c2 * r
     scale = float(np.max(np.hypot(y, z)))
     return ModeShape(x=mode.x, y=y / scale, z=z / scale, c1=c1 / scale, c2=c2 / scale)
-
-
-def critical_torque(spec: AnisotropicRodSpec, mode_grid_size: int = 1025) -> BucklingResult:
-    """Critical torque via the reduction, with the physical (back-mapped) mode."""
-    reduced = _isotropic_critical_torque(
-        reduce_to_isotropic(spec), mode_grid_size=mode_grid_size
-    )
-    mode = mode_to_anisotropic(reduced.mode, spec.section.k)
-    return BucklingResult(M_crit=reduced.M_crit, mode_index=reduced.mode_index, mode=mode)
 
 
 def shoot_anisotropic(

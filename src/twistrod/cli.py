@@ -20,8 +20,8 @@ from . import anisotropic as aniso
 from . import isoperimetric as iso
 from . import optimizer as opt
 from . import oracle
-from .errors import ConvergenceError, EigenvalueConsistencyError, QuadratureError, RootSearchError
-from .greenhill import critical_torque_value, mode_shape
+from .errors import EigenvalueConsistencyError, QuadratureError, RootSearchError
+from .greenhill import critical_torque_constant, critical_torque_value, mode_shape
 from .sampling import (
     Lcg64,
     law_for_exponent,
@@ -82,16 +82,17 @@ def _parse_rod(doc: dict) -> tuple[RodSpec, aniso.AnisotropicRodSpec | None, dic
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """One rod's report: M* (from one closed-form call), its isoperimetric
-    bound and the equivalent length.  The buckling mode is built only to
-    be written to ``--out``; an anisotropic rod's mode is mapped back to
-    physical deflections, as ``anisotropic.critical_torque`` does."""
+    """One rod's report: the equivalent length l, M* as Greenhill's torque
+    at l, and its isoperimetric bound.  The buckling mode is built only to
+    be written to ``--out``, as ``mode_shape`` at M*; an anisotropic rod's
+    mode is then mapped back to physical deflections
+    (``anisotropic.mode_to_anisotropic``)."""
     doc = _load_json(args.spec)
     spec, aspec, echo = _parse_rod(doc)
 
-    m_star = critical_torque_value(spec)
+    l = physical_length(spec.shape)
+    m_star = critical_torque_constant(spec.E, spec.J_ref, l)
     profile = area_profile(spec)
-    report_bound = iso._bound_report(spec, profile, m_star)
 
     mode_csv = None
     if args.out:
@@ -103,11 +104,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     report = {
         "input": echo,
-        "M_star": m_star,
-        "M_bound": report_bound.M_bound,
-        "ratio": report_bound.ratio,
-        "equality_gap": report_bound.equality_gap,
-        "l_physical": physical_length(spec.shape),
+        **iso._bound_report(spec, profile, m_star).to_dict(),
+        "l_physical": l,
         "volume": profile.volume,
         "mode_index": 1,
         "mode_csv": mode_csv,
@@ -286,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (QuadratureError, RootSearchError, EigenvalueConsistencyError, ConvergenceError) as exc:
+    except (QuadratureError, RootSearchError, EigenvalueConsistencyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 

@@ -28,7 +28,3 @@ class RootSearchError(RuntimeError):
 
 class EigenvalueConsistencyError(RuntimeError):
     """A mode shape was requested at a torque that is not an eigenvalue."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative optimization stalled before meeting its stopping rule."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EigenvalueConsistencyError
 from .shape import RodSpec, _ArrayRecord
-from .transform import CoordinateMap
+from .transform import physical_length
 
 # Endpoint residual above this fraction of the mode amplitude means the
 # requested torque is not an eigenvalue.
@@ -88,11 +88,9 @@ def critical_torque_constant(E: float, J: float, l: float, k: int = 1) -> float:
 
 
 def critical_torque_value(spec: RodSpec, mode_index: int = 1) -> float:
-    """Critical torque alone: 2*pi*k*E / integral dt/(F(t)*J_ref)."""
-    if mode_index < 1 or int(mode_index) != mode_index:
-        raise ValueError(f"mode index must be a positive integer, got {mode_index}")
-    l = CoordinateMap.build(spec.shape).l
-    return mode_index * 2.0 * math.pi * spec.E * spec.J_ref / l
+    """Critical torque alone: 2*pi*k*E / integral dt/(F(t)*J_ref), the
+    uniform rod's torque at the equivalent length."""
+    return critical_torque_constant(spec.E, spec.J_ref, physical_length(spec.shape), mode_index)
 
 
 def critical_torque(
@@ -135,7 +133,7 @@ def mode_shape(
     if grid_size < 2:
         raise ValueError("grid needs at least two samples")
 
-    l = CoordinateMap.build(spec.shape).l
+    l = physical_length(spec.shape)
     x = np.linspace(0.0, l, grid_size)
     c = complex(c1, c2)
     rate = M / (spec.E * spec.J_ref)

@@ -62,11 +62,6 @@ def objective(A: AreaProfile, E: float, law: CrossSectionLaw) -> float:
     return float(_torque(np.diff(A.panel_edges), A.panel_values, E, law))
 
 
-def lagrange_gap(A: AreaProfile) -> float:
-    """sup |A - V/L| / (V/L): zero exactly for a constant cross-section."""
-    return A.max_relative_deviation()
-
-
 @dataclass(frozen=True)
 class OptimizationProblem:
     """Maximize the critical torque over per-panel areas at fixed volume.
@@ -195,9 +190,9 @@ def optimize(
     of all iterates are formed once from the stacked ``(iterates, k)``
     areas, with row sums and row maxima along the contiguous axis.
     These are the same floats that ``AreaProfile.piecewise`` and
-    ``lagrange_gap`` form for each iterate's areas, and the iterates'
-    ``areas`` are read-only rows of that array, which is checked
-    read-only once for all of them.  The loop reduces with
+    ``AreaProfile.max_relative_deviation`` form for each iterate's areas,
+    and the iterates' ``areas`` are read-only rows of that array, which is
+    checked read-only once for all of them.  The loop reduces with
     ``np.add.reduce`` and ``np.maximum.reduce`` to Python floats, forms
     ``2*pi*E*alpha`` and ``n*h`` once, in the order of the panel formula
     and the gradient, and rescales each fresh candidate in place, so its

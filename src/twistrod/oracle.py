@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import RootSearchError
 from .greenhill import critical_torque_value
-from .shape import RodSpec, ShapeFunction
+from .shape import RodSpec, ShapeFunction, _ArrayRecord
 
 DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
@@ -76,14 +76,17 @@ _NEVILLE_POINTS = 6
 _IDENTITY_ROWS = np.eye(2, 4)
 
 
-@dataclass(frozen=True)
-class ShootingResult:
+@dataclass(frozen=True, eq=False)
+class ShootingResult(_ArrayRecord):
     """Endpoint matrix at torque M, columns the endpoint (y, z) of constant
-    pairs (1, 0) and (0, 1); ``det`` vanishes exactly at buckling torques."""
+    pairs (1, 0) and (0, 1); ``det`` vanishes exactly at buckling torques.
+    ``S`` is read-only and results compare and hash by value."""
 
     S: np.ndarray
     det: float
     M: float
+
+    _arrays = ("S",)
 
 
 def endpoint_det(S: np.ndarray) -> np.ndarray:
@@ -545,19 +548,20 @@ def scan_and_refine(
 
 def first_roots(
     rods: Sequence[tuple[ShapeFunction, float, float, float]], tol: float = DEFAULT_TOL,
-    steps: int = DEFAULT_STEPS, probes: int = DEFAULT_PROBES,
+    steps: int = DEFAULT_STEPS,
 ) -> list[float]:
     """Smallest buckling torque of each rod (shape, E, J_y, J_z), searched
-    as :func:`critical_torque_oracle` searches one, to the same float, with
-    the rods shot together: one :func:`propagate` call per round on their
-    stacked grids, each rod's torques padded with its last.  Raises the
-    RootSearchError of the first rod in order that has no root."""
+    as :func:`critical_torque_oracle` searches one with its default scan,
+    to the same float, with the rods shot together: one :func:`propagate`
+    call per round on their stacked grids, each rod's torques padded with
+    its last.  Raises the RootSearchError of the first rod in order that
+    has no root."""
     if not rods:
         return []
     grids = [build_step_grid(shape, E, J_y, J_z, steps) for shape, E, J_y, J_z in rods]
     stacked = StepGrid.stack(grids)
     searches = [
-        _search(lambda m, grid=grid: propagate(grid, m), probe_torques(*rod, None, probes), tol, True)
+        _search(lambda m, grid=grid: propagate(grid, m), probe_torques(*rod, None, DEFAULT_PROBES), tol, True)
         for grid, rod in zip(grids, rods)
     ]
 

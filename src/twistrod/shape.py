@@ -74,7 +74,8 @@ class _ArrayRecord:
     """Base of frozen dataclasses (``eq=False``) with array fields ``_arrays``:
     stores read-only float copies of those not :func:`_frozen` yet, so a
     read-only view of a writable array is copied too, and compares and
-    hashes by value (equal class and fields, arrays element by element).
+    hashes by value (equal class and fields, arrays by shape and element by
+    element).
     """
 
     _arrays: tuple[str, ...] = ()
@@ -106,7 +107,7 @@ class _ArrayRecord:
 
     def _key(self) -> tuple:
         values = (getattr(self, f.name) for f in fields(self))
-        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values)
+        return tuple((v.shape, *v.ravel().tolist()) if isinstance(v, np.ndarray) else v for v in values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

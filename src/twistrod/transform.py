@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shape import ShapeFunction
+from .shape import ShapeFunction, _ArrayRecord
 
 
 def physical_length(shape: ShapeFunction) -> float:
@@ -27,26 +27,34 @@ def physical_length(shape: ShapeFunction) -> float:
     return CoordinateMap.build(shape).l
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
+@dataclass(frozen=True, eq=False)
+class CoordinateMap(_ArrayRecord):
     """Cached, exact-per-panel form of the map x(xi) and its inverse.
 
     F is constant or linear on every panel of the profile's panel table
     (:meth:`ShapeFunction.panels`), so the cumulative integral of 1/F and
     its inverse have closed forms there and both directions are exact up
-    to roundoff.
+    to roundoff.  ``nodes_x`` (read-only) is x at the panel edges; maps
+    compare and hash by value.
     """
 
     shape: ShapeFunction
-    nodes_xi: np.ndarray
     nodes_x: np.ndarray
+
+    _arrays = ("nodes_x",)
 
     @classmethod
     def build(cls, shape: ShapeFunction) -> "CoordinateMap":
         edges, left, right = shape.panels()
         increments = _reciprocal_integral(np.diff(edges), left, right)
         xs = np.concatenate([[0.0], np.cumsum(increments)])
-        return cls(shape=shape, nodes_xi=edges, nodes_x=xs)
+        xs.setflags(write=False)
+        return cls(shape=shape, nodes_x=xs)
+
+    @property
+    def nodes_xi(self) -> np.ndarray:
+        """The panel edges, where ``nodes_x`` holds x."""
+        return self.shape.panels()[0]
 
     @property
     def l(self) -> float:

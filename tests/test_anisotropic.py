@@ -10,7 +10,6 @@ import pytest
 from twistrod.anisotropic import (
     AnisotropicRodSpec,
     AnisotropicSection,
-    critical_torque as aniso_critical_torque,
     effective_inertia,
     first_root_anisotropic,
     mode_to_anisotropic,
@@ -87,8 +86,8 @@ class TestReduction:
 
     def test_back_mapped_mode_satisfies_anisotropic_balance(self):
         spec = aniso(4.0, 1.0)
-        result = aniso_critical_torque(spec, mode_grid_size=4097)
-        mode, M = result.mode, result.M_crit
+        result = critical_torque(reduce_to_isotropic(spec), mode_grid_size=4097)
+        mode, M = mode_to_anisotropic(result.mode, spec.section.k), result.M_crit
         # in the stretched coordinate the unreduced balance reads
         # E Jz Y' = M Z + c1 and E Jy Z' = -M Y + c2 with the rescaled
         # constants stored on the mode

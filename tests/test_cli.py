@@ -15,6 +15,7 @@ import twistrod.isoperimetric as iso
 import twistrod.oracle as oracle
 from twistrod.cli import main
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
+from twistrod.transform import CoordinateMap
 
 CONSTANT_ROD = {
     "E": 1.0,
@@ -98,21 +99,23 @@ class TestAnalyze:
         capsys.readouterr()
 
     def test_one_critical_torque_per_analyze(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        original = greenhill.critical_torque_value
+        # l and M* come from one coordinate map per rod
+        builds = []
+        original = CoordinateMap.build.__func__
 
-        def counting(spec, mode_index=1):
-            calls.append(spec)
-            return original(spec, mode_index)
+        def counting(cls, shape):
+            builds.append(shape)
+            return original(cls, shape)
 
-        for module in (greenhill, iso, cli):
-            monkeypatch.setattr(module, "critical_torque_value", counting)
+        monkeypatch.setattr(CoordinateMap, "build", classmethod(counting))
         for name, rod in (("rod.json", PIECEWISE_ROD), ("aniso.json", ANISO_ROD)):
-            calls.clear()
+            builds.clear()
             assert main(["analyze", "--spec", write(tmp_path, name, rod)]) == 0
             report = json.loads(capsys.readouterr().out)
-            assert len(calls) == 1
-            assert report["M_star"] == original(calls[0])
+            assert len(builds) == 1
+            spec = cli._parse_rod(rod)[0]
+            assert report["M_star"] == greenhill.critical_torque_value(spec)
+            assert report["l_physical"] == CoordinateMap.build(spec.shape).l
 
     def test_mode_built_only_for_out(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -150,7 +153,8 @@ class TestAnalyze:
             if "Jy" in rod:
                 section = aniso.AnisotropicSection(Jy=rod["Jy"], Jz=rod["Jz"])
                 aspec = aniso.AnisotropicRodSpec(E=rod["E"], section=section, shape=shape, law=law)
-                aniso.critical_torque(aspec).mode.to_csv(expected)
+                mode = greenhill.critical_torque(aniso.reduce_to_isotropic(aspec)).mode
+                aniso.mode_to_anisotropic(mode, aspec.section.k).to_csv(expected)
             else:
                 spec = RodSpec(E=rod["E"], J_ref=rod["J_ref"], shape=shape, law=law)
                 greenhill.critical_torque(spec).mode.to_csv(expected)

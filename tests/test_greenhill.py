@@ -59,6 +59,9 @@ class TestConstantCase:
                 critical_torque_constant(*bad)
         with pytest.raises(ValueError):
             critical_torque_constant(1.0, 1.0, 1.0, k=0)
+        for k in (0, 1.5):
+            with pytest.raises(ValueError, match="mode index"):
+                critical_torque_value(UNIFORM, k)
 
 
 class TestVariableProfile:
@@ -148,6 +151,10 @@ class TestModeShape:
     def test_zero_constants_rejected(self):
         with pytest.raises(ValueError):
             mode_shape(UNIFORM, 2.0 * math.pi, 0.0, 0.0)
+
+    def test_single_sample_grid_rejected(self):
+        with pytest.raises(ValueError, match="two samples"):
+            mode_shape(UNIFORM, 2.0 * math.pi, grid_size=1)
 
     def test_non_eigenvalue_rejected(self):
         with pytest.raises(EigenvalueConsistencyError):

@@ -87,6 +87,12 @@ class TestHolderCheck:
         assert lhs == pytest.approx(integrate_ramp_product(), rel=1e-10)
         assert rhs == pytest.approx(0.5 * 2.0, rel=1e-10)
         assert holds
+        # the same pair with the infinite exponent on f: sup f times integral g
+        inst = HolderInstance(f=lambda t: 2.0 - t, g=lambda t: t, p=math.inf, q=1.0, L=1.0)
+        lhs, rhs, holds = holder_check(inst)
+        assert lhs == pytest.approx(integrate_ramp_product(), rel=1e-10)
+        assert rhs == pytest.approx(2.0 * 0.5, rel=1e-10)
+        assert holds
 
     def test_rejects_non_conjugate(self):
         with pytest.raises(ValueError):

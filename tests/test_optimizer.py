@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from twistrod.cli import main
-from twistrod.errors import ConvergenceError
 from twistrod.isoperimetric import upper_bound
 from twistrod.optimizer import (
     OptimizationProblem,
     OptimizerIterate,
     brute_force_segments,
-    lagrange_gap,
     objective,
     optimize,
 )
@@ -88,7 +86,7 @@ def reference_optimize(problem, max_iters=1000, tol=1e-10):
             if np.any(candidate <= 0.0):
                 step *= 0.5
                 if step == 0.0:
-                    raise ConvergenceError("step size underflowed while restoring positivity")
+                    raise RuntimeError("step size underflowed while restoring positivity")
                 continue
             candidate = rescale(candidate)
             value = score(candidate)
@@ -179,16 +177,18 @@ class TestObjective:
 
 
 class TestLagrangeGap:
+    """The gap sup |A - V/L| / (V/L), ``AreaProfile.max_relative_deviation``."""
+
     def test_constant_is_zero(self):
-        assert lagrange_gap(AreaProfile.constant(3.3, 2.0)) == 0.0
+        assert AreaProfile.constant(3.3, 2.0).max_relative_deviation() == 0.0
 
     def test_two_segment_value(self):
         prof = AreaProfile.piecewise([0.0, 0.5, 1.0], [1.0, 3.0])
-        assert lagrange_gap(prof) == pytest.approx(0.5, rel=1e-12)
+        assert prof.max_relative_deviation() == pytest.approx(0.5, rel=1e-12)
 
     def test_equal_segments_zero(self):
         prof = AreaProfile.piecewise([0.0, 0.5, 1.0], [2.0, 2.0])
-        assert lagrange_gap(prof) == 0.0
+        assert prof.max_relative_deviation() == 0.0
 
 
 class TestProblemValidation:
@@ -386,7 +386,7 @@ class TestRawAreaScoring:
                 prof = AreaProfile.piecewise(edges, it.areas)
                 assert it.M_star == objective(prof, E, law)
                 assert it.volume_residual == abs(prof.volume - V) / V
-                assert it.gap == lagrange_gap(prof)
+                assert it.gap == prof.max_relative_deviation()
 
 
 class TestStackedIterates:

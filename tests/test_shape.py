@@ -63,10 +63,26 @@ class TestShapeConstruction:
             ShapeFunction.piecewise([0.0, 0.6, 0.5], [1.0, 2.0])  # decreasing
         with pytest.raises(ValueError):
             ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0])  # value count
+        with pytest.raises(ValueError, match="two breakpoints"):
+            ShapeFunction.piecewise([0.0], [])  # a single breakpoint
 
     def test_rejects_short_sampled(self):
         with pytest.raises(ValueError):
             ShapeFunction.sampled([1.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ShapeFunction.sampled([1.0, math.nan], 1.0), "finite"),
+            (lambda: ShapeFunction.piecewise([0.0, 1.0], [math.inf]), "finite"),
+            (lambda: ShapeFunction("spline", 1.0, np.array([1.0])), "unknown shape kind"),
+            (lambda: ShapeFunction("constant", 1.0, np.array([1.0, 2.0])), "exactly one value"),
+        ],
+        ids=["nan", "inf", "unknown-kind", "constant-two-values"],
+    )
+    def test_rejects_malformed_fields(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_sampled_keeps_its_own_values(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -579,6 +595,8 @@ class TestJsonDescriptors:
             ShapeFunction.from_dict({"kind": "spline", "L": 1.0, "values": [1.0]})
         with pytest.raises(ValueError):
             ShapeFunction.from_dict({"kind": "piecewise", "values": [1.0]})
+        with pytest.raises(ValueError, match="'L'"):
+            ShapeFunction.from_dict({"kind": "sampled", "values": [1.0, 2.0]})
         with pytest.raises(ValueError):
             CrossSectionLaw.from_dict({"n": 2})
 

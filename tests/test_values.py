@@ -15,7 +15,9 @@ import pytest
 from twistrod.greenhill import critical_torque
 from twistrod.isoperimetric import verify_bound
 from twistrod.optimizer import OptimizationProblem, OptimizationTrace, optimize
+from twistrod.oracle import shoot
 from twistrod.shape import AreaProfile, CrossSectionLaw, RodSpec, ShapeFunction, area_profile
+from twistrod.transform import CoordinateMap
 
 LAW = CrossSectionLaw(2, 0.25)
 
@@ -40,6 +42,8 @@ BUILDERS = {
     "ModeShape": lambda: critical_torque(spec(), mode_grid_size=33).mode,
     "BucklingResult": lambda: critical_torque(spec(), mode_grid_size=33),
     "IsoperimetricReport": lambda: verify_bound(spec()),
+    "CoordinateMap": lambda: CoordinateMap.build(spec().shape),
+    "ShootingResult": lambda: shoot(spec(), 3.0, steps=64),
 }
 ARRAYLESS = {"CrossSectionLaw", "IsoperimetricReport"}
 
