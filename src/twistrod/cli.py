@@ -129,15 +129,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if key not in doc:
             raise ValueError(f"optimization problem missing required field '{key}'")
     law = CrossSectionLaw.from_dict(doc["law"])
-    segments = args.segments if args.segments is not None else int(doc.get("segments", 8))
+    init_areas = None
     if "init" in doc:
-        init_areas = doc["init"]
-        if len(init_areas) != segments:
-            raise ValueError(
-                f"'init' has {len(init_areas)} entries but the problem has {segments} segments"
-            )
-    else:
+        try:
+            init_areas = [float(a) for a in doc["init"]]
+        except TypeError:
+            raise ValueError(f"'init' must be a list of areas, got {doc['init']!r}") from None
+    # without a stated count, the panels are the start's, or 8 for a random start
+    default_segments = 8 if init_areas is None else len(init_areas)
+    segments = args.segments if args.segments is not None else int(doc.get("segments", default_segments))
+    if init_areas is None:
         init_areas = random_areas(Lcg64(args.seed), segments)
+    elif len(init_areas) != segments:
+        raise ValueError(
+            f"'init' has {len(init_areas)} entries but the problem has {segments} segments"
+        )
 
     problem = opt.OptimizationProblem.from_areas(
         init_areas, V_target=float(doc["V"]), L=float(doc["L"]), law=law, E=float(doc["E"])

@@ -107,20 +107,29 @@ class HolderInstance:
 def holder_check(inst: HolderInstance) -> tuple[float, float, bool]:
     """Evaluate both sides of the inequality; ``holds`` allows 1e-12 slack.
 
-    An infinite exponent is handled as the essential supremum of the
-    corresponding factor, sampled on the probe grid.
+    Every integral comes from one stacked ``integrate`` pass, which
+    samples ``f`` and ``g`` once per node array.  An infinite exponent is
+    handled as the essential supremum of the corresponding factor, sampled
+    on the probe grid.
     """
-    bp = inst.breakpoints
-    lhs = integrate(lambda t: inst.f(t) * inst.g(t), 0.0, inst.L, breakpoints=bp)
+
+    def sides(t: np.ndarray) -> tuple[np.ndarray, ...]:
+        f, g = inst._sample(t)
+        if math.isinf(inst.q):
+            return f * g, f
+        if math.isinf(inst.p):
+            return f * g, g
+        return f * g, f**inst.p, g**inst.q
+
+    lhs, *parts = integrate(sides, 0.0, inst.L, breakpoints=inst.breakpoints).tolist()
     if math.isinf(inst.q):
         _, g = inst._sample(inst._probe_grid(2049))
-        rhs = integrate(inst.f, 0.0, inst.L, breakpoints=bp) * float(np.max(g))
+        rhs = parts[0] * float(np.max(g))
     elif math.isinf(inst.p):
         f, _ = inst._sample(inst._probe_grid(2049))
-        rhs = float(np.max(f)) * integrate(inst.g, 0.0, inst.L, breakpoints=bp)
+        rhs = float(np.max(f)) * parts[0]
     else:
-        fp = integrate(lambda t: inst.f(t) ** inst.p, 0.0, inst.L, breakpoints=bp)
-        gq = integrate(lambda t: inst.g(t) ** inst.q, 0.0, inst.L, breakpoints=bp)
+        fp, gq = parts
         rhs = fp ** (1.0 / inst.p) * gq ** (1.0 / inst.q)
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
 
@@ -129,15 +138,18 @@ def proportionality_gap(inst: HolderInstance) -> float:
     """sup |f**p - g**q| after normalizing both to unit mean.
 
     Zero exactly when f**p and g**q are proportional, which is the
-    equality case of the inequality.  Finite exponents only.
+    equality case of the inequality.  Finite exponents only.  Both
+    integrals come from one stacked ``integrate`` pass.
     """
     if math.isinf(inst.p) or math.isinf(inst.q):
         raise ValueError("proportionality check needs finite exponents")
-    f, g = inst._sample(inst._probe_grid(2049))
-    fp, gq = f**inst.p, g**inst.q
-    bp = inst.breakpoints
-    fp_int = integrate(lambda t: inst.f(t) ** inst.p, 0.0, inst.L, breakpoints=bp)
-    gq_int = integrate(lambda t: inst.g(t) ** inst.q, 0.0, inst.L, breakpoints=bp)
+
+    def powers(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, g = inst._sample(t)
+        return f**inst.p, g**inst.q
+
+    fp, gq = powers(inst._probe_grid(2049))
+    fp_int, gq_int = integrate(powers, 0.0, inst.L, breakpoints=inst.breakpoints).tolist()
     if fp_int <= 0 or gq_int <= 0:
         raise ValueError("f**p and g**q must have positive integrals")
     return float(np.max(np.abs(fp * (inst.L / fp_int) - gq * (inst.L / gq_int))))
@@ -174,18 +186,22 @@ def split_identity_residuals(
     ``law_split_instance``'s, f = A**theta and g = A**(-theta), integrated
     by quadrature without building the instance: both factors of a
     validated profile are positive, so its nonnegativity probe is moot.
+    The four integrals (f**p, g**q, f*g and A**-n) are one stacked
+    ``integrate`` pass that evaluates the area once per node array; each
+    is the same float as its own ``integrate`` call.  The volume is the
+    profile's, integrated apart by ``area_profile``.
     """
     default_theta, p, q = holder_exponents_for_law(n)
     th = default_theta if theta is None else theta
 
-    def area(t: np.ndarray) -> np.ndarray:
-        return np.asarray(profile.area(t))
+    def identities(t: np.ndarray) -> tuple[np.ndarray, ...]:
+        area = np.asarray(profile.area(t))
+        f, g = area**th, area ** (-th)
+        return f**p, g**q, f * g, area ** (-float(n))
 
-    bp = profile.panel_edges
-    f_p = integrate(lambda t: (area(t) ** th) ** p, 0.0, profile.L, breakpoints=bp)
-    g_q = integrate(lambda t: (area(t) ** (-th)) ** q, 0.0, profile.L, breakpoints=bp)
-    f_g = integrate(lambda t: area(t) ** th * area(t) ** (-th), 0.0, profile.L, breakpoints=bp)
-    inv_n = integrate(lambda t: area(t) ** (-float(n)), 0.0, profile.L, breakpoints=bp)
+    f_p, g_q, f_g, inv_n = integrate(
+        identities, 0.0, profile.L, breakpoints=profile.panel_edges
+    ).tolist()
     return (
         abs(f_p - profile.volume) / profile.volume,
         abs(g_q - inv_n) / inv_n,

@@ -15,7 +15,10 @@ and nothing but its construction branches on the kind.
 ``integrate`` is the package's one quadrature engine: adaptive
 Gauss-Kronrod (QUADPACK's G10/K21 pair) run on all panels at once, so
 each refinement round costs one call of the integrand on an array of
-nodes.  Integrands must therefore accept an ndarray.  It shares no
+nodes.  Integrands must therefore accept an ndarray.  An integrand may
+return a stack of several quantities over the same panels; the stack
+shares the first round's call and rule, and each quantity is then
+refined alone, to the same float as its own call.  The engine shares no
 code with the closed-form panel integrals in ``transform``, so checks
 that compare the two stay independent.
 
@@ -164,34 +167,55 @@ ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 # multiple of the starting count.
 MAX_PANEL_GROWTH = 200
 
+# The weights of the error estimate K21 - G10, formed once.
+_ERROR_WEIGHTS = K21_WEIGHTS - G10_WEIGHTS
 
-def _gauss_kronrod(
-    f: Callable[[np.ndarray], np.ndarray | float], lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+
+def _values(f: Callable, nodes: np.ndarray) -> np.ndarray:
+    """``f`` at ``nodes``: an array of the nodes' shape for one integrand,
+    or of shape ``(m, *nodes.shape)`` for a stack of ``m``.  ``f`` may return
+    a stack as a sequence of components; a scalar, or any return short of
+    that shape, is broadcast and copied, so the rule always sums a
+    contiguous array (a broadcast view would be summed in another order)."""
+    out = f(nodes)
+    if isinstance(out, (tuple, list)):  # a stack given as its components
+        fx = np.empty((len(out), *nodes.shape))
+        for c, part in enumerate(out):
+            fx[c] = part
+        return fx
+    fx = np.asarray(out, dtype=float)
+    shape = nodes.shape if fx.ndim <= nodes.ndim else (len(fx), *nodes.shape)
+    return fx if fx.shape == shape else np.broadcast_to(fx, shape).copy()
+
+
+def _gauss_kronrod(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K21 estimate and error bound of every panel [lo_i, hi_i], from one
-    call of ``f`` on the (panels, 21) node array."""
+    call of ``f`` on the (panels, 21) node array: of shape (panels,), or
+    (m, panels) for a stack of ``m`` integrands."""
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = centre[:, None] + half[:, None] * GK_NODES
-    fx = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+    fx = _values(f, centre[:, None] + half[:, None] * GK_NODES)
     value = half * (fx @ K21_WEIGHTS)
-    error = np.abs(half * (fx @ (K21_WEIGHTS - G10_WEIGHTS)))
+    error = np.abs(half * (fx @ _ERROR_WEIGHTS))
     floor = ROUNDOFF_FLOOR * half * (np.abs(fx) @ K21_WEIGHTS)
     return value, np.maximum(error, floor)
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray | float],
+    f: Callable[[np.ndarray], np.ndarray | float | Sequence],
     a: float,
     b: float,
     tol: float = DEFAULT_QUAD_TOL,
     breakpoints: Sequence[float] | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Adaptive Gauss-Kronrod quadrature of ``f`` over [a, b] with relative
     tolerance ``tol``.
 
     ``f`` takes an ndarray of nodes and returns values of the same shape
-    (a scalar return is broadcast).  The interval is split at
+    (a scalar return is broadcast), or a stack of ``m`` integrands: an
+    array of shape ``(m, *nodes.shape)`` or a sequence of ``m`` components,
+    each an array of the nodes' shape or a scalar.  A stack returns the
+    array of its ``m`` integrals.  The interval is split at
     ``breakpoints`` that fall inside it, so piecewise-constant integrands
     come out exact up to roundoff: no node ever sits on a discontinuity.
 
@@ -201,29 +225,58 @@ def integrate(
     ``tol * |I|``, the panels with the largest errors are bisected, worst
     first, until the errors left alone fit that budget.
 
+    A stack shares the first round: one call of ``f`` and one application
+    of the rule for all its components.  Each component is then judged
+    against its own ``tol * |I_c|`` and, if it needs more rounds, refined
+    alone (``f`` is called for the whole stack and the other components
+    are dropped), so every component is the same float as its own
+    ``integrate`` call.  For ``a == b``, ``f`` is called once on an empty
+    node array to learn the stack's size, and the result is 0.0 or zeros.
+
     Raises QuadratureError (carrying the best estimate) when the panel
     count exceeds 200 times the starting count or an estimate is not
-    finite.
+    finite; for a stack, from the first such component in order.
     """
     if not a <= b:
         raise ValueError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
 
     edges = np.array([a, b], dtype=float)
     if breakpoints is not None:
         bp = np.asarray(breakpoints, dtype=float)
         edges = np.unique(np.concatenate([edges, bp[(bp > a) & (bp < b)]]))
     lo, hi = edges[:-1], edges[1:]
-    max_panels = MAX_PANEL_GROWTH * lo.size
+    if a == b:  # no panel; f still tells the stack's size
+        lo = hi = lo[:0]
     value, error = _gauss_kronrod(f, lo, hi)
+    if value.ndim == 1:
+        return _converge(f, tol, lo, hi, value, error, f"[{a}, {b}]")
+    return np.array([
+        _converge(
+            lambda x, c=c: f(x)[c], tol, lo, hi, value[c], error[c],
+            f"[{a}, {b}] (stack component {c})",
+        )
+        for c in range(len(value))
+    ])
+
+
+def _converge(
+    f: Callable,
+    tol: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    value: np.ndarray,
+    error: np.ndarray,
+    where: str,
+) -> float:
+    """``integrate``'s refinement of one integrand ``f`` from the panels
+    [lo, hi] of its first round and their ``value`` and ``error``; ``where``
+    names it in a QuadratureError."""
+    max_panels = MAX_PANEL_GROWTH * lo.size
     while True:
-        total = float(np.sum(value))
-        spent = float(np.sum(error))
+        total = float(np.add.reduce(value))
+        spent = float(np.add.reduce(error))
         if not (math.isfinite(total) and math.isfinite(spent)):
-            raise QuadratureError(
-                f"non-finite quadrature estimate on [{a}, {b}]", best_estimate=total
-            )
+            raise QuadratureError(f"non-finite quadrature estimate on {where}", best_estimate=total)
         budget = tol * abs(total)
         if spent <= budget:
             return total
@@ -232,7 +285,7 @@ def integrate(
         count = min(int(np.count_nonzero(left_alone > budget)) + 1, lo.size)
         if lo.size + count > max_panels:
             raise QuadratureError(
-                f"quadrature did not converge on [{a}, {b}] within {max_panels} panels "
+                f"quadrature did not converge on {where} within {max_panels} panels "
                 f"(error estimate {spent:.3g})",
                 best_estimate=total,
             )

@@ -251,6 +251,35 @@ class TestOptimize:
         assert main(["optimize", "--spec", spec]) == 2
         capsys.readouterr()
 
+    def test_segments_default_to_init_length(self, tmp_path, capsys):
+        # four init entries and no stated count: a four-panel problem, not 8
+        doc = {k: v for k, v in PROBLEM.items() if k != "segments"}
+        doc["init"] = [1.0, 3.0, 2.0, 1.5]
+        spec = write(tmp_path, "prob.json", doc)
+        assert main(["optimize", "--spec", spec]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert json.loads(lines[-1])["converged"] is True
+        stated = write(tmp_path, "stated.json", {**doc, "segments": 4})
+        assert main(["optimize", "--spec", stated]) == 0
+        assert capsys.readouterr().out.strip().split("\n") == lines
+        # an explicit count that disagrees with init is still malformed
+        assert main(["optimize", "--spec", spec, "--segments", "8"]) == 2
+        assert "4 entries but the problem has 8 segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("init", [3, None, {"a": 1.0}, [1.0, {"a": 1.0}]])
+    def test_init_not_a_list_of_areas_is_input_error(self, tmp_path, capsys, init):
+        spec = write(tmp_path, "prob.json", {**PROBLEM, "init": init})
+        assert main(["optimize", "--spec", spec]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_segments_default_to_8_without_init(self, tmp_path, capsys):
+        doc = {k: v for k, v in PROBLEM.items() if k not in ("init", "segments")}
+        spec = write(tmp_path, "prob.json", doc)
+        assert main(["optimize", "--spec", spec, "--seed", "7"]) == 0
+        default = capsys.readouterr().out
+        assert main(["optimize", "--spec", spec, "--seed", "7", "--segments", "8"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_iteration_starved_run_exits_nonconverged(self, tmp_path, capsys):
         spec = write(tmp_path, "prob.json", PROBLEM)
         assert main(["optimize", "--spec", spec, "--max-iters", "1"]) == 4

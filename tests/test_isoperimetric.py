@@ -22,7 +22,14 @@ from twistrod.isoperimetric import (
     verify_bound,
 )
 from twistrod.sampling import Lcg64, law_for_exponent, random_piecewise_shape
-from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile, integrate
+from twistrod.shape import (
+    AreaProfile,
+    CrossSectionLaw,
+    RodSpec,
+    ShapeFunction,
+    area_profile,
+    integrate,
+)
 
 
 class TestConjugate:
@@ -252,7 +259,129 @@ def reference_split_identity_residuals(profile, n, theta=None):
     )
 
 
+def reference_holder_check(inst):
+    """``holder_check`` with one ``integrate`` call per integral."""
+
+    def integral(h):
+        return integrate(h, 0.0, inst.L, breakpoints=inst.breakpoints)
+
+    lhs = integral(lambda t: inst.f(t) * inst.g(t))
+    if math.isinf(inst.q):
+        _, g = inst._sample(inst._probe_grid(2049))
+        rhs = integral(inst.f) * float(np.max(g))
+    elif math.isinf(inst.p):
+        f, _ = inst._sample(inst._probe_grid(2049))
+        rhs = float(np.max(f)) * integral(inst.g)
+    else:
+        fp = integral(lambda t: inst.f(t) ** inst.p)
+        gq = integral(lambda t: inst.g(t) ** inst.q)
+        rhs = fp ** (1.0 / inst.p) * gq ** (1.0 / inst.q)
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
+
+
+def reference_proportionality_gap(inst):
+    """``proportionality_gap`` with one ``integrate`` call per integral."""
+    f, g = inst._sample(inst._probe_grid(2049))
+    bp = inst.breakpoints
+    fp_int = integrate(lambda t: inst.f(t) ** inst.p, 0.0, inst.L, breakpoints=bp)
+    gq_int = integrate(lambda t: inst.g(t) ** inst.q, 0.0, inst.L, breakpoints=bp)
+    return float(np.max(np.abs(f**inst.p * (inst.L / fp_int) - g**inst.q * (inst.L / gq_int))))
+
+
+def holder_instances():
+    """Instances of every exponent kind: scalar and array factors, smooth
+    and kinked, and the law splits of piecewise and sampled profiles."""
+    insts = [
+        HolderInstance(f=lambda t: 1.0, g=lambda t: 2.0, p=2.0, q=2.0, L=1.0),
+        HolderInstance(f=lambda t: t, g=lambda t: 1.0, p=2.0, q=2.0, L=1.0),
+        HolderInstance(f=lambda t: t, g=lambda t: 2.0 - t, p=1.0, q=math.inf, L=1.0),
+        HolderInstance(f=lambda t: 2.0 - t, g=lambda t: t, p=math.inf, q=1.0, L=1.0),
+        HolderInstance(
+            f=lambda t: np.abs(t - 0.3) + 0.1, g=np.exp, p=1.5, q=3.0, L=1.2, breakpoints=[0.0, 0.5, 1.2]
+        ),
+    ]
+    rng = Lcg64(83)
+    for n in (1, 2, 3):
+        for shape in (random_piecewise_shape(rng), ShapeFunction.sampled([1.0, 0.2, 3.0, 0.7], 1.7)):
+            spec = RodSpec(E=1.0, J_ref=1.0, shape=shape, law=law_for_exponent(n))
+            insts.append(law_split_instance(area_profile(spec), n))
+    return insts
+
+
+class TestOnePassPerInstance:
+    def test_holder_check_matches_separate_calls_bit_for_bit(self):
+        for inst in holder_instances():
+            assert holder_check(inst) == reference_holder_check(inst)
+
+    def test_proportionality_gap_matches_separate_calls_bit_for_bit(self):
+        for inst in holder_instances():
+            if not (math.isinf(inst.p) or math.isinf(inst.q)):
+                assert proportionality_gap(inst) == reference_proportionality_gap(inst)
+
+    def test_f_and_g_sampled_once_per_node_array(self):
+        for p, q in ((1.5, 3.0), (1.0, math.inf), (math.inf, 1.0)):
+            seen = {"f": [], "g": []}
+
+            def f(t):
+                seen["f"].append(t)
+                return 1.0 + np.abs(t - 0.3)
+
+            def g(t):
+                seen["g"].append(t)
+                return np.exp(-t)
+
+            inst = HolderInstance(f=f, g=g, p=p, q=q, L=1.5, breakpoints=[0.0, 0.4, 1.5])
+            checks = [holder_check]
+            if not (math.isinf(p) or math.isinf(q)):
+                checks.append(proportionality_gap)
+            for check in checks:
+                seen["f"].clear()
+                seen["g"].clear()
+                check(inst)
+                # the probe grid and at least one refinement round of the kink
+                assert len(seen["f"]) >= 3
+                assert len({id(t) for t in seen["f"]}) == len(seen["f"])
+                assert len(seen["g"]) == len(seen["f"])
+                assert all(a is b for a, b in zip(seen["f"], seen["g"]))
+
+
 class TestSplitIdentities:
+    def test_one_pass_and_one_area_call_per_round(self, monkeypatch):
+        passes, rounds, areas = [], [], []
+        original_area = AreaProfile.area
+
+        def counting_integrate(f, *args, **kwargs):
+            def counted(t):
+                rounds.append(t.shape)
+                return f(t)
+
+            passes.append(f)
+            return integrate(counted, *args, **kwargs)
+
+        def counting_area(profile, xi):
+            areas.append(np.shape(xi))
+            return original_area(profile, xi)
+
+        piecewise = area_profile(
+            RodSpec(E=1.0, J_ref=1.0, shape=random_piecewise_shape(Lcg64(89)), law=law_for_exponent(2))
+        )
+        sampled = area_profile(
+            RodSpec(
+                E=1.0, J_ref=1.0, shape=ShapeFunction.sampled([1.0, 0.2, 3.0, 0.7], 1.7), law=law_for_exponent(3)
+            )
+        )
+        monkeypatch.setattr(iso, "integrate", counting_integrate)
+        monkeypatch.setattr(AreaProfile, "area", counting_area)
+        # a piecewise rod converges in the first round: one pass, one area
+        split_identity_residuals(piecewise, 2)
+        assert (len(passes), len(rounds), len(areas)) == (1, 1, 1)
+        # a sampled rod refines some identities: still one pass, and one
+        # area evaluation per round
+        passes.clear(), rounds.clear(), areas.clear()
+        split_identity_residuals(sampled, 3)
+        assert len(passes) == 1 and len(rounds) > 1
+        assert areas == rounds
+
     def test_residuals_match_split_instance_bit_for_bit(self, monkeypatch):
         rng = Lcg64(2024)
         profiles = []

@@ -319,6 +319,86 @@ class TestIntegrate:
         assert calls == [(128, 21)]
         assert val == pytest.approx(math.fsum(widths / shape.values), rel=1e-14)
 
+    # -- stacked integrands: each component is its own call, bit for bit --
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t.shape)
+            return f(t)
+
+        return wrapped, calls
+
+    def test_piecewise_constant_stack_matches_solo_calls(self):
+        shape = random_piecewise_shape(Lcg64(29))
+        bp = shape.panel_edges()
+        parts = (shape.evaluate, lambda t: 1.0 / shape.evaluate(t), lambda t: shape.evaluate(t) ** 2.5)
+        stack, calls = self.counted(lambda t: np.stack([h(t) for h in parts]))
+        got = integrate(stack, 0.0, shape.L, breakpoints=bp)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert calls == [(bp.size - 1, 21)]
+        assert got.tolist() == [integrate(h, 0.0, shape.L, breakpoints=bp) for h in parts]
+
+    def test_stack_components_refine_alone(self):
+        # A converges at once (linear panels), A**-3 and a kinked integrand
+        # need different numbers of further rounds
+        shape = ShapeFunction.sampled([1.0, 0.3, 2.0, 0.05, 1.0], 2.0)
+        bp = shape.panel_edges()
+        kink = 0.7 * math.pi / 3.0
+        parts = (
+            shape.evaluate,
+            lambda t: shape.evaluate(t) ** -3.0,
+            lambda t: np.abs(t - kink) * shape.evaluate(t),
+        )
+        want, solo_rounds = [], []
+        for h in parts:
+            solo, calls = self.counted(h)
+            want.append(integrate(solo, 0.0, shape.L, tol=1e-12, breakpoints=bp))
+            solo_rounds.append(len(calls))
+        assert solo_rounds[0] == 1 and len(set(solo_rounds)) == 3
+        stack, calls = self.counted(lambda t: [h(t) for h in parts])
+        got = integrate(stack, 0.0, shape.L, tol=1e-12, breakpoints=bp)
+        assert got.tolist() == want
+        # one shared first round, then each component's own further rounds
+        assert len(calls) == 1 + sum(r - 1 for r in solo_rounds)
+
+    def test_stack_with_scalar_component(self):
+        parts = (lambda t: 2.5, lambda t: t * t, np.cos)
+        got = integrate(lambda t: tuple(h(t) for h in parts), -0.5, 1.5)
+        assert got.tolist() == [integrate(h, -0.5, 1.5) for h in parts]
+        assert got[0] == pytest.approx(5.0, rel=1e-15)
+
+    def test_stack_raises_for_first_failing_component(self):
+        def spike(t):
+            return np.abs(t - 1 / math.pi) ** -0.99
+
+        def blowup(t):
+            return np.where(t > 0.5, np.inf, 1.0)
+
+        with np.errstate(invalid="ignore"):
+            for stack, failing in (
+                (lambda t: (t, spike(t), blowup(t)), spike),
+                (lambda t: (t, blowup(t), spike(t)), blowup),
+            ):
+                with pytest.raises(QuadratureError) as solo:
+                    integrate(failing, 0.0, 1.0, tol=1e-13)
+                with pytest.raises(QuadratureError) as err:
+                    integrate(stack, 0.0, 1.0, tol=1e-13)
+                assert str(err.value) == str(solo.value).replace("]", "] (stack component 1)", 1)
+                assert repr(err.value.best_estimate) == repr(solo.value.best_estimate)
+
+    def test_empty_interval(self):
+        # a == b: f is called once on an empty node array, so a stack
+        # returns zeros of its size and a single integrand returns 0.0
+        stack, calls = self.counted(lambda t: (t, 1.0, t * t))
+        got = integrate(stack, 1.5, 1.5, breakpoints=[0.0, 1.5, 2.0])
+        assert isinstance(got, np.ndarray) and got.tolist() == [0.0, 0.0, 0.0]
+        assert calls == [(0, 21)]
+        solo = integrate(lambda t: 1.0, 2.0, 2.0)
+        assert isinstance(solo, float) and solo == 0.0
+
     def test_agrees_with_scipy_quad(self):
         # scipy's adaptive quad is an independent witness on smooth integrands
         rng = Lcg64(23)
