@@ -123,6 +123,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _segment_count(value) -> int:
+    """The panel count read from JSON: an integer, or a float without a fraction."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"'segments' must be a whole number, got {value!r}")
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     doc = _load_json(args.spec)
     for key in ("V", "L", "E", "law"):
@@ -137,7 +146,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             raise ValueError(f"'init' must be a list of areas, got {doc['init']!r}") from None
     # without a stated count, the panels are the start's, or 8 for a random start
     default_segments = 8 if init_areas is None else len(init_areas)
-    segments = args.segments if args.segments is not None else int(doc.get("segments", default_segments))
+    segments = args.segments
+    if segments is None:
+        segments = _segment_count(doc.get("segments", default_segments))
     if init_areas is None:
         init_areas = random_areas(Lcg64(args.seed), segments)
     elif len(init_areas) != segments:

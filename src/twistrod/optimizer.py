@@ -5,7 +5,10 @@ piecewise-constant profile: the volume constraint is linear in area, so
 projection back onto the constraint set is a multiplicative rescale that
 also preserves positivity.  Projected gradient ascent and an exhaustive
 simplex search both confirm that the constant section maximizes the
-critical torque at fixed volume and length.
+critical torque at fixed volume and length.  The ascent's first trial
+moves the steepest panel by a 1/(n+1) share of the mean area, which
+cancels a start's deviation from the constant section to first order,
+so it converges quadratically.
 
 Both search the raw panel-area vector and score it with one panel
 formula, ``2*pi*E*alpha / sum(w * A**(-n))``: the ascent on each rescaled
@@ -173,12 +176,22 @@ def optimize(
     """Projected gradient ascent on the per-panel areas.
 
     Each step moves along the torque gradient (componentwise
-    n * A**(-n-1) per panel), rescales multiplicatively back onto the
-    volume constraint, and backtracks from 0.1 * mean-area / max-gradient,
-    halving whenever the objective would decrease.  Stops when the
-    relative improvement drops below ``tol`` or after ``max_iters``;
-    ``converged`` reports whether the final profile is constant to within
-    the 1e-3 deviation threshold.
+    n * h * A**(-n-1) per panel) and rescales multiplicatively back onto
+    the volume constraint.  The first trial moves the steepest panel by
+    mean / (n + 1), where mean = V / L.  With A_i = mean * (1 + d_i) the
+    gradient is, to first order in d, proportional to 1 - (n + 1) * d_i,
+    so that trial adds mean * (1 / (n + 1) - d_i) to every panel: it
+    cancels the deviation to first order, and the rescale leaves one of
+    order d**2.  The ascent therefore converges quadratically, in about
+    7 steps from starts with areas in [0.5, 4] (a trial of 0.1 * mean
+    shrank the deviation by only 0.55-0.73 per step and took about 34).
+    A trial that lowers the torque is halved, at most 80 times.  The
+    ascent stops when a trial's relative gain is below ``tol``, and that
+    includes a trial that scores below the current torque by less than
+    ``tol`` of it: at the optimum the trials differ by roundoff, which
+    halving cannot mend.  It also stops after ``max_iters`` steps;
+    ``converged`` reports whether the final profile is constant to
+    within the 1e-3 deviation threshold.
 
     Candidates are scored as raw area vectors and need no check: the
     areas, the step and the gradient are positive, so a candidate is at
@@ -196,15 +209,19 @@ def optimize(
     ``np.add.reduce`` and ``np.maximum.reduce`` to Python floats, forms
     ``2*pi*E*alpha`` and ``n*h`` once, in the order of the panel formula
     and the gradient, and rescales each fresh candidate in place, so its
-    floats are those of the formulas above.  Raises ValueError
-    when ``max_iters`` is negative.
+    floats are those of the formulas above.  Raises ValueError when
+    ``max_iters`` is negative, and when the torque of the starting
+    profile or of the constant section is not positive and finite: every
+    iterate's torque lies between the two.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     V, L, E, law = problem.V_target, problem.L, problem.E, problem.law
     n = law.n
     h = L / problem.segments
-    reach = 0.1 * (V / L)  # the first trial step moves the steepest panel this far
+    # the first trial step moves the steepest panel this far: a 1/(n+1)
+    # share of the mean area cancels the start's deviation to first order
+    reach = (V / L) / (n + 1)
     widths = np.diff(problem.init.panel_edges)
     # the constant factors of _torque and of the gradient, in their order
     numerator = 2.0 * math.pi * E * law.alpha
@@ -213,7 +230,12 @@ def optimize(
 
     areas = problem.init.panel_values
     areas = areas * (V / (h * float(total(areas))))
-    current = numerator / float(total(widths * areas ** (-n)))
+    # an overflow or underflow shows as a torque that is not positive and finite
+    with np.errstate(all="ignore"):
+        current = float(_torque(widths, areas, E, law))
+        bound = float(numerator * np.float64(V / L) ** n / L)
+    require_positive(current, "torque of the starting profile")
+    require_positive(bound, "torque of the constant section")
     accepted_areas, torques = [areas], [current]
 
     for _ in range(max_iters):
@@ -223,8 +245,8 @@ def optimize(
             candidate = areas + step * grad
             candidate *= V / (h * float(total(candidate)))
             value = numerator / float(total(widths * candidate ** (-n)))
-            if value > current:
-                break
+            if value > current or current - value < tol * current:
+                break  # an ascent, or a loss at the roundoff floor, which ends below
             step *= 0.5
         else:
             break  # no ascent direction left at this resolution

@@ -304,6 +304,37 @@ class TestOptimize:
         assert main(["optimize", "--spec", spec, "--segments", segments]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("segments", [None, 2.7, "8", True])
+    def test_segments_not_a_whole_number_is_input_error(self, tmp_path, capsys, segments):
+        doc = {k: v for k, v in PROBLEM.items() if k != "init"}
+        spec = write(tmp_path, "prob.json", {**doc, "segments": segments})
+        assert main(["optimize", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert "input error: 'segments' must be a whole number" in captured.err
+        assert captured.out == ""
+
+    def test_segments_as_whole_float_count(self, tmp_path, capsys):
+        assert main(["optimize", "--spec", write(tmp_path, "int.json", PROBLEM)]) == 0
+        as_int = capsys.readouterr().out
+        spec = write(tmp_path, "float.json", {**PROBLEM, "segments": 2.0})
+        assert main(["optimize", "--spec", spec]) == 0
+        assert capsys.readouterr().out == as_int
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {**PROBLEM, "E": 1e308, "init": [1.0, 2.0, 3.0], "segments": 3},  # torque overflows
+            {**PROBLEM, "V": 1e120, "law": {"n": 3, "alpha": 1.0}},  # compliance underflows
+            {**PROBLEM, "V": 1e-120, "law": {"n": 3, "alpha": 1.0}},  # torque underflows
+        ],
+    )
+    def test_torque_out_of_range_is_input_error(self, tmp_path, capsys, doc):
+        assert main(["optimize", "--spec", write(tmp_path, "prob.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert "input error: torque of the starting profile" in captured.err
+        for token in ("Infinity", "NaN"):
+            assert token not in captured.out
+
     def test_empty_init_is_input_error(self, tmp_path, capsys):
         doc = {**PROBLEM, "segments": 0, "init": []}
         spec = write(tmp_path, "prob.json", doc)

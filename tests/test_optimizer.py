@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from twistrod.cli import main
 from twistrod.isoperimetric import upper_bound
 from twistrod.optimizer import (
+    GAP_CONVERGED,
     OptimizationProblem,
     OptimizerIterate,
     brute_force_segments,
@@ -46,11 +48,12 @@ def reference_brute_force(V, L, law, E, k, grid):
     return best
 
 
-def reference_optimize(problem, max_iters=1000, tol=1e-10):
+def reference_optimize(problem, max_iters=1000, tol=1e-10, trials=None):
     """The projected ascent as one loop that forms every iterate's volume
     and gap from that iterate's own areas.  Returns the iterates as
     ``(areas, M_star, volume_residual, gap)`` tuples, ``converged`` and
-    ``final_gap``."""
+    ``final_gap``; appends each iteration's number of trial steps to
+    ``trials`` when one is given."""
     n = problem.law.n
     h = problem.L / problem.segments
     mean = problem.V_target / problem.L
@@ -79,9 +82,11 @@ def reference_optimize(problem, max_iters=1000, tol=1e-10):
 
     for _ in range(max_iters):
         grad = n * h * areas ** (-n - 1)
-        step = 0.1 * mean / float(np.max(grad))
+        step = mean / (n + 1) / float(np.max(grad))
         accepted = None
+        tried = 0
         for _halving in range(80):
+            tried += 1
             candidate = areas + step * grad
             if np.any(candidate <= 0.0):
                 step *= 0.5
@@ -90,10 +95,12 @@ def reference_optimize(problem, max_iters=1000, tol=1e-10):
                 continue
             candidate = rescale(candidate)
             value = score(candidate)
-            if value > current:
+            if value > current or current - value < tol * current:
                 accepted = (candidate, value)
                 break
             step *= 0.5
+        if trials is not None:
+            trials.append(tried)
         if accepted is None:
             break
         candidate, value = accepted
@@ -287,6 +294,87 @@ class TestOptimize:
         first = json.loads(lines[0])
         assert set(first) == {"iteration", "M_star", "gap", "volume_residual"}
         assert first["iteration"] == 0
+
+    def test_overflowing_start_torque_is_rejected(self):
+        prob = OptimizationProblem.from_areas([1.0, 2.0, 3.0], 1.0, 1.0, LAW1, 1e308)
+        with pytest.raises(ValueError, match="torque of the starting profile"):
+            optimize(prob)
+
+    def test_overflowing_constant_section_torque_is_rejected(self):
+        # the start's torque is finite, but the ascent would climb to inf
+        prob = OptimizationProblem.from_areas([0.01, 19.99], 10.0, 1.0, LAW1, 2e307)
+        with pytest.raises(ValueError, match="torque of the constant section"):
+            optimize(prob)
+
+
+def power_counting_init(init, powers):
+    """A stand-in for the initial profile ``init`` whose panel areas, and
+    every array computed from them, append to ``powers`` at each
+    ``np.power`` call."""
+
+    class Areas(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.power:
+                powers.append(1)
+            plain = [x.view(np.ndarray) if isinstance(x, Areas) else x for x in inputs]
+            if out is not None:
+                kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            if out is not None:
+                return out[0]
+            return result.view(Areas) if isinstance(result, np.ndarray) else result
+
+    values = init.panel_values.copy().view(Areas)
+    return SimpleNamespace(panel_values=values, panel_edges=init.panel_edges, volume=init.volume)
+
+
+class TestConvergenceRate:
+    """The first trial moves the steepest panel by mean/(n+1), which cancels
+    the start's deviation to first order, so the ascent takes a handful of
+    steps; a trial within the roundoff floor ends it instead of halving."""
+
+    def mix(self):
+        """Benchmark-like starts: 10 per segment count 4, 16, 64 and law n = 1-3."""
+        rng = Lcg64(1931)
+        for _ in range(10):
+            for n in (1, 2, 3):
+                for k in (4, 16, 64):
+                    V, L, E = (rng.log_uniform(0.5, 2.0) for _ in range(3))
+                    law = law_for_exponent(n)
+                    yield OptimizationProblem.from_areas(random_areas(rng, k), V, L, law, E)
+
+    def test_seeded_mix_converges_in_few_steps(self):
+        steps = []
+        for prob in self.mix():
+            trace = optimize(prob)
+            steps.append(len(trace.iterates) - 1)
+            assert trace.converged and trace.final_gap <= GAP_CONVERGED
+            bound = upper_bound(prob.E, prob.law, prob.V_target, prob.L)
+            assert trace.final.M_star <= bound * (1.0 + 1e-10)
+        assert len(steps) == 90
+        assert max(steps) <= 12
+        assert sum(steps) / len(steps) <= 8.0
+
+    def test_no_run_exhausts_the_halvings(self):
+        for prob in self.mix():
+            trials = []
+            iterates, converged, _ = reference_optimize(prob, trials=trials)
+            assert converged and len(trials) == len(iterates)  # the last trial ends the run
+            assert max(trials) < 80
+
+    @pytest.mark.parametrize("k", [1, 4, 64])
+    def test_constant_start_ends_after_one_trial(self, k):
+        prob = OptimizationProblem.from_areas([2.0] * k, 2.0, 1.0, law_for_exponent(3), 1.0)
+        trials = []
+        iterates, _, _ = reference_optimize(prob, trials=trials)
+        assert trials == [1] and len(iterates) == 1
+        # the program's own count: each trial raises its candidate to -n once
+        powers = []
+        counted = OptimizationProblem(
+            prob.V_target, prob.L, prob.law, prob.E, k, power_counting_init(prob.init, powers)
+        )
+        assert len(optimize(counted).iterates) == 1
+        assert len(powers) == 3  # the start's torque, one gradient, one trial
 
 
 class TestBruteForce:

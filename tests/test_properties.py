@@ -7,6 +7,7 @@ shooting oracle runs on fewer rods (:func:`shot_rods`), of equal- or
 unequal-width piecewise or sampled profiles; it also checks that
 refining a profile (splitting a piecewise panel, inserting a sampled
 rod's midpoints) changes neither the closed forms nor the root.  The
+fixed-volume ascent starts from panel areas of the same contrasts.  The
 search is derandomized, so every run draws the same rods.
 """
 
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistrod.greenhill import critical_torque_value
-from twistrod.isoperimetric import verify_bound
+from twistrod.isoperimetric import upper_bound, verify_bound
+from twistrod.optimizer import OptimizationProblem, optimize
 from twistrod.oracle import critical_torque_oracle
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
 
@@ -121,6 +123,29 @@ def test_reversal_keeps_torque_and_volume(spec):
 @given(rods())
 def test_bound_holds(spec):
     assert verify_bound(spec).ratio <= 1.0 + 1e-12
+
+
+@st.composite
+def optimization_problems(draw) -> OptimizationProblem:
+    """A fixed-volume problem of 1-64 panels whose start spans a contrast
+    down to 1e-8, over six decades of V, L and E and any law."""
+    count = draw(st.integers(1, 64))
+    contrast = draw(exponent(-8.0, 0.0))
+    powers = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    law = CrossSectionLaw(draw(st.integers(1, 3)), draw(exponent(-4.0, 1.0)))
+    V, L, E = draw(exponent(-3.0, 3.0)), draw(exponent(-3.0, 3.0)), draw(exponent(-2.0, 11.0))
+    return OptimizationProblem.from_areas([contrast**p for p in powers], V, L, law, E)
+
+
+@PROPERTY_SETTINGS
+@given(optimization_problems())
+def test_ascent_converges_below_the_bound(problem):
+    trace = optimize(problem)
+    assert trace.converged
+    torques = [it.M_star for it in trace.iterates]
+    assert all(later > earlier for earlier, later in zip(torques, torques[1:]))
+    bound = upper_bound(problem.E, problem.law, problem.V_target, problem.L)
+    assert torques[-1] <= bound * (1.0 + 1e-10)
 
 
 @st.composite
