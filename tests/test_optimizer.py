@@ -238,6 +238,27 @@ class TestProblemValidation:
             OptimizationProblem.from_areas([1.0, 3.0], law=LAW1, **params)
 
 
+class TestPanelEdges:
+    """The equal-width panel edges of a problem and of a brute-force winner
+    are ``np.linspace(0.0, L, k + 1)``, byte for byte."""
+
+    LENGTHS = [10.0**e for e in range(-6, 7)] + [
+        Lcg64(1201 + i).log_uniform(1e-6, 1e6) for i in range(12)
+    ]
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_problem_edges_are_linspace(self, L):
+        for k in range(1, 201):
+            prob = OptimizationProblem.from_areas([1.0] * k, L, L, LAW1, 1.0)
+            assert prob.init.panel_edges.tobytes() == np.linspace(0.0, L, k + 1).tobytes()
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_brute_force_edges_are_linspace(self, L):
+        for k in (2, 3):
+            best = brute_force_segments(L, L, LAW1, 1.0, k, 5)
+            assert best.panel_edges.tobytes() == np.linspace(0.0, L, k + 1).tobytes()
+
+
 class TestOptimize:
     def test_two_segments_converge_to_constant(self):
         prob = OptimizationProblem.from_areas([1.0, 3.0], 2.0, 1.0, LAW1, 1.0)

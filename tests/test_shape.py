@@ -66,6 +66,11 @@ class TestShapeConstruction:
         with pytest.raises(ValueError, match="two breakpoints"):
             ShapeFunction.piecewise([0.0], [])  # a single breakpoint
 
+    @pytest.mark.parametrize("bp", [[0.0, math.nan, 1.0], [0.0, 0.25, math.nan, 1.0]])
+    def test_nan_breakpoint_is_not_increasing(self, bp):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ShapeFunction.piecewise(bp, [1.0] * (len(bp) - 1))
+
     def test_rejects_short_sampled(self):
         with pytest.raises(ValueError):
             ShapeFunction.sampled([1.0], 1.0)
