@@ -16,15 +16,22 @@ candidate, the exhaustive search on its whole grid of allocations as one
 array.  The ascent keeps only the accepted areas and torques while it
 runs; the volumes, volume residuals and gaps of all its iterates are
 formed once afterwards from the stacked ``(iterates, k)`` area array,
-whose read-only rows the iterates share.  A step is a handful of numpy
-calls on small arrays, so the loop reduces with the ufuncs themselves
-(``np.add.reduce`` and its kin, not the array methods' Python wrappers)
-and keeps its scalars as Python floats.  A validated ``AreaProfile`` (a
+whose read-only rows the iterates share.  A validated ``AreaProfile`` (a
 piecewise profile in area units) is built only where one enters (the
 problem's initial profile) or leaves (the brute-force winner), so every
-area the optimizer sees is positive.  The
-problem, its iterates and the trace (a tuple of iterates) are frozen
-values that compare and hash by value.
+area the optimizer sees is positive.  The problem, its iterates and the
+trace (a tuple of iterates) are frozen values that compare and hash by
+value.
+
+An operation is a few dozen numpy calls on small arrays, so numpy's
+Python-level wrappers would be a large share of it.  Every path of an
+operation (building and checking the problem, the ascent's loop, set-up
+and trace assembly, the exhaustive search and the profile constructors
+it ends in) calls the ufuncs and their reductions (``np.add.reduce`` and
+its kin) and slices instead: no ``np.sum``/``np.min``/``np.max``,
+``np.diff``, ``np.linspace``, ``np.stack`` or ``np.meshgrid``.  Each
+replacement forms the same floats in the same order, and every check
+still fails with the same message in the same order.
 """
 
 from __future__ import annotations
@@ -44,7 +51,18 @@ VOLUME_TOL = 1e-10
 def _torque(widths: np.ndarray, areas: np.ndarray, E: float, law: CrossSectionLaw):
     """Critical torque of piecewise-constant rods from their panel widths
     and areas, which must be positive: one value per row of ``areas``."""
-    return 2.0 * math.pi * E * law.alpha / (widths * areas ** (-law.n)).sum(axis=-1)
+    return 2.0 * math.pi * E * law.alpha / np.add.reduce(widths * areas ** (-law.n), axis=-1)
+
+
+def _equal_edges(L: float, k: int) -> np.ndarray:
+    """The edges of ``k`` equal panels on [0, L]: ``np.linspace(0.0, L, k + 1)``
+    by numpy's own formula, without its Python-level wrapper."""
+    step = L / k
+    if step == 0.0:  # a subnormal span: linspace divides before it multiplies
+        return np.linspace(0.0, L, k + 1)
+    edges = np.arange(k + 1.0) * step
+    edges[-1] = L
+    return edges
 
 
 def _require_scales(V: float, L: float, E: float, volume_name: str) -> None:
@@ -89,7 +107,7 @@ class OptimizationProblem:
         # Every width within 1e-9 relative of L/k; a NaN width fails too.
         edges = self.init.panel_edges
         width = self.L / self.segments
-        if not np.abs(edges[1:] - edges[:-1] - width).max() <= 1e-9 * width:
+        if not np.maximum.reduce(np.abs(edges[1:] - edges[:-1] - width)) <= 1e-9 * width:
             raise ValueError("initial profile panels must have equal length")
         if abs(self.init.volume - self.V_target) > VOLUME_TOL * self.V_target:
             raise ValueError(
@@ -105,24 +123,38 @@ class OptimizationProblem:
         law: CrossSectionLaw,
         E: float,
     ) -> "OptimizationProblem":
-        """Build a problem from raw panel areas, rescaled to the target volume."""
+        """Build a problem from raw panel areas, rescaled to the target volume.
+
+        The areas must be positive and finite, and so must their sum: a NaN,
+        an infinite area and a sum that overflows are each rejected before
+        any arithmetic, by name."""
         _require_scales(V_target, L, E, "V_target")
         vals = np.asarray(areas, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError(f"need a non-empty vector of panel areas, got shape {vals.shape}")
-        if (vals <= 0).any():
+        # the smallest area (NaN if any is) and the sum the rescale needs
+        # anyway, which may overflow: that is checked below, not warned of
+        smallest = np.minimum.reduce(vals)
+        with np.errstate(over="ignore"):
+            total = np.add.reduce(vals)
+        if not smallest > 0.0:
+            if smallest != smallest:
+                raise ValueError("panel areas must be finite, got nan")
             raise ValueError("panel areas must be positive")
+        if not math.isfinite(total):
+            if np.maximum.reduce(vals) == math.inf:
+                raise ValueError("panel areas must be finite, got inf")
+            raise ValueError("the sum of the panel areas overflows")
         k = vals.size
         h = L / k
-        vals = vals * (V_target / (h * vals.sum()))
-        edges = np.linspace(0.0, L, k + 1)
+        vals = vals * (V_target / (h * total))
         return cls(
             V_target=V_target,
             L=L,
             law=law,
             E=E,
             segments=k,
-            init=AreaProfile.piecewise(edges, vals),
+            init=AreaProfile.piecewise(_equal_edges(L, k), vals),
         )
 
 
@@ -222,7 +254,8 @@ def optimize(
     # the first trial step moves the steepest panel this far: a 1/(n+1)
     # share of the mean area cancels the start's deviation to first order
     reach = (V / L) / (n + 1)
-    widths = np.diff(problem.init.panel_edges)
+    edges = problem.init.panel_edges
+    widths = edges[1:] - edges[:-1]
     # the constant factors of _torque and of the gradient, in their order
     numerator = 2.0 * math.pi * E * law.alpha
     slope = n * h
@@ -297,20 +330,25 @@ def brute_force_segments(
     _require_scales(V, L, E, "V")
 
     h = L / k_segments
-    edges = np.linspace(0.0, L, k_segments + 1)
+    edges = _equal_edges(L, k_segments)
     fractions = (np.arange(grid_points) + 0.5) / grid_points
 
-    # Rows of allocations in search order: t1 outer, t2 inner.
+    # Rows of allocations in search order: t1 outer, t2 inner.  The rows
+    # of the outer mask's nonzero entries come in that order.
     if k_segments == 2:
-        alloc = np.stack([fractions * V, (1.0 - fractions) * V], axis=1)
+        t1, rest = fractions, 1.0 - fractions
+        areas = np.empty((grid_points, 2))
     else:
-        t1, t2 = np.meshgrid(fractions, fractions, indexing="ij")
-        keep = t1 + t2 < 1.0
-        t1, t2 = t1[keep], t2[keep]
-        alloc = np.stack([t1 * V, t2 * V, (1.0 - t1 - t2) * V], axis=1)
-    areas = alloc / h
-    require_positive(float(np.min(areas)), "smallest candidate panel area")
-    require_positive(float(np.max(areas)), "largest candidate panel area")
-    scores = _torque(np.diff(edges), areas, E, law)
+        i, j = np.nonzero(fractions[:, None] + fractions < 1.0)
+        t1, t2 = fractions[i], fractions[j]
+        rest = 1.0 - t1 - t2
+        areas = np.empty((i.size, 3))
+        np.multiply(t2, V, out=areas[:, 1])
+    np.multiply(t1, V, out=areas[:, 0])
+    np.multiply(rest, V, out=areas[:, -1])
+    areas /= h
+    require_positive(float(np.minimum.reduce(areas, axis=None)), "smallest candidate panel area")
+    require_positive(float(np.maximum.reduce(areas, axis=None)), "largest candidate panel area")
+    scores = _torque(edges[1:] - edges[:-1], areas, E, law)
     # argmax takes the first maximum: ties go to the earliest allocation
-    return AreaProfile.piecewise(edges, areas[int(np.argmax(scores))])
+    return AreaProfile.piecewise(edges, areas[int(scores.argmax())])

@@ -24,7 +24,10 @@ that compare the two stay independent.
 
 Every type here is a frozen value: each construction path validates,
 array fields hold read-only copies, and records compare and hash by
-value.  ``AreaProfile`` is a ``ShapeFunction`` seen through a
+value.  Every optimizer operation builds a profile, so construction
+checks with the ufuncs and their reductions (``np.logical_and.reduce``,
+``np.minimum.reduce`` and kin) and with slices, not with numpy's
+Python-level wrappers.  ``AreaProfile`` is a ``ShapeFunction`` seen through a
 cross-section law, so it carries no data of its own but its volume.
 Every operation is a pure function, so everything here is safe to share
 across threads.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,6 +76,12 @@ def _frozen(value) -> bool:
     return False
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The names of a dataclass's fields in field order, formed once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 class _ArrayRecord:
     """Base of frozen dataclasses (``eq=False``) with array fields ``_arrays``:
     stores read-only float copies of those not :func:`_frozen` yet, so a
@@ -96,7 +105,7 @@ class _ArrayRecord:
         :func:`_frozen` once and its rows are shared, where the constructor
         would check every row; nothing else is validated, so the values must
         be what the constructor would store."""
-        names = [f.name for f in fields(cls)]
+        names = _field_names(cls)
         columns = [
             c if name not in cls._arrays or _frozen(c) else _frozen_copy(c)
             for name, c in zip(names, columns)
@@ -109,7 +118,7 @@ class _ArrayRecord:
         return tuple(records)
 
     def _key(self) -> tuple:
-        values = (getattr(self, f.name) for f in fields(self))
+        values = (getattr(self, name) for name in _field_names(self.__class__))
         return tuple((v.shape, *v.ravel().tolist()) if isinstance(v, np.ndarray) else v for v in values)
 
     def __eq__(self, other: object) -> bool:
@@ -365,7 +374,7 @@ class ShapeFunction(_ArrayRecord):
                 )
             if bp[0] != 0.0 or bp[-1] != self.L:
                 raise ValueError(f"breakpoints must run from 0 to L, got {bp[0]} to {bp[-1]}")
-            if not (bp[1:] > bp[:-1]).all():
+            if not np.logical_and.reduce(bp[1:] > bp[:-1]):
                 raise ValueError("breakpoints must be strictly increasing")
         elif bp is not None:
             raise ValueError(f"a {self.kind} profile takes no breakpoints")
@@ -374,7 +383,7 @@ class ShapeFunction(_ArrayRecord):
         elif self.kind == "constant" and vals.shape != (1,):
             raise ValueError("constant profile needs exactly one value")
         require_positive(self.L, "domain length")
-        if not np.isfinite(vals).all():
+        if not np.logical_and.reduce(np.isfinite(vals)):
             raise ValueError("profile values must be finite")
         # the panel table, built once: ``panels`` returns it
         if self.kind == "sampled":
@@ -390,7 +399,7 @@ class ShapeFunction(_ArrayRecord):
         # linear on every panel, so its extremes sit at the values anyway.
         edges = table[0]
         probes = np.concatenate([vals, self.evaluate(0.5 * (edges[:-1] + edges[1:]))])
-        lo, hi = float(probes.min()), float(probes.max())
+        lo, hi = float(np.minimum.reduce(probes)), float(np.maximum.reduce(probes))
         if lo <= 0.0 or lo <= MIN_RELATIVE_STIFFNESS * hi:
             raise ValueError(
                 f"profile must be strictly positive (min {lo:g} vs max {hi:g})"
@@ -518,6 +527,11 @@ class CrossSectionLaw:
             raise ValueError(f"law descriptor needs 'n' and 'alpha': {exc}") from None
 
 
+# The law of a profile in area units, F = A exactly: one value for every
+# ``AreaProfile.piecewise``.
+_AREA_UNITS = CrossSectionLaw(1, 1.0)
+
+
 @dataclass(frozen=True)
 class RodSpec:
     """Full rod description: modulus, reference inertia, profile, section law.
@@ -565,8 +579,9 @@ class AreaProfile:
         """Piecewise-constant profile in area units (n = 1, alpha = J_ref = 1,
         so A = F exactly), with the exact volume sum(w * A)."""
         shape = ShapeFunction.piecewise(breakpoints, areas)
-        volume = float((np.diff(shape.breakpoints) * shape.values).sum())
-        return cls(shape=shape, J_ref=1.0, law=CrossSectionLaw(1, 1.0), volume=volume)
+        bp = shape.breakpoints
+        volume = float(np.add.reduce((bp[1:] - bp[:-1]) * shape.values))
+        return cls(shape=shape, J_ref=1.0, law=_AREA_UNITS, volume=volume)
 
     @classmethod
     def constant(cls, value: float, L: float) -> "AreaProfile":

@@ -335,6 +335,21 @@ class TestOptimize:
         for token in ("Infinity", "NaN"):
             assert token not in captured.out
 
+    @pytest.mark.parametrize(
+        "init, message",
+        [
+            ([1.0, math.inf], "panel areas must be finite, got inf"),
+            ([math.nan, 1.0], "panel areas must be finite, got nan"),
+            ([1.0, 1e308, 1e308], "the sum of the panel areas overflows"),
+        ],
+    )
+    def test_nonfinite_init_is_named_input_error(self, tmp_path, capsys, init, message):
+        doc = {**PROBLEM, "init": init, "segments": len(init)}
+        assert main(["optimize", "--spec", write(tmp_path, "prob.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert f"input error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_empty_init_is_input_error(self, tmp_path, capsys):
         doc = {**PROBLEM, "segments": 0, "init": []}
         spec = write(tmp_path, "prob.json", doc)

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistrod.cli import main
 from twistrod.isoperimetric import upper_bound
@@ -24,6 +26,8 @@ from twistrod.shape import AreaProfile, CrossSectionLaw, RodSpec, ShapeFunction,
 
 LAW1 = CrossSectionLaw(1, 1.0)
 NONFINITE = [math.nan, math.inf]
+# The reference search builds a profile per allocation, up to 780 of them
+BRUTE_FORCE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def reference_brute_force(V, L, law, E, k, grid):
@@ -220,6 +224,26 @@ class TestProblemValidation:
     def test_rejects_nonpositive_areas(self):
         with pytest.raises(ValueError):
             OptimizationProblem.from_areas([1.0, -1.0], 2.0, 1.0, LAW1, 1.0)
+
+    @pytest.mark.parametrize(
+        "areas, message",
+        [
+            ([1.0, math.nan], "finite, got nan"),
+            ([math.nan, -1.0], "finite, got nan"),
+            ([1.0, math.inf], "finite, got inf"),
+            ([math.inf] * 3, "finite, got inf"),
+            ([1.0, 1e308, 1e308], "sum of the panel areas overflows"),
+            ([1.0, -math.inf], "positive"),
+        ],
+    )
+    def test_rejects_nonfinite_areas_up_front(self, areas, message):
+        # named before any arithmetic, so no RuntimeWarning comes first
+        with pytest.raises(ValueError, match=message):
+            OptimizationProblem.from_areas(areas, 2.0, 1.0, LAW1, 1.0)
+
+    def test_largest_finite_sum_is_accepted(self):
+        prob = OptimizationProblem.from_areas([1e308, 7e307], 2.0, 1.0, LAW1, 1.0)
+        assert prob.init.volume == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("areas", [[], np.zeros(0), 2.0, [[1.0, 3.0]]])
     def test_rejects_areas_that_are_no_vector(self, areas):
@@ -482,6 +506,24 @@ class TestRawAreaScoring:
                 best = brute_force_segments(V, L, law, E, k, grid)
                 expected = reference_brute_force(V, L, law, E, k, grid)
                 assert best.panel_values.tobytes() == expected.tobytes()
+
+    @BRUTE_FORCE_SETTINGS
+    @given(
+        st.one_of(
+            st.tuples(st.just(2), st.integers(1, 200)),
+            st.tuples(st.just(3), st.integers(2, 40)),
+        ),
+        st.integers(1, 3),
+        st.tuples(*(st.floats(-6.0, 6.0).map(lambda e: 10.0**e) for _ in range(3))),
+    )
+    def test_brute_force_matches_reference_loops_over_decades(self, k_grid, n, scales):
+        # V, L and E over twelve decades, where a reordered ``alloc / h``
+        # or ``t * V`` would round differently
+        (k, grid), (V, L, E) = k_grid, scales
+        law = law_for_exponent(n)
+        best = brute_force_segments(V, L, law, E, k, grid)
+        expected = reference_brute_force(V, L, law, E, k, grid)
+        assert best.panel_values.tobytes() == expected.tobytes()
 
     def test_iterates_match_validated_profiles(self):
         rng = Lcg64(101)
