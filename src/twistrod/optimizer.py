@@ -210,7 +210,11 @@ def optimize(
     Each step moves along the torque gradient (componentwise
     n * h * A**(-n-1) per panel) and rescales multiplicatively back onto
     the volume constraint.  The first trial moves the steepest panel by
-    mean / (n + 1), where mean = V / L.  With A_i = mean * (1 + d_i) the
+    mean / (n + 1), where mean = V / L.  It is formed as
+    reach * (A_min / A)**(n + 1), the gradient over its largest entry
+    (which sits at the smallest panel) times that reach: every factor is
+    at most 1, so the trial cannot overflow wherever the torque itself is
+    finite, and it does not change when all areas are scaled alike.  With A_i = mean * (1 + d_i) the
     gradient is, to first order in d, proportional to 1 - (n + 1) * d_i,
     so that trial adds mean * (1 / (n + 1) - d_i) to every panel: it
     cancels the deviation to first order, and the rescale leaves one of
@@ -238,10 +242,10 @@ def optimize(
     ``AreaProfile.max_relative_deviation`` form for each iterate's areas,
     and the iterates' ``areas`` are read-only rows of that array, which is
     checked read-only once for all of them.  The loop reduces with
-    ``np.add.reduce`` and ``np.maximum.reduce`` to Python floats, forms
-    ``2*pi*E*alpha`` and ``n*h`` once, in the order of the panel formula
-    and the gradient, and rescales each fresh candidate in place, so its
-    floats are those of the formulas above.  Raises ValueError when
+    ``np.add.reduce`` and ``np.minimum.reduce`` to Python floats, forms
+    ``2*pi*E*alpha`` once, in the order of the panel formula, and
+    rescales each fresh candidate in place, so its floats are those of
+    the formulas above.  Raises ValueError when
     ``max_iters`` is negative, and when the torque of the starting
     profile or of the constant section is not positive and finite: every
     iterate's torque lies between the two.
@@ -256,10 +260,9 @@ def optimize(
     reach = (V / L) / (n + 1)
     edges = problem.init.panel_edges
     widths = edges[1:] - edges[:-1]
-    # the constant factors of _torque and of the gradient, in their order
+    # the constant factor of _torque, in its order
     numerator = 2.0 * math.pi * E * law.alpha
-    slope = n * h
-    total, largest = np.add.reduce, np.maximum.reduce
+    total, smallest, largest = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
     areas = problem.init.panel_values
     areas = areas * (V / (h * float(total(areas))))
@@ -272,10 +275,11 @@ def optimize(
     accepted_areas, torques = [areas], [current]
 
     for _ in range(max_iters):
-        grad = slope * areas ** (-n - 1)
-        step = reach / float(largest(grad))
+        # the gradient over its largest entry, which sits at the smallest panel
+        direction = (float(smallest(areas)) / areas) ** (n + 1)
+        step = reach
         for _halving in range(80):
-            candidate = areas + step * grad
+            candidate = areas + step * direction
             candidate *= V / (h * float(total(candidate)))
             value = numerator / float(total(widths * candidate ** (-n)))
             if value > current or current - value < tol * current:

@@ -335,6 +335,18 @@ class TestOptimize:
         for token in ("Infinity", "NaN"):
             assert token not in captured.out
 
+    def test_tiny_volume_converges(self, tmp_path, capsys):
+        # n h A**(-n-1) overflows at these areas, but the torque is finite
+        # and the trial step reach * (A_min / A)**(n + 1) cannot overflow
+        doc = {"V": 1e-80, "L": 1, "E": 1, "law": {"n": 3, "alpha": 1}, "init": [1, 2, 3]}
+        assert main(["optimize", "--spec", write(tmp_path, "prob.json", doc)]) == 0
+        captured = capsys.readouterr()
+        final = json.loads(captured.out.strip().split("\n")[-1])
+        assert final["converged"] is True and final["iterations"] > 0
+        assert final["final_gap"] <= 1e-3
+        assert final["final_M_star"] == pytest.approx(final["M_bound"], rel=1e-6)
+        assert captured.err == ""
+
     @pytest.mark.parametrize(
         "init, message",
         [

@@ -85,8 +85,8 @@ def reference_optimize(problem, max_iters=1000, tol=1e-10, trials=None):
     iterates = [record(areas, current)]
 
     for _ in range(max_iters):
-        grad = n * h * areas ** (-n - 1)
-        step = mean / (n + 1) / float(np.max(grad))
+        grad = (np.min(areas) / areas) ** (n + 1)  # n h A**(-n-1) over its largest entry
+        step = mean / (n + 1)
         accepted = None
         tried = 0
         for _halving in range(80):

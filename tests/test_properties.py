@@ -222,3 +222,18 @@ def test_sampled_midpoints_change_nothing(spec):
     assert_refinement_changes_nothing(
         spec, ShapeFunction.sampled(fine, spec.shape.L), MIDPOINT_ROOT_TOL
     )
+
+
+@PROPERTY_SETTINGS
+@given(optimization_problems(), st.sampled_from([1e-80, 1e80]))
+def test_scaling_the_volume_leaves_the_gaps(problem, factor):
+    # the trial step reach * (A_min / A)**(n + 1) is scale-free, so a
+    # problem scaled far past the range where n h A**(-n-1) overflows
+    # takes the same steps, up to roundoff
+    scaled = OptimizationProblem.from_areas(
+        problem.init.panel_values, problem.V_target * factor, problem.L, problem.law, problem.E
+    )
+    gaps = [it.gap for it in optimize(problem).iterates]
+    scaled_gaps = [it.gap for it in optimize(scaled).iterates]
+    assert len(scaled_gaps) == len(gaps)
+    assert np.allclose(scaled_gaps, gaps, rtol=0.0, atol=1e-12)
