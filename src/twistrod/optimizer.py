@@ -56,11 +56,10 @@ def _torque(widths: np.ndarray, areas: np.ndarray, E: float, law: CrossSectionLa
 
 def _equal_edges(L: float, k: int) -> np.ndarray:
     """The edges of ``k`` equal panels on [0, L]: ``np.linspace(0.0, L, k + 1)``
-    by numpy's own formula, without its Python-level wrapper."""
-    step = L / k
-    if step == 0.0:  # a subnormal span: linspace divides before it multiplies
-        return np.linspace(0.0, L, k + 1)
-    edges = np.arange(k + 1.0) * step
+    by numpy's own formula, without its Python-level wrapper.  (Where
+    ``L / k`` underflows to 0, linspace scales otherwise, but neither
+    gives increasing edges there.)"""
+    edges = np.arange(k + 1.0) * (L / k)
     edges[-1] = L
     return edges
 
