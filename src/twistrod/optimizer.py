@@ -213,7 +213,8 @@ def optimize(
     reach * (A_min / A)**(n + 1), the gradient over its largest entry
     (which sits at the smallest panel) times that reach: every factor is
     at most 1, so the trial cannot overflow wherever the torque itself is
-    finite, and it does not change when all areas are scaled alike.  With A_i = mean * (1 + d_i) the
+    finite, and it does not change when all areas are scaled alike.
+    With A_i = mean * (1 + d_i) the
     gradient is, to first order in d, proportional to 1 - (n + 1) * d_i,
     so that trial adds mean * (1 / (n + 1) - d_i) to every panel: it
     cancels the deviation to first order, and the rescale leaves one of

@@ -27,8 +27,9 @@ array fields hold read-only copies, and records compare and hash by
 value.  Every optimizer operation builds a profile, so construction
 checks with the ufuncs and their reductions (``np.logical_and.reduce``,
 ``np.minimum.reduce`` and kin) and with slices, not with numpy's
-Python-level wrappers.  ``AreaProfile`` is a ``ShapeFunction`` seen through a
-cross-section law, so it carries no data of its own but its volume.
+Python-level wrappers.  ``AreaProfile`` is a ``ShapeFunction`` seen
+through a cross-section law, so it carries no data of its own but its
+volume.
 Every operation is a pure function, so everything here is safe to share
 across threads.
 """
