@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greenhill import ModeShape
-from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _shoot
-from .oracle import build_step_grid, probe_torques, propagate, scan_and_refine
+from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _roots, _shoot
+# propagate is not called here: bench/tracer.py patches this binding by name
+from .oracle import build_step_grid, propagate
 from .shape import CrossSectionLaw, RodSpec, ShapeFunction, require_positive
 
 
@@ -110,19 +111,16 @@ def first_root_anisotropic(
     bracket: tuple[float, float] | None = None,
     tol: float = DEFAULT_TOL,
     steps: int = DEFAULT_STEPS,
-    probes: int = DEFAULT_PROBES,
 ) -> float:
     """Smallest torque at which the anisotropic endpoint matrix is singular.
 
     The unreduced system is shot and searched exactly like the isotropic
-    one (:func:`~twistrod.oracle.scan_and_refine`): the first upward zero
-    crossing of trace S, confirmed against det S, so the search does not
-    assume the isotropic reduction it checks.  The scan runs over ``probes``
-    equal intervals of ``bracket`` or, by default, geometrically between
-    bounds on M* from the extremes of F and of the two inertias
+    one (:func:`~twistrod.oracle._roots`): the first upward zero crossing
+    of trace S, confirmed against det S, so the search does not assume the
+    isotropic reduction it checks.  The scan runs over DEFAULT_PROBES equal
+    intervals of ``bracket`` or, by default, geometrically between bounds
+    on M* from the extremes of F and of the two inertias
     (:func:`~twistrod.oracle.probe_torques`), which read no closed form.
     """
-    section = spec.section
-    ms = probe_torques(spec.shape, spec.E, section.Jy, section.Jz, bracket, probes)
-    grid = build_step_grid(spec.shape, spec.E, section.Jy, section.Jz, steps)
-    return scan_and_refine(lambda m: propagate(grid, m), ms, tol)[0]
+    rod = (spec.shape, spec.E, spec.section.Jy, spec.section.Jz)
+    return _roots([rod], bracket, DEFAULT_PROBES, tol, steps, True)[0][0]

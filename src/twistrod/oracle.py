@@ -39,8 +39,9 @@ call around the zero of the inverse interpolant of the traces computed
 (after Chandrupatla, *Adv. Eng. Software* 28:145, 1997) and confirmed
 against det S.  Nothing in the search reads phi or any other closed form,
 and a crossing that is not an eigenvalue raises.  Each rod's search is a
-generator that yields the torques it needs next, so ``first_roots``
-advances the searches of many rods with one kernel call per round.
+generator that yields the torques it needs next, so one driver,
+:func:`_roots`, advances the searches of many rods with one kernel call
+per round; every root function here and in ``anisotropic`` calls it.
 Needs numpy only.
 """
 
@@ -60,6 +61,8 @@ from .shape import RodSpec, ShapeFunction, _ArrayRecord
 DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
+# Equal intervals of the exhaustive scan of eigenvalues_in
+SPECTRUM_PROBES = 256
 MIN_STEPS = 16
 # Torques per rod and kernel call while scanning.  A call holds a few
 # dozen floats per rod, panel and torque: memory is rods x panels x torques.
@@ -425,7 +428,7 @@ def _store(evaluated: dict, torques: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float):
+def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float):
     """A torque in ``evaluated`` within ``xtol + RTOL * b`` of the zero of
     the trace in (a, b], where it goes from minus to plus.  A batch is the
     zero z of :func:`_interpolated_zero` and seven torques e/2 apart around
@@ -433,13 +436,13 @@ def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float
     (the first, from probes too far apart to trust, spreads seven evenly).
     The end of smaller |trace| of the first sign change is returned once it
     is within tolerance after a batch centred on a z estimated to within
-    that quarter; :func:`brentq` takes over, calling ``endpoint`` itself,
-    if a batch fails to halve it.  A generator like :func:`_search`."""
+    that quarter; :func:`brentq` takes over, shooting the rod's ``grid``
+    itself, if a batch fails to halve it.  A generator like :func:`_search`."""
 
     def trace(m: float) -> float:
         if m not in evaluated:
             torque = np.array([m])
-            _store(evaluated, torque, endpoint(torque))
+            _store(evaluated, torque, propagate(grid, torque))
         return evaluated[m][0]
 
     width, centred = math.inf, False
@@ -468,10 +471,17 @@ def _refine(endpoint: Callable, evaluated: dict, a: float, b: float, xtol: float
         _store(evaluated, batch, (yield batch))
 
 
-def _search(endpoint: Callable, probes: np.ndarray, tol: float, first: bool):
-    """The search of :func:`scan_and_refine` as a generator: it yields the
-    torques it needs next, is sent their endpoint matrices and returns the
-    roots.  ``endpoint`` serves the :func:`brentq` safeguard only."""
+def _search(grid: StepGrid, probes: np.ndarray, tol: float, first: bool):
+    """One rod's search among the increasing torques ``probes``, as a
+    generator: it yields the torques it needs next, is sent their endpoint
+    matrices S and returns the eigenvalues, the upward zero crossings of
+    trace S.  The probes are evaluated SCAN_BLOCK at a time, each crossing
+    interval (a, b] is refined to within ``tol * b`` (:func:`_refine`), and
+    with ``first`` the scan stops there.  Each root, an evaluated torque,
+    must pass det S(root) <= 1e-6 * max |det S| over the probes scanned so
+    far.  Raises RootSearchError for a crossing that fails the check or
+    does not converge and, with ``first``, when there is no crossing at
+    all.  ``grid`` serves the :func:`brentq` safeguard only."""
     evaluated: dict[float, tuple[float, np.ndarray]] = {}
     roots: list[float] = []
     S = np.empty((0, 2, 2))
@@ -482,7 +492,7 @@ def _search(endpoint: Callable, probes: np.ndarray, tol: float, first: bool):
         for i in range(max(start, 1), t.size):
             if not t[i - 1] < 0.0 <= t[i]:
                 continue
-            root = yield from _refine(endpoint, evaluated, probes[i - 1], probes[i], tol * probes[i])
+            root = yield from _refine(grid, evaluated, probes[i - 1], probes[i], tol * probes[i])
             det_at_root = float(endpoint_det(evaluated[root][1]))
             det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
             if det_at_root > 1e-6 * det_scale:
@@ -501,13 +511,25 @@ def _search(endpoint: Callable, probes: np.ndarray, tol: float, first: bool):
     return roots
 
 
-def _lockstep(searches: list, shoot: Callable) -> list[list[float]]:
-    """Roots of every search (:func:`_search`), run side by side: each
-    round, one call ``shoot(live, torques)`` returns the endpoint matrices
-    at the torques each live search (numbered in ``live``) asked for.
-    Raises, once all are done, the RootSearchError of the first search in
-    order that failed."""
-    results: list = [None] * len(searches)
+def _roots(
+    rods: Sequence[tuple[ShapeFunction, float, float, float]], bracket, probes: int, tol: float,
+    steps: int, first: bool,
+) -> list[list[float]]:
+    """Eigenvalues of each rod (shape, E, J_y, J_z): the roots of its
+    :func:`_search` over :func:`probe_torques` of ``bracket`` and ``probes``
+    on a grid of ``steps`` steps.  The searches run side by side: each
+    round, one :func:`propagate` call on the stacked grids of the live rods
+    shoots the torques every one of them asked for, each rod's padded with
+    its last.  Raises, once all are done, the RootSearchError of the first
+    rod in order that failed."""
+    if not rods:
+        return []
+    grids = [build_step_grid(shape, E, J_y, J_z, steps) for shape, E, J_y, J_z in rods]
+    stacked = StepGrid.stack(grids)
+    searches = [
+        _search(grid, probe_torques(*rod, bracket, probes), tol, first) for grid, rod in zip(grids, rods)
+    ]
+    results: list = [None] * len(rods)
     failures: dict[int, RootSearchError] = {}
     requests: dict[int, np.ndarray] = {}
 
@@ -519,31 +541,20 @@ def _lockstep(searches: list, shoot: Callable) -> list[list[float]]:
         except RootSearchError as error:
             failures[i] = error
 
-    for i in range(len(searches)):
+    for i in range(len(rods)):
         advance(i, None)
     while requests:
         live = list(requests)
         torques = [requests.pop(i) for i in live]
-        for i, S in zip(live, shoot(live, torques)):
-            advance(i, S)
+        M = np.empty((len(live), max(t.size for t in torques)))
+        for row, t in zip(M, torques):
+            row[: t.size], row[t.size :] = t, t[-1]
+        S = propagate(stacked if len(live) == len(rods) else stacked.rods(live), M)
+        for i, S_rod, t in zip(live, S, torques):
+            advance(i, S_rod[: t.size])
     if failures:
         raise failures[min(failures)]
     return results
-
-
-def scan_and_refine(
-    endpoint: Callable[[np.ndarray], np.ndarray], probes: np.ndarray, tol: float, first: bool = True
-) -> list[float]:
-    """Eigenvalues among the increasing torques ``probes``: upward zero
-    crossings of trace S, S = ``endpoint(M)`` the endpoint matrices at M.
-    The probes are evaluated SCAN_BLOCK at a time, each crossing interval
-    (a, b] is refined to within ``tol * b`` (:func:`_refine`), and with
-    ``first`` the scan stops there.  Each root, an evaluated torque, must
-    pass det S(root) <= 1e-6 * max |det S| over the probes scanned so far.
-    Raises RootSearchError for a crossing that fails the check or does not
-    converge and, with ``first``, when there is no crossing at all."""
-    search = _search(endpoint, probes, tol, first)
-    return _lockstep([search], lambda live, torques: [endpoint(torques[0])])[0]
 
 
 def first_roots(
@@ -552,52 +563,32 @@ def first_roots(
 ) -> list[float]:
     """Smallest buckling torque of each rod (shape, E, J_y, J_z), searched
     as :func:`critical_torque_oracle` searches one with its default scan,
-    to the same float, with the rods shot together: one :func:`propagate`
-    call per round on their stacked grids, each rod's torques padded with
-    its last.  Raises the RootSearchError of the first rod in order that
-    has no root."""
-    if not rods:
-        return []
-    grids = [build_step_grid(shape, E, J_y, J_z, steps) for shape, E, J_y, J_z in rods]
-    stacked = StepGrid.stack(grids)
-    searches = [
-        _search(lambda m, grid=grid: propagate(grid, m), probe_torques(*rod, None, DEFAULT_PROBES), tol, True)
-        for grid, rod in zip(grids, rods)
-    ]
-
-    def shoot(live: list[int], torques: list[np.ndarray]) -> list[np.ndarray]:
-        M = np.empty((len(live), max(t.size for t in torques)))
-        for row, t in zip(M, torques):
-            row[: t.size], row[t.size :] = t, t[-1]
-        S = propagate(stacked if len(live) == len(rods) else stacked.rods(live), M)
-        return [S_rod[: t.size] for S_rod, t in zip(S, torques)]
-
-    return [roots[0] for roots in _lockstep(searches, shoot)]
+    to the same float, with the rods shot together (:func:`_roots`).
+    Raises the RootSearchError of the first rod in order that has no root."""
+    return [roots[0] for roots in _roots(rods, None, DEFAULT_PROBES, tol, steps, True)]
 
 
 def critical_torque_oracle(
     spec: RodSpec, bracket: tuple[float, float] | None = None, tol: float = DEFAULT_TOL,
-    steps: int = DEFAULT_STEPS, probes: int = DEFAULT_PROBES,
+    steps: int = DEFAULT_STEPS,
 ) -> float:
     """Smallest buckling torque, to relative tolerance ``tol``: the first
-    confirmed upward trace crossing of a scan over ``probes`` equal intervals
-    of ``bracket`` or, by default, between bounds on M* from the extremes of
-    F (:func:`probe_torques`, no closed form).  Raises RootSearchError when
-    the scan holds no crossing or the crossing found is not an eigenvalue."""
-    ms = probe_torques(spec.shape, spec.E, spec.J_ref, spec.J_ref, bracket, probes)
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
-    return scan_and_refine(lambda m: propagate(grid, m), ms, tol)[0]
+    confirmed upward trace crossing of a scan over DEFAULT_PROBES equal
+    intervals of ``bracket`` or, by default, between bounds on M* from the
+    extremes of F (:func:`probe_torques`, no closed form).  Raises
+    RootSearchError when the scan holds no crossing or the crossing found
+    is not an eigenvalue."""
+    rod = (spec.shape, spec.E, spec.J_ref, spec.J_ref)
+    return _roots([rod], bracket, DEFAULT_PROBES, tol, steps, True)[0][0]
 
 
 def eigenvalues_in(
-    spec: RodSpec, M_lo: float, M_hi: float, probes: int = 256, tol: float = DEFAULT_TOL,
-    steps: int = DEFAULT_STEPS,
+    spec: RodSpec, M_lo: float, M_hi: float, tol: float = DEFAULT_TOL, steps: int = DEFAULT_STEPS,
 ) -> list[float]:
     """All buckling torques in (M_lo, M_hi], 0 <= M_lo < M_hi: every confirmed
-    upward trace crossing of an exhaustive scan."""
-    ms = probe_torques(spec.shape, spec.E, spec.J_ref, spec.J_ref, (M_lo, M_hi), probes)
-    grid = build_step_grid(spec.shape, spec.E, spec.J_ref, spec.J_ref, steps)
-    return scan_and_refine(lambda m: propagate(grid, m), ms, tol, first=False)
+    upward trace crossing of a scan over SPECTRUM_PROBES equal intervals."""
+    rod = (spec.shape, spec.E, spec.J_ref, spec.J_ref)
+    return _roots([rod], (M_lo, M_hi), SPECTRUM_PROBES, tol, steps, False)[0]
 
 
 def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:
