@@ -210,10 +210,14 @@ def split_identity_residuals(
 
 
 def upper_bound(E: float, law: CrossSectionLaw, V: float, L: float) -> float:
-    """Volume-and-length isoperimetric cap 2*pi*E*alpha_n*V**n / L**(n+1)."""
+    """Volume-and-length isoperimetric cap 2*pi*E*alpha_n*V**n / L**(n+1),
+    the torque of the constant section, formed as 2*pi*E*alpha_n *
+    (V/L)**n / L in numpy floats: it overflows only where the cap itself
+    does, and then reads inf, not an OverflowError."""
     if E <= 0 or V <= 0 or L <= 0:
         raise ValueError(f"E, V, L must be positive, got E={E}, V={V}, L={L}")
-    return 2.0 * math.pi * E * law.alpha * V**law.n / L ** (law.n + 1)
+    with np.errstate(over="ignore"):
+        return float(2.0 * math.pi * E * law.alpha * np.float64(V / L) ** law.n / L)
 
 
 @dataclass(frozen=True)

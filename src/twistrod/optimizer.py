@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .isoperimetric import upper_bound
 from .shape import AreaProfile, CrossSectionLaw, _ArrayRecord, require_positive
 
 GAP_CONVERGED = 1e-3
@@ -221,13 +222,11 @@ def optimize(
     order d**2.  The ascent therefore converges quadratically, in about
     7 steps from starts with areas in [0.5, 4] (a trial of 0.1 * mean
     shrank the deviation by only 0.55-0.73 per step and took about 34).
-    A trial that lowers the torque is halved, at most 80 times.  The
-    ascent stops when a trial's relative gain is below ``tol``, and that
-    includes a trial that scores below the current torque by less than
-    ``tol`` of it: at the optimum the trials differ by roundoff, which
-    halving cannot mend.  It also stops after ``max_iters`` steps;
-    ``converged`` reports whether the final profile is constant to
-    within the 1e-3 deviation threshold.
+    The full trial raises the torque from every start tried, up to
+    roundoff, so it is never shortened (a property test pins this).  The
+    ascent stops when a trial's relative gain is below ``tol``, a loss
+    included, or after ``max_iters`` steps; ``converged`` reports whether
+    the final profile is constant to within the 1e-3 deviation threshold.
 
     Candidates are scored as raw area vectors and need no check: the
     areas, the step and the gradient are positive, so a candidate is at
@@ -269,24 +268,15 @@ def optimize(
     # an overflow or underflow shows as a torque that is not positive and finite
     with np.errstate(all="ignore"):
         current = float(_torque(widths, areas, E, law))
-        bound = float(numerator * np.float64(V / L) ** n / L)
     require_positive(current, "torque of the starting profile")
-    require_positive(bound, "torque of the constant section")
+    require_positive(upper_bound(E, law, V, L), "torque of the constant section")
     accepted_areas, torques = [areas], [current]
 
     for _ in range(max_iters):
-        # the gradient over its largest entry, which sits at the smallest panel
-        direction = (float(smallest(areas)) / areas) ** (n + 1)
-        step = reach
-        for _halving in range(80):
-            candidate = areas + step * direction
-            candidate *= V / (h * float(total(candidate)))
-            value = numerator / float(total(widths * candidate ** (-n)))
-            if value > current or current - value < tol * current:
-                break  # an ascent, or a loss at the roundoff floor, which ends below
-            step *= 0.5
-        else:
-            break  # no ascent direction left at this resolution
+        # reach times the gradient over its largest entry, at the smallest panel
+        candidate = areas + reach * (float(smallest(areas)) / areas) ** (n + 1)
+        candidate *= V / (h * float(total(candidate)))
+        value = numerator / float(total(widths * candidate ** (-n)))
         if (value - current) / current < tol:
             break
         areas, current = candidate, value

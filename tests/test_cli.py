@@ -347,6 +347,15 @@ class TestOptimize:
         assert final["final_M_star"] == pytest.approx(final["M_bound"], rel=1e-6)
         assert captured.err == ""
 
+    def test_bound_whose_factors_overflow_is_finite(self, tmp_path, capsys):
+        # V**n overflows a float, the bound 2 pi E alpha (V/L)**n / L does not
+        doc = {"V": 1e200, "L": 1e200, "E": 1, "law": {"n": 2, "alpha": 1}, "init": [1, 2, 3]}
+        assert main(["optimize", "--spec", write(tmp_path, "prob.json", doc)]) == 0
+        final = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert final["converged"] is True
+        assert math.isfinite(final["M_bound"]) and final["M_bound"] > 0.0
+        assert final["final_M_star"] == pytest.approx(final["M_bound"], rel=1e-6)
+
     @pytest.mark.parametrize(
         "init, message",
         [
@@ -463,6 +472,34 @@ class TestVerify:
             assert main(["verify", "--n", str(n), "--seed", "2024"]) == 0
             assert json.loads(capsys.readouterr().out)["pass"] is True
             assert len(calls) <= most and calls[0] == (2 * n, oracle.SCAN_BLOCK)
+
+
+class TestVerifyThresholds:
+    """Each suite's tolerance, exercised from both sides by a disagreement
+    injected into its witness."""
+
+    @pytest.mark.parametrize("factor, code", [(1.0 + 2e-6, 1), (1.0 + 5e-7, 0)])
+    def test_oracle_tolerance(self, capsys, monkeypatch, factor, code):
+        first_roots = cli.oracle.first_roots
+        monkeypatch.setattr(
+            cli.oracle, "first_roots", lambda *a, **k: [m * factor for m in first_roots(*a, **k)]
+        )
+        assert main(["verify", "--n", "2", "--seed", "5"]) == code
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        for name in ("torque_vs_oracle", "anisotropic_reduction"):
+            assert suites[name]["pass"] is (code == 0)
+        assert suites["isoperimetric_bound"]["pass"] is True
+
+    @pytest.mark.parametrize("offset, code", [(2e-10, 1), (5e-11, 0)])
+    def test_bound_tolerance(self, capsys, monkeypatch, offset, code):
+        residuals = iso.split_identity_residuals
+        monkeypatch.setattr(
+            iso, "split_identity_residuals", lambda *a: tuple(r + offset for r in residuals(*a))
+        )
+        assert main(["verify", "--n", "2", "--seed", "5"]) == code
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        assert suites["isoperimetric_bound"]["pass"] is (code == 0)
+        assert suites["torque_vs_oracle"]["pass"] is True
 
 
 def test_step_defaults_are_the_oracle_default():

@@ -160,6 +160,13 @@ class TestModeShape:
         with pytest.raises(EigenvalueConsistencyError):
             mode_shape(UNIFORM, 1.1 * 2.0 * math.pi, 1.0, 0.0)
 
+    def test_endpoint_tolerance_from_both_sides(self):
+        # off the eigenvalue by a relative eps, the endpoint residual is about
+        # pi eps of the amplitude: 2e-9 is inside ENDPOINT_TOL = 1e-8, 5e-9 not
+        mode_shape(UNIFORM, 2.0 * math.pi * (1.0 + 2e-9), 1.0, 0.0)
+        with pytest.raises(EigenvalueConsistencyError):
+            mode_shape(UNIFORM, 2.0 * math.pi * (1.0 + 5e-9), 1.0, 0.0)
+
     def test_linearity_in_constants(self):
         # doubling c doubles the raw mode; after normalization everything matches
         a = mode_shape(UNIFORM, 2.0 * math.pi, 1.0, 0.0)

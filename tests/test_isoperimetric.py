@@ -109,6 +109,12 @@ class TestHolderCheck:
         with pytest.raises(ValueError):
             HolderInstance(f=lambda t: t - 0.5, g=lambda t: 1.0, p=2.0, q=2.0, L=1.0)
 
+    def test_conjugate_tolerance_from_both_sides(self):
+        # |1/p + 1/q - 1| just below CONJUGATE_TOL = 1e-12 passes, just above fails
+        HolderInstance(f=lambda t: 1.0, g=lambda t: 1.0, p=2.0, q=1.0 / (0.5 + 5e-13), L=1.0)
+        with pytest.raises(ValueError, match="not conjugate"):
+            HolderInstance(f=lambda t: 1.0, g=lambda t: 1.0, p=2.0, q=1.0 / (0.5 + 2e-12), L=1.0)
+
 
 def integrate_ramp_product() -> float:
     # integral of t (2 - t) over [0, 1] = 1 - 1/3
@@ -177,6 +183,12 @@ class TestUpperBound:
                 assert critical_torque_value(spec) == pytest.approx(
                     upper_bound(E, law, V, L), rel=1e-12
                 )
+
+    def test_finite_where_its_factors_overflow(self):
+        # V**n and L**(n+1) overflow a float here, (V/L)**n / L does not
+        law = CrossSectionLaw(2, 1.0)
+        assert upper_bound(1.0, law, 1e200, 1e200) == 2.0 * math.pi / 1e200
+        assert upper_bound(1.0, law, 1e300, 1e-300) == math.inf
 
     def test_monotone_in_volume_and_length(self):
         law = CrossSectionLaw(2, 0.3)

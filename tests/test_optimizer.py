@@ -214,6 +214,17 @@ class TestProblemValidation:
                 V_target=3.0, L=1.0, law=LAW1, E=1.0, segments=2, init=init
             )
 
+    def test_volume_tolerance_from_both_sides(self):
+        # an initial volume within VOLUME_TOL = 1e-10 of the target passes
+        init = AreaProfile.piecewise([0.0, 0.5, 1.0], [1.0, 3.0])  # volume 2
+        OptimizationProblem(
+            V_target=2.0 * (1.0 + 5e-11), L=1.0, law=LAW1, E=1.0, segments=2, init=init
+        )
+        with pytest.raises(ValueError, match="misses target"):
+            OptimizationProblem(
+                V_target=2.0 * (1.0 + 2e-10), L=1.0, law=LAW1, E=1.0, segments=2, init=init
+            )
+
     def test_rejects_wrong_panel_count(self):
         init = AreaProfile.piecewise([0.0, 0.5, 1.0], [2.0, 2.0])
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from twistrod.greenhill import critical_torque_value
 from twistrod.isoperimetric import upper_bound, verify_bound
-from twistrod.optimizer import OptimizationProblem, optimize
+from twistrod.optimizer import OptimizationProblem, _torque, optimize
 from twistrod.oracle import critical_torque_oracle
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
 
@@ -146,6 +146,26 @@ def test_ascent_converges_below_the_bound(problem):
     assert all(later > earlier for earlier, later in zip(torques, torques[1:]))
     bound = upper_bound(problem.E, problem.law, problem.V_target, problem.L)
     assert torques[-1] <= bound * (1.0 + 1e-10)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(
+    st.integers(1, 3),
+    exponent(-12.0, 0.0),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=64),
+)
+def test_full_trial_step_never_loses(n, contrast, powers):
+    # the ascent's first trial A + reach (A_min/A)**(n+1), rescaled to the
+    # volume, scores at least the start's torque up to roundoff, which is
+    # why optimize never shortens it
+    law = CrossSectionLaw(n, 1.0)
+    areas = np.array([contrast**p for p in powers])
+    areas *= len(areas) / areas.sum()  # V = L = 1, equal panels of width h
+    widths = np.full(len(areas), 1.0 / len(areas))
+    trial = areas + (areas.min() / areas) ** (n + 1) / (n + 1)
+    trial *= len(areas) / trial.sum()
+    start = _torque(widths, areas, 1.0, law)
+    assert _torque(widths, trial, 1.0, law) >= (1.0 - 1e-12) * start
 
 
 @st.composite
