@@ -160,7 +160,7 @@ def test_full_trial_step_never_loses(n, contrast, powers):
     # why optimize never shortens it
     law = CrossSectionLaw(n, 1.0)
     areas = np.array([contrast**p for p in powers])
-    areas *= len(areas) / areas.sum()  # V = L = 1, equal panels of width h
+    areas *= len(areas) / areas.sum()  # V = L = 1 on equal panels
     widths = np.full(len(areas), 1.0 / len(areas))
     trial = areas + (areas.min() / areas) ** (n + 1) / (n + 1)
     trial *= len(areas) / trial.sum()
