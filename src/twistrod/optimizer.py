@@ -16,12 +16,12 @@ candidate, the exhaustive search on its whole grid of allocations as one
 array.  The ascent keeps only the accepted areas and torques while it
 runs; the volumes, volume residuals and gaps of all its iterates are
 formed once afterwards from the stacked ``(iterates, k)`` area array,
-whose read-only rows the iterates share.  A validated ``AreaProfile`` (a
-piecewise profile in area units) is built only where one enters (the
-problem's initial profile) or leaves (the brute-force winner), so every
-area the optimizer sees is positive.  The problem, its iterates and the
-trace (a tuple of iterates) are frozen values that compare and hash by
-value.
+whose read-only rows the iterates share.  The problem holds its start as
+a read-only area vector on equal panels and checks it once, so every area
+the optimizer sees is positive; a validated ``AreaProfile`` (a piecewise
+profile in area units) is built only for the brute-force winner.  The
+problem, its iterates and the trace (a tuple of iterates) are frozen
+values that compare and hash by value.
 
 An operation is a few dozen numpy calls on small arrays, so numpy's
 Python-level wrappers would be a large share of it.  Every path of an
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .isoperimetric import upper_bound
-from .shape import AreaProfile, CrossSectionLaw, _ArrayRecord, require_positive
+from .shape import MIN_RELATIVE_STIFFNESS, AreaProfile, CrossSectionLaw, _ArrayRecord, require_positive
 
 GAP_CONVERGED = 1e-3
 VOLUME_TOL = 1e-10
@@ -83,51 +83,59 @@ def objective(A: AreaProfile, E: float, law: CrossSectionLaw) -> float:
     return float(_torque(np.diff(A.panel_edges), A.panel_values, E, law))
 
 
-@dataclass(frozen=True)
-class OptimizationProblem:
+@dataclass(frozen=True, eq=False)
+class OptimizationProblem(_ArrayRecord):
     """Maximize the critical torque over per-panel areas at fixed volume.
 
-    ``init`` must be a piecewise profile on ``segments`` equal-length
-    panels whose volume already matches ``V_target`` to 1e-10 relative.
+    ``areas`` (read-only) is the start on ``areas.size`` equal panels of
+    [0, L]: finite, positive, no smaller than ``MIN_RELATIVE_STIFFNESS``
+    times its largest entry (the floor every profile keeps), and of volume
+    ``V_target`` to 1e-10 relative.  Problems compare and hash by value.
     """
 
     V_target: float
     L: float
     law: CrossSectionLaw
     E: float
-    segments: int
-    init: AreaProfile
+    areas: np.ndarray
+
+    _arrays = ("areas",)
 
     def __post_init__(self) -> None:
         _require_scales(self.V_target, self.L, self.E, "V_target")
-        if self.segments < 1:
-            raise ValueError(f"need at least one segment, got {self.segments}")
-        if self.init.panel_values is None or self.init.panel_values.size != self.segments:
-            raise ValueError(f"initial profile must be piecewise with {self.segments} panels")
-        # Every width within 1e-9 relative of L/k; a NaN width fails too.
-        edges = self.init.panel_edges
-        width = self.L / self.segments
-        if not np.maximum.reduce(np.abs(edges[1:] - edges[:-1] - width)) <= 1e-9 * width:
+        super().__post_init__()
+        areas, V, k = self.areas, self.V_target, self.areas.size
+        if areas.ndim != 1 or k == 0:
+            raise ValueError(f"need a non-empty vector of panel areas, got shape {areas.shape}")
+        # A profile's checks, in its order and with its messages.  Where L / k
+        # is subnormal the edges are unequal, or do not even increase.
+        edges = _equal_edges(self.L, k)
+        widths = edges[1:] - edges[:-1]
+        if not np.minimum.reduce(widths) > 0.0:
+            raise ValueError("breakpoints must be strictly increasing")
+        lo, hi = float(np.minimum.reduce(areas)), float(np.maximum.reduce(areas))
+        if not hi < math.inf:  # NaN fails too
+            raise ValueError("profile values must be finite")
+        if lo <= 0.0 or lo <= MIN_RELATIVE_STIFFNESS * hi:
+            raise ValueError(f"profile must be strictly positive (min {lo:g} vs max {hi:g})")
+        volume = float(np.add.reduce(widths * areas))
+        require_positive(volume, "volume")
+        width = self.L / k
+        if not np.maximum.reduce(np.abs(widths - width)) <= 1e-9 * width:
             raise ValueError("initial profile panels must have equal length")
-        if abs(self.init.volume - self.V_target) > VOLUME_TOL * self.V_target:
-            raise ValueError(
-                f"initial volume {self.init.volume} misses target {self.V_target}"
-            )
+        if abs(volume - V) > VOLUME_TOL * V:
+            raise ValueError(f"initial volume {volume} misses target {V}")
 
     @classmethod
     def from_areas(
-        cls,
-        areas,
-        V_target: float,
-        L: float,
-        law: CrossSectionLaw,
-        E: float,
+        cls, areas, V_target: float, L: float, law: CrossSectionLaw, E: float
     ) -> "OptimizationProblem":
         """Build a problem from raw panel areas, rescaled to the target volume.
 
         The areas must be positive and finite, and so must their sum: a NaN,
         an infinite area and a sum that overflows are each rejected before
-        any arithmetic, by name."""
+        any arithmetic, by name.  A rescale that overflows or underflows
+        fails the problem's own checks."""
         _require_scales(V_target, L, E, "V_target")
         vals = np.asarray(areas, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
@@ -145,17 +153,7 @@ class OptimizationProblem:
             if np.maximum.reduce(vals) == math.inf:
                 raise ValueError("panel areas must be finite, got inf")
             raise ValueError("the sum of the panel areas overflows")
-        k = vals.size
-        h = L / k
-        vals = vals * (V_target / (h * total))
-        return cls(
-            V_target=V_target,
-            L=L,
-            law=law,
-            E=E,
-            segments=k,
-            init=AreaProfile.piecewise(_equal_edges(L, k), vals),
-        )
+        return cls(V_target, L, law, E, vals * (V_target / (L / vals.size * total)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,11 +172,10 @@ class OptimizerIterate(_ArrayRecord):
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Accepted iterates of the projected ascent, oldest first."""
+    """Accepted iterates of the projected ascent, oldest first; the run
+    ``converged`` when the final gap is at most ``GAP_CONVERGED``."""
 
-    iterates: tuple[OptimizerIterate, ...] = ()
-    converged: bool = False
-    final_gap: float = math.inf
+    iterates: tuple[OptimizerIterate, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "iterates", tuple(self.iterates))
@@ -186,6 +183,14 @@ class OptimizationTrace:
     @property
     def final(self) -> OptimizerIterate:
         return self.iterates[-1]
+
+    @property
+    def final_gap(self) -> float:
+        return self.final.gap
+
+    @property
+    def converged(self) -> bool:
+        return self.final.gap <= GAP_CONVERGED
 
     def to_json_lines(self) -> str:
         lines = [
@@ -226,14 +231,14 @@ def optimize(
     roundoff, so it is never shortened (a property test pins this).  The
     ascent stops when a trial's relative gain is below ``tol``, a loss
     included, or after ``max_iters`` steps; ``converged`` reports whether
-    the final profile is constant to within the 1e-3 deviation threshold.
+    the final areas are constant to within the 1e-3 deviation threshold.
 
     Candidates are scored as raw area vectors and need no check: the
     areas, the step and the gradient are positive, so a candidate is at
     least the current areas elementwise, and a step adds more to a
     smaller panel and the rescale is multiplicative, so no candidate has
-    a larger max/min contrast than the validated initial profile.  The
-    panel widths are those of the initial profile.  The loop keeps the
+    a larger max/min contrast than the problem's checked start.  The
+    panel widths are those of the problem's equal panels.  The loop keeps the
     accepted areas and torques; the volumes, volume residuals and gaps
     of all iterates are formed once from the stacked ``(iterates, k)``
     areas, with row sums and row maxima along the contiguous axis.
@@ -251,19 +256,18 @@ def optimize(
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
-    V, L, E, law = problem.V_target, problem.L, problem.E, problem.law
+    V, L, E, law, areas = problem.V_target, problem.L, problem.E, problem.law, problem.areas
     n = law.n
-    h = L / problem.segments
+    h = L / areas.size
     # the first trial step moves the steepest panel this far: a 1/(n+1)
     # share of the mean area cancels the start's deviation to first order
     reach = (V / L) / (n + 1)
-    edges = problem.init.panel_edges
+    edges = _equal_edges(L, areas.size)
     widths = edges[1:] - edges[:-1]
     # the constant factor of _torque, in its order
     numerator = 2.0 * math.pi * E * law.alpha
     total, smallest, largest = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
-    areas = problem.init.panel_values
     areas = areas * (V / (h * float(total(areas))))
     # an overflow or underflow shows as a torque that is not positive and finite
     with np.errstate(all="ignore"):
@@ -289,11 +293,7 @@ def optimize(
     means = volumes / L
     gaps = (largest(np.abs(stacked - means[:, None]), axis=1) / means).tolist()
     residuals = (np.abs(volumes - V) / V).tolist()
-    return OptimizationTrace(
-        iterates=OptimizerIterate._of_rows(stacked, torques, residuals, gaps),
-        converged=gaps[-1] <= GAP_CONVERGED,
-        final_gap=gaps[-1],
-    )
+    return OptimizationTrace(OptimizerIterate._of_rows(stacked, torques, residuals, gaps))
 
 
 def brute_force_segments(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from twistrod.optimizer import (
     GAP_CONVERGED,
     OptimizationProblem,
     OptimizerIterate,
+    _equal_edges,
     brute_force_segments,
     objective,
     optimize,
@@ -52,16 +52,16 @@ def reference_brute_force(V, L, law, E, k, grid):
     return best
 
 
-def reference_optimize(problem, max_iters=1000, tol=1e-10, trials=None):
-    """The projected ascent as one loop that forms every iterate's volume
-    and gap from that iterate's own areas.  Returns the iterates as
-    ``(areas, M_star, volume_residual, gap)`` tuples, ``converged`` and
-    ``final_gap``; appends each iteration's number of trial steps to
-    ``trials`` when one is given."""
+def reference_optimize(problem, max_iters=1000, tol=1e-10):
+    """The projected ascent as one loop that takes the full trial step and
+    forms every iterate's volume and gap from that iterate's own areas.
+    Returns the iterates as ``(areas, M_star, volume_residual, gap)``
+    tuples, ``converged`` and ``final_gap``."""
+    k = problem.areas.size
     n = problem.law.n
-    h = problem.L / problem.segments
+    h = problem.L / k
     mean = problem.V_target / problem.L
-    widths = np.diff(np.linspace(0.0, problem.L, problem.segments + 1))
+    widths = np.diff(np.linspace(0.0, problem.L, k + 1))
 
     def rescale(a):
         return a * (problem.V_target / (h * float(np.sum(a))))
@@ -80,36 +80,15 @@ def reference_optimize(problem, max_iters=1000, tol=1e-10, trials=None):
             float(np.max(np.abs(a - profile_mean)) / profile_mean),
         )
 
-    areas = rescale(problem.init.panel_values.copy())
+    areas = rescale(problem.areas.copy())
     current = score(areas)
     iterates = [record(areas, current)]
 
     for _ in range(max_iters):
         grad = (np.min(areas) / areas) ** (n + 1)  # n h A**(-n-1) over its largest entry
-        step = mean / (n + 1)
-        accepted = None
-        tried = 0
-        for _halving in range(80):
-            tried += 1
-            candidate = areas + step * grad
-            if np.any(candidate <= 0.0):
-                step *= 0.5
-                if step == 0.0:
-                    raise RuntimeError("step size underflowed while restoring positivity")
-                continue
-            candidate = rescale(candidate)
-            value = score(candidate)
-            if value > current or current - value < tol * current:
-                accepted = (candidate, value)
-                break
-            step *= 0.5
-        if trials is not None:
-            trials.append(tried)
-        if accepted is None:
-            break
-        candidate, value = accepted
-        improvement = (value - current) / current
-        if improvement < tol:
+        candidate = rescale(areas + mean / (n + 1) * grad)
+        value = score(candidate)
+        if (value - current) / current < tol:  # a loss included
             break
         areas, current = candidate, value
         iterates.append(record(areas, current))
@@ -205,31 +184,19 @@ class TestLagrangeGap:
 class TestProblemValidation:
     def test_from_areas_rescales_to_volume(self):
         prob = OptimizationProblem.from_areas([1.0, 3.0], 2.0, 1.0, LAW1, 1.0)
-        assert prob.init.volume == pytest.approx(2.0, rel=1e-14)
+        assert prob.areas.tolist() == [1.0, 3.0]
+        assert 0.5 * float(np.sum(prob.areas)) == pytest.approx(2.0, rel=1e-14)
 
     def test_rejects_volume_mismatch(self):
-        init = AreaProfile.piecewise([0.0, 0.5, 1.0], [1.0, 3.0])  # volume 2
         with pytest.raises(ValueError):
-            OptimizationProblem(
-                V_target=3.0, L=1.0, law=LAW1, E=1.0, segments=2, init=init
-            )
+            OptimizationProblem(V_target=3.0, L=1.0, law=LAW1, E=1.0, areas=[1.0, 3.0])
 
     def test_volume_tolerance_from_both_sides(self):
-        # an initial volume within VOLUME_TOL = 1e-10 of the target passes
-        init = AreaProfile.piecewise([0.0, 0.5, 1.0], [1.0, 3.0])  # volume 2
-        OptimizationProblem(
-            V_target=2.0 * (1.0 + 5e-11), L=1.0, law=LAW1, E=1.0, segments=2, init=init
-        )
+        # a start within VOLUME_TOL = 1e-10 of the target volume passes
+        OptimizationProblem(V_target=2.0 * (1.0 + 5e-11), L=1.0, law=LAW1, E=1.0, areas=[1.0, 3.0])
         with pytest.raises(ValueError, match="misses target"):
             OptimizationProblem(
-                V_target=2.0 * (1.0 + 2e-10), L=1.0, law=LAW1, E=1.0, segments=2, init=init
-            )
-
-    def test_rejects_wrong_panel_count(self):
-        init = AreaProfile.piecewise([0.0, 0.5, 1.0], [2.0, 2.0])
-        with pytest.raises(ValueError):
-            OptimizationProblem(
-                V_target=2.0, L=1.0, law=LAW1, E=1.0, segments=3, init=init
+                V_target=2.0 * (1.0 + 2e-10), L=1.0, law=LAW1, E=1.0, areas=[1.0, 3.0]
             )
 
     def test_rejects_nonpositive_areas(self):
@@ -254,28 +221,65 @@ class TestProblemValidation:
 
     def test_largest_finite_sum_is_accepted(self):
         prob = OptimizationProblem.from_areas([1e308, 7e307], 2.0, 1.0, LAW1, 1.0)
-        assert prob.init.volume == pytest.approx(2.0, rel=1e-14)
+        assert 0.5 * float(np.sum(prob.areas)) == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("areas", [[], np.zeros(0), 2.0, [[1.0, 3.0]]])
     def test_rejects_areas_that_are_no_vector(self, areas):
         with pytest.raises(ValueError, match="non-empty vector"):
             OptimizationProblem.from_areas(areas, 2.0, 1.0, LAW1, 1.0)
 
+    @pytest.mark.parametrize(
+        "areas, message",
+        [
+            ([1.0, math.nan], "profile values must be finite"),
+            ([math.inf, 1.0], "profile values must be finite"),
+            ([0.0, 2.0], r"strictly positive \(min 0 vs max 2\)"),
+            ([-1.0, 5.0], "strictly positive"),
+            ([[1.0, 3.0]], "non-empty vector"),
+            ([], "non-empty vector"),
+        ],
+    )
+    def test_direct_construction_checks_the_start(self, areas, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizationProblem(V_target=2.0, L=1.0, law=LAW1, E=1.0, areas=areas)
+
+    def test_contrast_floor_from_both_sides(self):
+        # the smallest area must exceed MIN_RELATIVE_STIFFNESS = 1e-9 of the largest
+        OptimizationProblem.from_areas([1.0, 1.01e-9], 2.0, 1.0, LAW1, 1.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            OptimizationProblem.from_areas([1.0, 0.99e-9], 2.0, 1.0, LAW1, 1.0)
+
+    @pytest.mark.parametrize(
+        "areas, V, L, message",
+        [
+            ([1e-10, 1e-10], 1e300, 1.0, "profile values must be finite"),  # overflows
+            ([1.0, 1.0], 1e-320, 1e10, r"strictly positive \(min 0 vs max 0\)"),  # underflows
+            ([1.0, 1.0], 5e-324, 1e-200, "volume must be positive and finite, got 0.0"),
+            ([1.0, 1.0, 1.0], 1.7976931348623157e308, 3.0, "volume must be positive and finite, got inf"),
+            # panels of a subnormal width L / k are unequal, or do not increase
+            ([1.0] * 3, 1e-320, 1e-320, "panels must have equal length"),
+            ([1.0, 1.0], 5e-324, 5e-324, "breakpoints must be strictly increasing"),
+        ],
+    )
+    def test_rescale_past_the_floats_is_rejected(self, areas, V, L, message):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            OptimizationProblem.from_areas(areas, V, L, LAW1, 1.0)
+
     @pytest.mark.parametrize("key", ["V_target", "L", "E"])
     @pytest.mark.parametrize("bad", NONFINITE)
     def test_rejects_nonfinite_parameters(self, key, bad):
-        init = AreaProfile.piecewise([0.0, 0.5, 1.0], [1.0, 3.0])  # volume 2
         params = {"V_target": 2.0, "L": 1.0, "E": 1.0}
         params[key] = bad
         with pytest.raises(ValueError, match=key):
-            OptimizationProblem(law=LAW1, segments=2, init=init, **params)
+            OptimizationProblem(law=LAW1, areas=[1.0, 3.0], **params)
         with pytest.raises(ValueError):
             OptimizationProblem.from_areas([1.0, 3.0], law=LAW1, **params)
 
 
 class TestPanelEdges:
-    """The equal-width panel edges of a problem and of a brute-force winner
-    are ``np.linspace(0.0, L, k + 1)``, byte for byte."""
+    """The equal-width panel edges of a problem (those the ascent and the
+    problem's checks use) and of a brute-force winner are
+    ``np.linspace(0.0, L, k + 1)``, byte for byte."""
 
     LENGTHS = [10.0**e for e in range(-6, 7)] + [
         Lcg64(1201 + i).log_uniform(1e-6, 1e6) for i in range(12)
@@ -285,7 +289,8 @@ class TestPanelEdges:
     def test_problem_edges_are_linspace(self, L):
         for k in range(1, 201):
             prob = OptimizationProblem.from_areas([1.0] * k, L, L, LAW1, 1.0)
-            assert prob.init.panel_edges.tobytes() == np.linspace(0.0, L, k + 1).tobytes()
+            edges = _equal_edges(prob.L, prob.areas.size)
+            assert edges.tobytes() == np.linspace(0.0, L, k + 1).tobytes()
 
     @pytest.mark.parametrize("L", LENGTHS)
     def test_brute_force_edges_are_linspace(self, L):
@@ -363,10 +368,9 @@ class TestOptimize:
             optimize(prob)
 
 
-def power_counting_init(init, powers):
-    """A stand-in for the initial profile ``init`` whose panel areas, and
-    every array computed from them, append to ``powers`` at each
-    ``np.power`` call."""
+def power_counting_areas(areas, powers):
+    """A read-only stand-in for the start ``areas`` that, with every array
+    computed from it, appends to ``powers`` at each ``np.power`` call."""
 
     class Areas(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
@@ -380,14 +384,16 @@ def power_counting_init(init, powers):
                 return out[0]
             return result.view(Areas) if isinstance(result, np.ndarray) else result
 
-    values = init.panel_values.copy().view(Areas)
-    return SimpleNamespace(panel_values=values, panel_edges=init.panel_edges, volume=init.volume)
+    # a view of a read-only array is read-only: the problem stores it, uncopied
+    plain = areas.copy()
+    plain.setflags(write=False)
+    return plain.view(Areas)
 
 
 class TestConvergenceRate:
     """The first trial moves the steepest panel by mean/(n+1), which cancels
     the start's deviation to first order, so the ascent takes a handful of
-    steps; a trial within the roundoff floor ends it instead of halving."""
+    steps; a trial within the roundoff floor ends it."""
 
     def mix(self):
         """Benchmark-like starts: 10 per segment count 4, 16, 64 and law n = 1-3."""
@@ -411,24 +417,21 @@ class TestConvergenceRate:
         assert max(steps) <= 12
         assert sum(steps) / len(steps) <= 8.0
 
-    def test_no_run_exhausts_the_halvings(self):
+    def test_seeded_mix_matches_reference(self):
         for prob in self.mix():
-            trials = []
-            iterates, converged, _ = reference_optimize(prob, trials=trials)
-            assert converged and len(trials) == len(iterates)  # the last trial ends the run
-            assert max(trials) < 80
+            assert_trace_matches_reference(optimize(prob), prob)
 
     @pytest.mark.parametrize("k", [1, 4, 64])
     def test_constant_start_ends_after_one_trial(self, k):
         prob = OptimizationProblem.from_areas([2.0] * k, 2.0, 1.0, law_for_exponent(3), 1.0)
-        trials = []
-        iterates, _, _ = reference_optimize(prob, trials=trials)
-        assert trials == [1] and len(iterates) == 1
+        iterates, converged, _ = reference_optimize(prob)
+        assert len(iterates) == 1 and converged
         # the program's own count: each trial raises its candidate to -n once
         powers = []
         counted = OptimizationProblem(
-            prob.V_target, prob.L, prob.law, prob.E, k, power_counting_init(prob.init, powers)
+            prob.V_target, prob.L, prob.law, prob.E, power_counting_areas(prob.areas, powers)
         )
+        assert counted.areas.__class__ is not np.ndarray  # kept, not copied
         assert len(optimize(counted).iterates) == 1
         assert len(powers) == 3  # the start's torque, one gradient, one trial
 

@@ -251,7 +251,7 @@ def test_scaling_the_volume_leaves_the_gaps(problem, factor):
     # problem scaled far past the range where n h A**(-n-1) overflows
     # takes the same steps, up to roundoff
     scaled = OptimizationProblem.from_areas(
-        problem.init.panel_values, problem.V_target * factor, problem.L, problem.law, problem.E
+        problem.areas, problem.V_target * factor, problem.L, problem.law, problem.E
     )
     gaps = [it.gap for it in optimize(problem).iterates]
     scaled_gaps = [it.gap for it in optimize(scaled).iterates]

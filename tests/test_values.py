@@ -106,5 +106,5 @@ def test_direct_construction_validates():
 def test_trace_holds_a_tuple():
     trace = optimize(problem())
     assert isinstance(trace.iterates, tuple)
-    relisted = OptimizationTrace(list(trace.iterates), trace.converged, trace.final_gap)
+    relisted = OptimizationTrace(list(trace.iterates))
     assert relisted == trace and hash(relisted) == hash(trace)
