@@ -80,8 +80,7 @@ def mode_to_anisotropic(mode: ModeShape, k: float) -> ModeShape:
     inverse factors so the transformed samples still satisfy the
     anisotropic balance equations.
     """
-    if k <= 0:
-        raise ValueError(f"inertia ratio must be positive, got {k}")
+    require_positive(k, "inertia ratio")
     r = k**0.25
     y = mode.y * r
     z = mode.z / r

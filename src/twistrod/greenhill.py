@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EigenvalueConsistencyError
-from .shape import RodSpec, _ArrayRecord
+from .shape import RodSpec, _ArrayRecord, require_positive
 from .transform import physical_length
 
 # Endpoint residual above this fraction of the mode amplitude means the
@@ -74,15 +74,14 @@ class BucklingResult:
     mode: ModeShape
 
     def __post_init__(self) -> None:
-        if not self.M_crit > 0.0:
-            raise ValueError(f"critical torque must be positive, got {self.M_crit}")
+        require_positive(self.M_crit, "critical torque")
 
 
 def critical_torque_constant(E: float, J: float, l: float, k: int = 1) -> float:
     """Buckling torque 2*pi*k*E*J/l of the uniform rod, mode index k >= 1."""
-    if E <= 0 or J <= 0 or l <= 0:
-        raise ValueError(f"E, J, l must be positive, got E={E}, J={J}, l={l}")
-    if k < 1 or int(k) != k:
+    for value, name in ((E, "E"), (J, "J"), (l, "l")):
+        require_positive(value, name)
+    if not (k >= 1 and float(k).is_integer()):  # NaN and inf fail too
         raise ValueError(f"mode index must be a positive integer, got {k}")
     return 2.0 * math.pi * k * E * J / l
 
@@ -126,8 +125,7 @@ def mode_shape(
     vanish within 1e-8 of the mode amplitude, otherwise the data are
     inconsistent and EigenvalueConsistencyError is raised.
     """
-    if M <= 0:
-        raise ValueError(f"torque must be positive, got {M}")
+    require_positive(M, "torque")
     if c1 == 0.0 and c2 == 0.0:
         raise ValueError("constants (c1, c2) = (0, 0) give only the trivial solution")
     if grid_size < 2:

@@ -27,14 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .greenhill import critical_torque_value
-from .shape import AreaProfile, CrossSectionLaw, RodSpec, area_profile, integrate
+from .shape import AreaProfile, CrossSectionLaw, RodSpec, area_profile, integrate, require_positive
 
 CONJUGATE_TOL = 1e-12
 
 
 def holder_conjugate(p: float) -> float:
     """Exponent q with 1/p + 1/q = 1; p = 1 maps to infinity and back."""
-    if p < 1.0:
+    if not p >= 1.0:  # NaN fails too
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     if p == 1.0:
         return math.inf
@@ -72,9 +72,8 @@ class HolderInstance:
     breakpoints: Sequence[float] | None = None
 
     def __post_init__(self) -> None:
-        if self.L <= 0:
-            raise ValueError(f"domain length must be positive, got {self.L}")
-        if self.p < 1.0 or self.q < 1.0:
+        require_positive(self.L, "domain length")
+        if not (self.p >= 1.0 and self.q >= 1.0):  # NaN fails too
             raise ValueError(f"exponents must be >= 1, got p={self.p}, q={self.q}")
         if math.isinf(self.p) and math.isinf(self.q):
             raise ValueError("at most one exponent may be infinite")
@@ -214,8 +213,8 @@ def upper_bound(E: float, law: CrossSectionLaw, V: float, L: float) -> float:
     the torque of the constant section, formed as 2*pi*E*alpha_n *
     (V/L)**n / L in numpy floats: it overflows only where the cap itself
     does, and then reads inf, not an OverflowError."""
-    if E <= 0 or V <= 0 or L <= 0:
-        raise ValueError(f"E, V, L must be positive, got E={E}, V={V}, L={L}")
+    for value, name in ((E, "E"), (V, "V"), (L, "L")):
+        require_positive(value, name)
     with np.errstate(over="ignore"):
         return float(2.0 * math.pi * E * law.alpha * np.float64(V / L) ** law.n / L)
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import RootSearchError
 from .greenhill import critical_torque_value
-from .shape import RodSpec, ShapeFunction, _ArrayRecord
+from .shape import RodSpec, ShapeFunction, _ArrayRecord, require_positive
 
 DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
@@ -301,8 +301,7 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
 
 def _shoot(grid: StepGrid, M: float) -> ShootingResult:
     """Endpoint matrix and its determinant at one positive torque."""
-    if M <= 0:
-        raise ValueError(f"torque must be positive, got {M}")
+    require_positive(M, "torque")
     S = propagate(grid, np.array([M]))[0]
     return ShootingResult(S=S, det=float(endpoint_det(S)), M=M)
 

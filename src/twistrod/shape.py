@@ -451,8 +451,7 @@ class ShapeFunction(_ArrayRecord):
 
     def scaled(self, factor: float) -> "ShapeFunction":
         """New profile with every value multiplied by ``factor`` > 0."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        require_positive(factor, "scale factor")
         return replace(self, values=_frozen_copy(self.values * factor))
 
     # -- JSON descriptor ----------------------------------------------

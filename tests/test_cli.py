@@ -201,6 +201,17 @@ class TestAnalyze:
         assert main(["analyze", "--spec", spec]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({k: v for k, v in ANISO_ROD.items() if k != "Jz"}, "needs both 'Jy' and 'Jz'"),
+            ({k: v for k, v in CONSTANT_ROD.items() if k != "J_ref"}, "missing 'J_ref'"),
+        ],
+    )
+    def test_incomplete_inertia_is_input_error(self, tmp_path, capsys, doc, message):
+        assert main(["analyze", "--spec", write(tmp_path, "rod.json", doc)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_sampled_shape_kind(self, tmp_path, capsys):
         doc = dict(CONSTANT_ROD)
         doc["shape"] = {"kind": "sampled", "L": 1.0, "values": [1.0, 1.5, 2.0, 1.5, 1.0]}
@@ -243,6 +254,12 @@ class TestOptimize:
         second = capsys.readouterr().out
         assert first == second
         assert json.loads(first.strip().split("\n")[-1])["converged"] is True
+
+    @pytest.mark.parametrize("key", ["V", "L", "E", "law"])
+    def test_missing_field_is_input_error(self, tmp_path, capsys, key):
+        doc = {k: v for k, v in PROBLEM.items() if k != key}
+        assert main(["optimize", "--spec", write(tmp_path, "prob.json", doc)]) == 2
+        assert f"missing required field '{key}'" in capsys.readouterr().err
 
     def test_init_length_mismatch(self, tmp_path, capsys):
         doc = dict(PROBLEM)
