@@ -1,0 +1,90 @@
+"""Mutation suite: every one-line mutation listed here must fail tier-1.
+
+Each case copies ``src/``, ``tests/``, ``bench/`` (whose tracer a tier-1
+test reads) and ``pyproject.toml`` into a temporary directory, applies one (file, old text, new text) mutation to
+the copy and runs the tier-1 suite there, stopping at its first failure.
+The case passes when tier-1 fails.  A mutant that survives needs a test
+that exercises the mutated check from both sides; it is never dropped
+from the list.  Run from the repository root:
+
+    python3 -m pytest mutants -q
+
+It is kept out of tier-1 (``pyproject.toml`` collects ``tests`` only):
+each case runs tier-1 once, a few seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+
+MUTANTS = [
+    # the two-branch logarithm of the reciprocal panel integral, each branch alone
+    ("transform.py", "log_ratio = np.where(near, np.log1p(d / f0), np.log(ratio))",
+     "log_ratio = np.log1p(d / f0)", "reciprocal-log1p-only"),
+    ("transform.py", "log_ratio = np.where(near, np.log1p(d / f0), np.log(ratio))",
+     "log_ratio = np.log(ratio)", "reciprocal-log-only"),
+    # the oracle confirms every trace crossing against det S
+    ("oracle.py", "if det_at_root > 1e-6 * det_scale:", "if det_at_root > math.inf:",
+     "no-determinant-confirmation"),
+    # the quadrature's error estimate is floored at roundoff
+    ("shape.py", "return value, np.maximum(error, floor)", "return value, error", "no-roundoff-floor"),
+    ("optimizer.py", "GAP_CONVERGED = 1e-3", "GAP_CONVERGED = 1e-1", "GAP_CONVERGED"),
+    ("oracle.py", "PROBE_RATIO = 1.4", "PROBE_RATIO = 4.0", "PROBE_RATIO"),
+    ("oracle.py", "SCAN_BLOCK = 8", "SCAN_BLOCK = 1", "SCAN_BLOCK"),
+    ("oracle.py", "_NEVILLE_POINTS = 6", "_NEVILLE_POINTS = 2", "_NEVILLE_POINTS"),
+    ("oracle.py", "BRENT_ITERATIONS = 100", "BRENT_ITERATIONS = 3", "BRENT_ITERATIONS"),
+    ("oracle.py", "MIN_STEPS = 16", "MIN_STEPS = 2", "MIN_STEPS"),
+    ("shape.py", "MIN_RELATIVE_STIFFNESS = 1e-9", "MIN_RELATIVE_STIFFNESS = 1e-12",
+     "MIN_RELATIVE_STIFFNESS"),
+    # five thresholds, each loosened and each tightened 100-fold
+    ("cli.py", "ORACLE_TOLERANCE = 1e-6", "ORACLE_TOLERANCE = 1e-2", "ORACLE_TOLERANCE-loose"),
+    ("cli.py", "ORACLE_TOLERANCE = 1e-6", "ORACLE_TOLERANCE = 1e-8", "ORACLE_TOLERANCE-tight"),
+    ("cli.py", "BOUND_TOLERANCE = 1e-10", "BOUND_TOLERANCE = 1e-3", "BOUND_TOLERANCE-loose"),
+    ("cli.py", "BOUND_TOLERANCE = 1e-10", "BOUND_TOLERANCE = 1e-12", "BOUND_TOLERANCE-tight"),
+    ("greenhill.py", "ENDPOINT_TOL = 1e-8", "ENDPOINT_TOL = 1e-2", "ENDPOINT_TOL-loose"),
+    ("greenhill.py", "ENDPOINT_TOL = 1e-8", "ENDPOINT_TOL = 1e-10", "ENDPOINT_TOL-tight"),
+    ("optimizer.py", "VOLUME_TOL = 1e-10", "VOLUME_TOL = 1e-3", "VOLUME_TOL-loose"),
+    ("optimizer.py", "VOLUME_TOL = 1e-10", "VOLUME_TOL = 1e-12", "VOLUME_TOL-tight"),
+    ("isoperimetric.py", "CONJUGATE_TOL = 1e-12", "CONJUGATE_TOL = 1e-3", "CONJUGATE_TOL-loose"),
+    ("isoperimetric.py", "CONJUGATE_TOL = 1e-12", "CONJUGATE_TOL = 1e-14", "CONJUGATE_TOL-tight"),
+    # oracle steps shared by panel width instead of by phase
+    ("oracle.py",
+     "weights = phase / phase.sum() + (spread / spread.sum() if spread.any() else 0.0)",
+     "weights = widths / widths.sum()", "width-share-steps"),
+]
+
+
+def run_tier1(tmp_path: Path, mutation: tuple[str, str, str] | None = None) -> subprocess.CompletedProcess:
+    """Tier-1 on a copy of the package, with ``mutation`` applied to the copy."""
+    copy = tmp_path / "repo"
+    for part in ("src", "tests", "bench"):
+        shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", copy)
+    if mutation is not None:
+        name, old, new = mutation
+        path = copy / "src" / "twistrod" / name
+        text = path.read_text()
+        assert text.count(old) == 1, f"{name}: the text to mutate is not there exactly once: {old!r}"
+        path.write_text(text.replace(old, new))
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_unmutated_copy_passes(tmp_path):
+    result = run_tier1(tmp_path)
+    assert result.returncode == 0, result.stdout[-3000:]
+
+
+@pytest.mark.parametrize("name, old, new", [m[:3] for m in MUTANTS], ids=[m[3] for m in MUTANTS])
+def test_mutant_fails_tier1(tmp_path, name, old, new):
+    result = run_tier1(tmp_path, (name, old, new))
+    assert result.returncode == 1, f"mutant survived tier-1:\n{result.stdout[-3000:]}"

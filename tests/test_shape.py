@@ -278,6 +278,14 @@ class TestIntegrate:
             integrate(lambda t: abs(t - 1 / math.pi) ** -0.99, 0.0, 1.0, tol=1e-13)
         assert math.isfinite(err.value.best_estimate)
 
+    def test_roundoff_floor_from_both_sides(self):
+        # K21 and G10 agree on t**2 to roundoff, so every error estimate is
+        # the floor, 50 eps = 1.1e-14 of the integral: a budget above it
+        # converges at once, one below it can never be met
+        assert integrate(lambda t: t * t, 0.0, 1.0, tol=2e-14) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            integrate(lambda t: t * t, 0.0, 1.0, tol=1e-15)
+
     def test_nonfinite_estimate_raises(self):
         with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
             integrate(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0)
