@@ -16,6 +16,9 @@ the values of gz and gy at the step's three stencil points,
     B22, B21: as B11, -B12 with y and z exchanged (coefficients b1, b3, q2, q4)
     A11 = 1 - M B12,  A12 = M B11,  A21 = -M B22,  A22 = 1 + M B21.
 
+gy / gz = J_z / J_y is constant along the span, so the exchange leaves
+q2 = p2 and q4 = p4: B21 = -B12, and A11 = A22.
+
 Grid: F is linear on each panel of ``ShapeFunction.panels()``; a panel
 from f0 to f1 gets c geometric steps, F = f0 r^k where step k starts,
 r = (f1/f0)^(1/c), so each step is r times as wide as the one before and
@@ -99,9 +102,9 @@ def endpoint_det(S: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepGrid:
-    """RK4 steps panel by panel: ``poly[k, i, p]`` is coefficient k of
-    (a1, a3, p2, p4) for row i = 0 and (b1, b3, q2, q4) for row i = 1 of
-    each of the ``counts[p]`` steps of panel p (module docstring).  A grid
+    """RK4 steps panel by panel: ``poly[k, p]`` is coefficient k of
+    (a1, b1, a3, b3, p2, p4) of each of the ``counts[p]`` steps of panel p
+    (module docstring; q2 = p2 and q4 = p4 are not stored).  A grid
     of several rods (:meth:`stack`) has a rod axis before the panel axis,
     its shorter rods padded with panels of no steps.  ``len`` is the step
     count of all rods."""
@@ -117,17 +120,17 @@ class StepGrid:
         """One grid of the rods of ``grids``, in their order, each padded
         with copies of its last panel given no steps."""
         width = max(g.counts.size for g in grids)
-        poly = np.empty((4, 2, len(grids), width))
+        poly = np.empty((6, len(grids), width))
         counts = np.zeros((len(grids), width), dtype=int)
         for rod, g in enumerate(grids):
             panels = g.counts.size
-            poly[:, :, rod, :panels], poly[:, :, rod, panels:] = g.poly, g.poly[:, :, -1:]
+            poly[:, rod, :panels], poly[:, rod, panels:] = g.poly, g.poly[:, -1:]
             counts[rod, :panels] = g.counts
         return cls(poly, counts)
 
     def rods(self, index: Sequence[int]) -> "StepGrid":
         """The rods numbered ``index`` of a stacked grid."""
-        return StepGrid(self.poly[:, :, index], self.counts[index])
+        return StepGrid(self.poly[:, index], self.counts[index])
 
 
 def _panel_steps(weights: np.ndarray, steps: int) -> np.ndarray:
@@ -182,7 +185,7 @@ def build_step_grid(
     counts = _panel_steps(weights, steps)
     h, f = _first_step(widths, left, log_ratio, counts)
     # gz = g / J_z and gy = g / J_y with g = 1/(E F): (a1, b1), (a3, b3),
-    # (p2, q2) and (p4, q4) are these products of g times powers of 1/J
+    # p2 = q2 and p4 = q4 are these products of g times powers of 1/J
     g0, g1, g2 = 1.0 / (E * f)
     products = np.array([
         h / 6.0 * (g0 + 4.0 * g1 + g2),
@@ -191,8 +194,8 @@ def build_step_grid(
         h**4 / 24.0 * g1 * g1 * g2 * g0,
     ])
     iz, iy, q = 1.0 / J_z, 1.0 / J_y, 1.0 / (J_z * J_y)
-    inverse = np.array([[iz, iy], [iz * q, iy * q], [q, q], [q * q, q * q]])
-    return StepGrid(products[:, None, :] * inverse[:, :, None], counts)
+    inverse = np.array([iz, iy, iz * q, iy * q, q, q * q])
+    return StepGrid(products[[0, 0, 1, 1, 2, 3]] * inverse[:, None], counts)
 
 
 def _real_spectrum(a: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +231,9 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     [[A, B], [0, I]] is raised to its count c in closed form, then the
     panel maps are composed pairwise.
 
-    With N = A - I, a = tr N / 2, delta = det N and omega**2 = delta - a**2,
-    the eigenvalues of A are lam = 1 + a +- i omega, and by Cayley-Hamilton
+    N = A - I is a I + [[0, n12], [n21, 0]] (B21 = -B12, module docstring),
+    with a = -M B12, omega**2 = -n12 n21 and delta = det N = a**2 + omega**2.
+    The eigenvalues of A are lam = 1 + a +- i omega, and by Cayley-Hamilton
     f(A) = alpha I + beta (N - a I) with alpha = Re f(lam) and beta =
     Im f(lam) / omega (Putzer, *Amer. Math. Monthly* 73:2, 1966).  Here
     log lam = log1p(2 a + delta) / 2 + i atan2(omega, 1 + a), formed from N
@@ -239,20 +243,18 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     :func:`_real_spectrum` instead."""
     counts = grid.counts.reshape(-1, grid.counts.shape[-1])
     rods, panels = counts.shape
-    poly = grid.poly.reshape(4, 2, rods, 1, panels)
+    poly = grid.poly.reshape(6, rods, 1, panels)
     m = np.asarray(M, dtype=float).reshape(rods, -1, 1)
     m2 = m * m
-    # (B11, B22) and (B12, -B21); N = M [[-B12, B11], [-B22, B21]]
-    diagonal = poly[0] - m2 * poly[1]
-    off = m * (poly[2] - m2 * poly[3])
-    md, mo = m * diagonal, m * off
-    # N - a I = [[d, n12], [n21, -d]]
+    # (B11, B22) and B12 = -B21; N = M [[-B12, B11], [-B22, -B12]]
+    diagonal = poly[0:2] - m2 * poly[2:4]
+    off = m * (poly[4] - m2 * poly[5])
+    md = m * diagonal
+    # N = a I + [[0, n12], [n21, 0]]
     n12, n21 = md[0], -md[1]
-    a = -0.5 * (mo[0] + mo[1])
-    d = 0.5 * (mo[1] - mo[0])
-    cross = md[0] * md[1]
-    q = cross - d * d
-    delta = mo[0] * mo[1] + cross
+    a = -m * off
+    q = md[0] * md[1]
+    delta = a * a + q
     real = q <= 0.0
     rare = real.any()
     if rare:
@@ -277,15 +279,13 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
         alpha[:, real], beta[:, real] = _real_spectrum(a[real], q[real], np.broadcast_to(c, q.shape)[real])
     # alpha I + beta (N - a I), then the panel maps [A**c, sum B] and
     # identities up to a power of two of panels
-    bd = beta * d
     powers = np.empty((*alpha.shape, 2, 2))
-    np.add(alpha, bd, out=powers[..., 0, 0])
+    powers[..., 0, 0] = powers[..., 1, 1] = alpha
     np.multiply(beta, n12, out=powers[..., 0, 1])
     np.multiply(beta, n21, out=powers[..., 1, 0])
-    np.subtract(alpha, bd, out=powers[..., 1, 1])
     B = np.empty((*q.shape, 2, 2))
-    B[..., 0, 0], B[..., 0, 1], B[..., 1, 1] = diagonal[0], off[0], diagonal[1]
-    np.negative(off[1], out=B[..., 1, 0])
+    B[..., 0, 0], B[..., 0, 1], B[..., 1, 1] = diagonal[0], off, diagonal[1]
+    np.negative(off, out=B[..., 1, 0])
     maps = np.empty((*q.shape[:2], 1 << (panels - 1).bit_length(), 2, 4))
     maps[:, :, panels:] = _IDENTITY_ROWS
     maps[:, :, :panels, :, :2] = powers[0]

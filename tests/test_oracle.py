@@ -216,10 +216,11 @@ def longdouble_endpoint(grid: StepGrid, M) -> np.ndarray:
     np.longdouble: each panel's augmented step map [[A, B], [0, I]], formed
     from the grid's coefficients as the oracle docstring writes it, raised
     to its count by repeated squaring and composed in panel order."""
-    (a1, b1), (a3, b3), (p2, q2), (p4, q4) = grid.poly.astype(np.longdouble)
+    a1, b1, a3, b3, p2, p4 = grid.poly.astype(np.longdouble)
     m = np.asarray(M, dtype=np.longdouble)[:, None]
     B11, B22 = a1 - m * m * a3, b1 - m * m * b3
-    B12, B21 = m * (p2 - m * m * p4), -m * (q2 - m * m * q4)
+    B12 = m * (p2 - m * m * p4)
+    B21 = -B12
     one, zero = np.ones_like(B11), np.zeros_like(B11)
     rows = [
         [1 - m * B12, m * B11, B11, B12],
@@ -272,14 +273,15 @@ class TestClosedFormPowers:
         assert worst <= 1e-12
 
     def test_real_spectrum_and_zero_torque(self):
-        # coefficients no rod has.  Panel 0: B11 B22 < 0, so N has the real
-        # eigenvalues +-M sqrt(2) (omega**2 < 0).  Panel 1: B22 = 0, a
-        # nilpotent N (omega = 0 and det N = 0).  Panel 3: a double eigenvalue
-        # 1/2 of A at M = 1, real ones of opposite signs at M = 1.5 and of
-        # one sign at M = 2.  At M = 0, N = 0 and S is the sum of B.
-        poly = np.zeros((4, 2, 4))
-        poly[0] = [[1.0, 0.3, 1.0, 0.25], [-2.0, 0.0, 1.0, 0.25]]
-        poly[2] = [[0.0, 0.0, 0.4, 0.25], [0.0, 0.0, 0.1, 0.75]]
+        # coefficients no rod has, rows (a1, b1, a3, b3, p2, p4).  Panel 0:
+        # B11 B22 < 0, so N has the real eigenvalues +-M sqrt(2) (omega**2
+        # < 0).  Panel 1: B22 = 0, a nilpotent N (omega = 0 and det N = 0).
+        # Panel 3: B11 = (1 - M**2) / 4, a double eigenvalue 1/2 of A at
+        # M = 1, real ones of opposite signs at M = 1.5 and of one sign at
+        # M = 2.  At M = 0, N = 0 and S is the sum of B.
+        poly = np.zeros((6, 4))
+        poly[0:3] = [[1.0, 0.3, 1.0, 0.25], [-2.0, 0.0, 1.0, 0.25], [0.0, 0.0, 0.0, 0.25]]
+        poly[4] = [0.0, 0.0, 0.4, 0.5]
         grid = StepGrid(poly, np.array([3, 1000, 7, 5]))
         assert kernel_error(grid, [0.0, 1e-3, 0.5, 1.0, 1.5, 2.0]) <= 1e-12
         np.testing.assert_array_equal(propagate(grid, [0.0])[0], [[311.25, 0.0], [0.0, 2.25]])
@@ -317,7 +319,7 @@ class TestRunLengthKernel:
         dip = ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0])
         grid = build_step_grid(dip, 1.0, 1.0, 1.0, 4096)
         assert grid.counts.tolist() == [73, 73, 73, 1866, 1865, 73, 73]
-        assert len(grid) == 4096 and grid.poly.shape == (4, 2, 7)
+        assert len(grid) == 4096 and grid.poly.shape == (6, 7)
 
     def test_piecewise_memory_independent_of_steps(self):
         tracemalloc.start()
