@@ -56,10 +56,9 @@ MUTANTS = [
     ("optimizer.py", "VOLUME_TOL = 1e-10", "VOLUME_TOL = 1e-12", "VOLUME_TOL-tight"),
     ("isoperimetric.py", "CONJUGATE_TOL = 1e-12", "CONJUGATE_TOL = 1e-3", "CONJUGATE_TOL-loose"),
     ("isoperimetric.py", "CONJUGATE_TOL = 1e-12", "CONJUGATE_TOL = 1e-14", "CONJUGATE_TOL-tight"),
-    # oracle steps shared by panel width instead of by phase
-    ("oracle.py",
-     "weights = phase / phase.sum() + (spread / spread.sum() if spread.any() else 0.0)",
-     "weights = widths / widths.sum()", "width-share-steps"),
+    # oracle steps shared evenly among the panels instead of given to each
+    ("oracle.py", "counts = np.full(left.size, steps)",
+     "counts = np.full(left.size, max(1, steps // left.size))", "even-split-steps"),
 ]
 
 

@@ -19,16 +19,17 @@ the values of gz and gy at the step's three stencil points,
 gy / gz = J_z / J_y is constant along the span, so the exchange leaves
 q2 = p2 and q4 = p4: B21 = -B12, and A11 = A22.
 
-Grid: F is linear on each panel of ``ShapeFunction.panels()``; a panel
-from f0 to f1 gets c geometric steps, F = f0 r^k where step k starts,
-r = (f1/f0)^(1/c), so each step is r times as wide as the one before and
-F at its stencil (f0 r^k times 1, 1 + (r-1)/2, r) r times larger.  Each
-coefficient, h^j times j values of g = 1/(E J F), and so the map are the
-same on every step of the panel.  Kernel: ``propagate`` raises each
-panel's augmented map [[A, B], [0, I]] to its step count in closed form,
-from the trace and determinant of A - I (Cayley-Hamilton), and composes
-the panel maps pairwise, for many torques and many rods at once; S is
-the translation.  A call costs about the same whatever the step counts.
+Grid: F is linear on each panel of ``ShapeFunction.panels()``; every
+panel, from f0 to f1, gets the same number c of geometric steps (a
+panel's map costs the kernel the same whatever its count), F = f0 r^k
+where step k starts, r = (f1/f0)^(1/c), so each step is r times as wide
+as the one before and F at its stencil (f0 r^k times 1, 1 + (r-1)/2, r)
+r times larger.  Each coefficient, h^j times j values of g = 1/(E J F),
+and so the map are the same on every step of the panel.  Kernel:
+``propagate`` raises each panel's augmented map [[A, B], [0, I]] to its
+step count in closed form, from the trace and determinant of A - I
+(Cayley-Hamilton), and composes the panel maps pairwise, for many
+torques and many rods at once; S is the translation.
 
 Search: det S(M) is analytically a perfect square (|1 - exp(-i M phi)|**2
 / M**2 for the exact solution, phi the total reciprocal-stiffness
@@ -104,10 +105,11 @@ def endpoint_det(S: np.ndarray) -> np.ndarray:
 class StepGrid:
     """RK4 steps panel by panel: ``poly[k, p]`` is coefficient k of
     (a1, b1, a3, b3, p2, p4) of each of the ``counts[p]`` steps of panel p
-    (module docstring; q2 = p2 and q4 = p4 are not stored).  A grid
-    of several rods (:meth:`stack`) has a rod axis before the panel axis,
-    its shorter rods padded with panels of no steps.  ``len`` is the step
-    count of all rods."""
+    (module docstring; q2 = p2 and q4 = p4 are not stored), ``counts[p]``
+    the grid's steps per panel.  A grid of several rods (:meth:`stack`)
+    has a rod axis before the panel axis, its shorter rods padded with
+    panels of no steps.  ``len`` is the step count of all rods, panels
+    times steps."""
 
     poly: np.ndarray
     counts: np.ndarray
@@ -133,57 +135,25 @@ class StepGrid:
         return StepGrid(self.poly[:, index], self.counts[index])
 
 
-def _panel_steps(weights: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` shared out in proportion to ``weights``, at least one each:
-    panels whose share is below one get one and the rest share what is left
-    by Hamilton's method (whole parts, then one more to the largest remainders).
-    The counts add up to ``steps`` unless the panels outnumber the steps."""
-    if steps <= weights.size:
-        return np.ones(weights.size, dtype=int)
-    fixed = np.zeros(weights.size, dtype=bool)
-    while True:
-        share = np.where(fixed, 1.0, (steps - fixed.sum()) * weights / weights[~fixed].sum())
-        short = share < 1.0
-        if not short.any():
-            break
-        fixed |= short
-    counts = np.floor(share).astype(int)
-    largest_remainders = np.argsort(counts - share, kind="stable")
-    counts[largest_remainders[: steps - counts.sum()]] += 1
-    return counts
-
-
-def _first_step(widths, f0, log_ratio, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Width of the first of ``counts`` geometric steps per panel, and F at its stencil."""
-    flat = log_ratio == 0.0
-    r1 = np.expm1(log_ratio / counts)
-    h = widths * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
-    return h, np.array([f0, f0 * (1.0 + 0.5 * r1), f0 * (1.0 + r1)])
-
-
 def build_step_grid(
     shape: ShapeFunction, E: float, J_y: float, J_z: float, steps: int = DEFAULT_STEPS
 ) -> StepGrid:
-    """``steps`` RK4 steps (one per panel if the panels are more), geometric
-    on each panel (module docstring), shared out (:func:`_panel_steps`) by
-    share of the phase, by Simpson's rule on ceil(|log(f1/f0)| / 0.25) + 1
-    geometric steps, plus share of sum |log(f1/f0)|, the log taken of the
-    exact difference (Sterbenz) where f0/2 <= f1 <= 2 f0.  gz = 1/(E J_z F)
-    multiplies the y-equation, gy = 1/(E J_y F) the z-equation."""
+    """``steps`` RK4 steps on each panel, geometric (module docstring), the
+    log of f1/f0 taken of the exact difference (Sterbenz) where f0/2 <= f1
+    <= 2 f0.  gz = 1/(E J_z F) multiplies the y-equation, gy = 1/(E J_y F)
+    the z-equation."""
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
     edges, left, right = shape.panels()
-    widths = np.diff(edges)
     ratio = right / left
     near = (0.5 <= ratio) & (ratio <= 2.0)
     log_ratio = np.where(near, np.log1p((right - left) / left), np.log(ratio))
-    spread = np.abs(log_ratio)
-    simpson = np.ceil(spread / 0.25) + 1.0
-    h, f = _first_step(widths, left, log_ratio, simpson)
-    phase = simpson * h / 6.0 * (1.0 / f[0] + 4.0 / f[1] + 1.0 / f[2])
-    weights = phase / phase.sum() + (spread / spread.sum() if spread.any() else 0.0)
-    counts = _panel_steps(weights, steps)
-    h, f = _first_step(widths, left, log_ratio, counts)
+    counts = np.full(left.size, steps)
+    # the first step of each panel: its width and F at its stencil
+    flat = log_ratio == 0.0
+    r1 = np.expm1(log_ratio / counts)
+    h = np.diff(edges) * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
+    f = np.array([left, left * (1.0 + 0.5 * r1), left * (1.0 + r1)])
     # gz = g / J_z and gy = g / J_y with g = 1/(E F): (a1, b1), (a3, b3),
     # p2 = q2 and p4 = q4 are these products of g times powers of 1/J
     g0, g1, g2 = 1.0 / (E * f)
