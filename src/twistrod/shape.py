@@ -399,7 +399,7 @@ class ShapeFunction(_ArrayRecord):
         # Probe segment values / grid nodes and panel midpoints.  F is
         # linear on every panel, so its extremes sit at the values anyway.
         edges = table[0]
-        probes = np.concatenate([vals, self.evaluate(0.5 * (edges[:-1] + edges[1:]))])
+        probes = np.concatenate([vals, self.evaluate(0.5 * edges[:-1] + 0.5 * edges[1:])])
         lo, hi = float(np.minimum.reduce(probes)), float(np.maximum.reduce(probes))
         if lo <= 0.0 or lo <= MIN_RELATIVE_STIFFNESS * hi:
             raise ValueError(
@@ -432,7 +432,7 @@ class ShapeFunction(_ArrayRecord):
             raise ValueError(f"coordinate outside [0, {self.L}]")
         edges, left, right = self.panels()
         # the last panel is closed: L falls into it, not past it
-        i = np.searchsorted(edges[:-1], x, side="right") - 1
+        i = edges[:-1].searchsorted(x, side="right") - 1
         if left is right:
             out = left[i]
         else:

@@ -71,6 +71,13 @@ class TestShapeConstruction:
         with pytest.raises(ValueError, match="strictly increasing"):
             ShapeFunction.piecewise(bp, [1.0] * (len(bp) - 1))
 
+    def test_edges_near_the_largest_double(self):
+        # the midpoint probe halves each edge before adding: no overflow
+        # warning, and no false 'coordinate outside [0, L]'
+        piecewise = ShapeFunction.piecewise([0.0, 1e308, 1.7e308], [1.0, 2.0])
+        sampled = ShapeFunction.sampled([1.0, 2.0, 3.0], 1.7e308)
+        assert piecewise(1.5e308) == 2.0 and sampled(1.7e308) == 3.0
+
     def test_rejects_short_sampled(self):
         with pytest.raises(ValueError):
             ShapeFunction.sampled([1.0], 1.0)
