@@ -118,7 +118,8 @@ class OptimizationProblem(_ArrayRecord):
             raise ValueError("profile values must be finite")
         if lo <= 0.0 or lo <= MIN_RELATIVE_STIFFNESS * hi:
             raise ValueError(f"profile must be strictly positive (min {lo:g} vs max {hi:g})")
-        volume = float(np.add.reduce(widths * areas))
+        with np.errstate(over="ignore"):
+            volume = float(np.add.reduce(widths * areas))
         require_positive(volume, "volume")
         width = self.L / k
         if not np.maximum.reduce(np.abs(widths - width)) <= 1e-9 * width:
@@ -133,18 +134,19 @@ class OptimizationProblem(_ArrayRecord):
         """Build a problem from raw panel areas, rescaled to the target volume.
 
         The areas must be positive and finite, and so must their sum: a NaN,
-        an infinite area and a sum that overflows are each rejected before
-        any arithmetic, by name.  A rescale that overflows or underflows
-        fails the problem's own checks."""
+        an infinite area and a sum that overflows are each rejected by name,
+        and so is a rescale that overflows or underflows on panels of
+        positive width."""
         _require_scales(V_target, L, E, "V_target")
         vals = np.asarray(areas, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError(f"need a non-empty vector of panel areas, got shape {vals.shape}")
-        # the smallest area (NaN if any is) and the sum the rescale needs
-        # anyway, which may overflow: that is checked below, not warned of
-        smallest = np.minimum.reduce(vals)
-        with np.errstate(over="ignore"):
+        # the smallest area (NaN if any is), the sum and the rescale, which
+        # may overflow or underflow: that is checked below, not warned of
+        smallest, width = np.minimum.reduce(vals), L / vals.size
+        with np.errstate(all="ignore"):
             total = np.add.reduce(vals)
+            rescaled = vals * (V_target / (width * total))
         if not smallest > 0.0:
             if smallest != smallest:
                 raise ValueError("panel areas must be finite, got nan")
@@ -153,7 +155,9 @@ class OptimizationProblem(_ArrayRecord):
             if np.maximum.reduce(vals) == math.inf:
                 raise ValueError("panel areas must be finite, got inf")
             raise ValueError("the sum of the panel areas overflows")
-        return cls(V_target, L, law, E, vals * (V_target / (L / vals.size * total)))
+        if width > 0.0 and not 0.0 < np.maximum.reduce(rescaled) < math.inf:
+            raise ValueError(f"the target volume {V_target!r} cannot be reached in floating point")
+        return cls(V_target, L, law, E, rescaled)
 
 
 @dataclass(frozen=True, eq=False)

@@ -388,6 +388,13 @@ class TestOptimize:
         assert f"input error: {message}" in captured.err
         assert captured.out == ""
 
+    def test_unreachable_volume_is_input_error(self, tmp_path, capsys):
+        doc = {**PROBLEM, "V": 1e300, "init": [1e-10, 1e-10]}
+        assert main(["optimize", "--spec", write(tmp_path, "prob.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert "input error: the target volume 1e+300 cannot be reached" in captured.err
+        assert captured.out == ""
+
     def test_empty_init_is_input_error(self, tmp_path, capsys):
         doc = {**PROBLEM, "segments": 0, "init": []}
         spec = write(tmp_path, "prob.json", doc)
