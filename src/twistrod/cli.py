@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true", help="Also run the shooting eigensolver."
     )
     p_analyze.add_argument(
-        "--steps", type=int, default=oracle.DEFAULT_STEPS, help="Shooting steps."
+        "--steps", type=int, default=oracle.DEFAULT_STEPS, help="RK4 steps per panel."
     )
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="Cross-validation suites on random cases.")
     p_verify.add_argument("--n", type=int, default=50, help="Cases per suite.")
     p_verify.add_argument("--seed", type=int, default=2024)
-    p_verify.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS)
+    p_verify.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS, help="RK4 steps per panel.")
     p_verify.add_argument(
         "--inject-wrong-exponent", action="store_true", help=argparse.SUPPRESS
     )
