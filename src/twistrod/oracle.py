@@ -62,6 +62,7 @@ from .errors import RootSearchError
 from .greenhill import critical_torque_value
 from .shape import RodSpec, ShapeFunction, _ArrayRecord, require_positive
 
+# RK4 steps per panel
 DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
@@ -486,7 +487,7 @@ def _roots(
 ) -> list[list[float]]:
     """Eigenvalues of each rod (shape, E, J_y, J_z): the roots of its
     :func:`_search` over :func:`probe_torques` of ``bracket`` and ``probes``
-    on a grid of ``steps`` steps.  The searches run side by side: each
+    on ``steps`` steps per panel.  The searches run side by side: each
     round, one :func:`propagate` call on the stacked grids of the live rods
     shoots the torques every one of them asked for, each rod's padded with
     its last.  Raises, once all are done, the RootSearchError of the first
@@ -562,7 +563,7 @@ def eigenvalues_in(
 
 def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:
     """Relative error against the closed-form critical torque, the one closed
-    form the module reads, per step count, the root search running far below
+    form the module reads, per panel step count, the search running far below
     the discretization error to show the integrator's convergence order."""
     exact = critical_torque_value(spec)
     bracket = (0.5 * exact, 1.5 * exact)
