@@ -59,6 +59,10 @@ MUTANTS = [
     # oracle steps shared evenly among the panels instead of given to each
     ("oracle.py", "counts = np.full(left.size, steps)",
      "counts = np.full(left.size, max(1, steps // left.size))", "even-split-steps"),
+    # the kernel's omega = 0 guard: the sum c I where M = 0, and beta's finite divisor
+    ("oracle.py", "f[1] = np.where(identity, c, f[1] / np.where(identity, 1.0, a + 1j * omega))",
+     "f[1] = f[1] / np.where(identity, 1.0, a + 1j * omega)", "no-zero-torque-sum"),
+    ("oracle.py", "omega = np.where(double, 1.0, omega)", "omega = omega", "no-finite-beta-divisor"),
 ]
 
 

@@ -13,11 +13,13 @@ the values of gz and gy at the step's three stencil points,
 
     B11 = a1 - M^2 a3,    a1 = h/6 (z0 + 4 z1 + z2),  a3 = h^3/12 z1 y1 (z0 + z2)
     B12 = M (p2 - M^2 p4),  p2 = h^2/6 (z1 y0 + z1 y1 + z2 y1),  p4 = h^4/24 z1 y1 z2 y0
-    B22, B21: as B11, -B12 with y and z exchanged (coefficients b1, b3, q2, q4)
+    B22, B21: as B11, -B12 with y and z exchanged
     A11 = 1 - M B12,  A12 = M B11,  A21 = -M B22,  A22 = 1 + M B21.
 
-gy / gz = J_z / J_y is constant along the span, so the exchange leaves
-q2 = p2 and q4 = p4: B21 = -B12, and A11 = A22.
+gy / gz = k = J_z / J_y is constant along the span, so the exchange
+multiplies a1 and a3 by k and leaves p2 and p4: B22 = k B11, B21 = -B12
+and A11 = A22.  Then omega**2 = -A12 A21 = k (M B11)**2 >= 0 for every
+rod, and omega = 0 only where M B11 = 0 (``propagate``).
 
 Grid: F is linear on each panel of ``ShapeFunction.panels()``; every
 panel, from f0 to f1, gets the same number c of geometric steps (a
@@ -104,12 +106,12 @@ def endpoint_det(S: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepGrid:
-    """RK4 steps panel by panel: ``poly[k, p]`` is coefficient k of
-    (a1, b1, a3, b3, p2, p4) of each of the ``counts[p]`` steps of panel p
-    (module docstring; q2 = p2 and q4 = p4 are not stored), ``counts[p]``
-    the grid's steps per panel.  A grid of several rods (:meth:`stack`)
-    has a rod axis before the panel axis, its shorter rods padded with
-    panels of no steps.  ``len`` is the step count of all rods, panels
+    """RK4 steps panel by panel: ``poly[j, p]`` is entry j of (a1, a3, p2,
+    p4, k) of each of the ``counts[p]`` steps of panel p (module docstring;
+    k = J_z / J_y gives the exchanged coefficients), ``counts[p]`` the
+    grid's steps per panel.  A grid of several rods (:meth:`stack`) has a
+    rod axis before the panel axis, its shorter rods padded with panels of
+    no steps.  ``len`` is the step count of all rods, panels
     times steps."""
 
     poly: np.ndarray
@@ -123,7 +125,7 @@ class StepGrid:
         """One grid of the rods of ``grids``, in their order, each padded
         with copies of its last panel given no steps."""
         width = max(g.counts.size for g in grids)
-        poly = np.empty((6, len(grids), width))
+        poly = np.empty((5, len(grids), width))
         counts = np.zeros((len(grids), width), dtype=int)
         for rod, g in enumerate(grids):
             panels = g.counts.size
@@ -155,44 +157,20 @@ def build_step_grid(
     r1 = np.expm1(log_ratio / counts)
     h = np.diff(edges) * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
     f = np.array([left, left * (1.0 + 0.5 * r1), left * (1.0 + r1)])
-    # gz = g / J_z and gy = g / J_y with g = 1/(E F): (a1, b1), (a3, b3),
-    # p2 = q2 and p4 = q4 are these products of g times powers of 1/J
+    # gz = g / J_z and gy = g / J_y with g = 1/(E F): a1, a3, p2 and p4
+    # are these products of g times powers of 1/J
     g0, g1, g2 = 1.0 / (E * f)
-    products = np.array([
+    poly = np.empty((5, left.size))
+    poly[:4] = [
         h / 6.0 * (g0 + 4.0 * g1 + g2),
         h**3 / 12.0 * g1 * g1 * (g0 + g2),
         h**2 / 6.0 * g1 * (g0 + g1 + g2),
         h**4 / 24.0 * g1 * g1 * g2 * g0,
-    ])
-    iz, iy, q = 1.0 / J_z, 1.0 / J_y, 1.0 / (J_z * J_y)
-    inverse = np.array([iz, iy, iz * q, iy * q, q, q * q])
-    return StepGrid(products[[0, 0, 1, 1, 2, 3]] * inverse[:, None], counts)
-
-
-def _real_spectrum(a: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and beta (:func:`propagate`) of A**c, first, and of the sum of
-    A**k, k < c, second, for maps whose N = A - I has the real eigenvalues
-    mu = a +- w, w = sqrt(-q): the mean of f over the two and its difference
-    quotient, or its derivative at mu = a where w = 0.  At M = 0, N = 0, so
-    A**c = I and the sum is c I."""
-    w = np.sqrt(-q)
-    mu = a + np.stack([w, -w])
-    positive = mu > -1.0
-    log_lam = np.log1p(np.where(positive, mu, 0.0))
-    power = np.where(positive, np.exp(c * log_lam), (1.0 + mu) ** c)
-    at_one = mu == 0.0
-    growth = np.where(positive, np.expm1(c * log_lam), power - 1.0)
-    total = np.where(at_one, c, growth / np.where(at_one, 1.0, mu))
-    # derivatives in lam at lam = 1 + a: c lam**(c-1) and (c lam**(c-1) - sum) / a
-    lam = 1.0 + a
-    slope = c * np.where(lam == 0.0, c == 1.0, lam ** np.maximum(c - 1.0, 0.0))
-    flat = a == 0.0
-    total_slope = np.where(flat, 0.5 * c * (c - 1.0), (slope - total[0]) / np.where(flat, 1.0, a))
-    double = w == 0.0
-    spread = np.where(double, 1.0, 2.0 * w)
-    alpha = 0.5 * np.stack([power[0] + power[1], total[0] + total[1]])
-    quotient = np.stack([power[0] - power[1], total[0] - total[1]]) / spread
-    return alpha, np.where(double, np.stack([slope, total_slope]), quotient)
+    ]
+    iz, q = 1.0 / J_z, 1.0 / (J_z * J_y)
+    poly[:4] *= np.array([iz, iz * q, q, q * q])[:, None]
+    poly[4] = J_z / J_y
+    return StepGrid(poly, counts)
 
 
 def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
@@ -202,52 +180,50 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     [[A, B], [0, I]] is raised to its count c in closed form, then the
     panel maps are composed pairwise.
 
-    N = A - I is a I + [[0, n12], [n21, 0]] (B21 = -B12, module docstring),
-    with a = -M B12, omega**2 = -n12 n21 and delta = det N = a**2 + omega**2.
-    The eigenvalues of A are lam = 1 + a +- i omega, and by Cayley-Hamilton
-    f(A) = alpha I + beta (N - a I) with alpha = Re f(lam) and beta =
-    Im f(lam) / omega (Putzer, *Amer. Math. Monthly* 73:2, 1966).  Here
-    log lam = log1p(2 a + delta) / 2 + i atan2(omega, 1 + a), formed from N
-    without cancellation.  A**c takes f = lam**c and the translation, the
-    sum of A**k for k < c times B, f = expm1(c log lam) / (a + i omega).
-    Maps whose omega**2 is not positive (M = 0 among them) take
-    :func:`_real_spectrum` instead."""
+    N = A - I is a I + [[0, n12], [n21, 0]] (module docstring), with
+    a = -M B12, n12 = M B11, n21 = -k n12, omega**2 = -n12 n21 >= 0 and
+    delta = det N = a**2 + omega**2.  The eigenvalues of A are lam = 1 + a
+    +- i omega, and by Cayley-Hamilton f(A) = alpha I + beta (N - a I) with
+    alpha = Re f(lam) and beta = Im f(lam) / omega (Putzer, *Amer. Math.
+    Monthly* 73:2, 1966).  Here log lam = log1p(2 a + delta) / 2 + i
+    atan2(omega, 1 + a), formed from N without cancellation.  A**c takes
+    f = lam**c and the translation, the sum of A**k for k < c times B,
+    f = expm1(c log lam) / (a + i omega).  Where omega = 0, M B11 = 0 and
+    N = a I, so beta multiplies a zero matrix and only has to be finite;
+    where a = 0 as well (M = 0), A = I and the sum is c I."""
     counts = grid.counts.reshape(-1, grid.counts.shape[-1])
     rods, panels = counts.shape
-    poly = grid.poly.reshape(6, rods, 1, panels)
+    a1, a3, p2, p4, k = grid.poly.reshape(5, rods, 1, panels)
     m = np.asarray(M, dtype=float).reshape(rods, -1, 1)
     m2 = m * m
-    # (B11, B22) and B12 = -B21; N = M [[-B12, B11], [-B22, -B12]]
-    diagonal = poly[0:2] - m2 * poly[2:4]
-    off = m * (poly[4] - m2 * poly[5])
-    md = m * diagonal
-    # N = a I + [[0, n12], [n21, 0]]
-    n12, n21 = md[0], -md[1]
+    # B11, B22 = k B11 and B12 = -B21
+    B11 = a1 - m2 * a3
+    B22 = k * B11
+    off = m * (p2 - m2 * p4)
+    n12 = m * B11
+    n21 = -k * n12
     a = -m * off
-    q = md[0] * md[1]
+    q = -n12 * n21
     delta = a * a + q
-    real = q <= 0.0
-    rare = real.any()
-    if rare:
-        # a stand-in a = -1/2, omega**2 = 3/4, delta = 1 (lam = exp(i pi/3))
-        # for the maps that _real_spectrum takes
-        a_c, q_c, delta = np.where(real, -0.5, a), np.where(real, 0.75, q), np.where(real, 1.0, delta)
-    else:
-        a_c, q_c = a, q
-    omega = np.sqrt(q_c)
+    omega = np.sqrt(q)
     log_lam = np.empty(omega.shape, complex)
-    log_lam.real = 0.5 * np.log1p(2.0 * a_c + delta)
-    log_lam.imag = np.arctan2(omega, 1.0 + a_c)
+    log_lam.real = 0.5 * np.log1p(2.0 * a + delta)
+    log_lam.imag = np.arctan2(omega, 1.0 + a)
     c = counts[:, None, :]
     z = c * log_lam
     # f(lam) of A**c and of the sum of A**k, k < c
     f = np.empty((2, *z.shape), complex)
     np.exp(z, out=f[0])
     np.expm1(z, out=f[1])
-    f[1] /= a_c + 1j * omega
+    double = q == 0.0
+    if double.any():
+        # N = a I (docstring): the sum is c I where a = 0, beta any finite value
+        identity = double & (a == 0.0)
+        f[1] = np.where(identity, c, f[1] / np.where(identity, 1.0, a + 1j * omega))
+        omega = np.where(double, 1.0, omega)
+    else:
+        f[1] /= a + 1j * omega
     alpha, beta = f.real, f.imag / omega
-    if rare:
-        alpha[:, real], beta[:, real] = _real_spectrum(a[real], q[real], np.broadcast_to(c, q.shape)[real])
     # alpha I + beta (N - a I), then the panel maps [A**c, sum B] and
     # identities up to a power of two of panels
     powers = np.empty((*alpha.shape, 2, 2))
@@ -255,7 +231,7 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     np.multiply(beta, n12, out=powers[..., 0, 1])
     np.multiply(beta, n21, out=powers[..., 1, 0])
     B = np.empty((*q.shape, 2, 2))
-    B[..., 0, 0], B[..., 0, 1], B[..., 1, 1] = diagonal[0], off, diagonal[1]
+    B[..., 0, 0], B[..., 0, 1], B[..., 1, 1] = B11, off, B22
     np.negative(off, out=B[..., 1, 0])
     maps = np.empty((*q.shape[:2], 1 << (panels - 1).bit_length(), 2, 4))
     maps[:, :, panels:] = _IDENTITY_ROWS

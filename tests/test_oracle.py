@@ -157,8 +157,7 @@ class TestBatchedKernel:
         torques = np.array([0.05, 2.0, 6.5, 11.0])
         worst = 0.0
         for shape, J_y, J_z in cases:
-            # 4100 and 1003 steps put odd levels in both sampled shapes' trees
-            for steps in (4096, 4100, 1003, 1000):
+            for steps in (MIN_STEPS, 257, 1000):
                 grid = build_step_grid(shape, 1.3, J_y, J_z, steps)
                 S = propagate(grid, torques)
                 assert S.shape == (torques.size, 2, 2)
@@ -215,9 +214,10 @@ def longdouble_endpoint(grid: StepGrid, M) -> np.ndarray:
     np.longdouble: each panel's augmented step map [[A, B], [0, I]], formed
     from the grid's coefficients as the oracle docstring writes it, raised
     to its count by repeated squaring and composed in panel order."""
-    a1, b1, a3, b3, p2, p4 = grid.poly.astype(np.longdouble)
+    a1, a3, p2, p4, k = grid.poly.astype(np.longdouble)
     m = np.asarray(M, dtype=np.longdouble)[:, None]
-    B11, B22 = a1 - m * m * a3, b1 - m * m * b3
+    B11 = a1 - m * m * a3
+    B22 = k * B11
     B12 = m * (p2 - m * m * p4)
     B21 = -B12
     one, zero = np.ones_like(B11), np.zeros_like(B11)
@@ -254,8 +254,8 @@ class TestClosedFormPowers:
 
     def test_matches_longdouble_powers(self):
         # squaring in double was up to 1e-11 off on these grids.  At 16 steps
-        # per panel the maps grow to norm 1e27 by 13 M*; M = 0 takes the
-        # real-spectrum branch
+        # per panel the maps grow to norm 1e27 by 13 M*; at M = 0 every
+        # panel's N is zero (A = I)
         worst = 0.0
         for seed in range(10):
             rng = Lcg64(seed)
@@ -273,19 +273,22 @@ class TestClosedFormPowers:
                         worst = max(worst, kernel_error(grid, m_star * np.array(factors)))
         assert worst <= 1e-12
 
-    def test_real_spectrum_and_zero_torque(self):
-        # coefficients no rod has, rows (a1, b1, a3, b3, p2, p4).  Panel 0:
-        # B11 B22 < 0, so N has the real eigenvalues +-M sqrt(2) (omega**2
-        # < 0).  Panel 1: B22 = 0, a nilpotent N (omega = 0 and det N = 0).
-        # Panel 3: B11 = (1 - M**2) / 4, a double eigenvalue 1/2 of A at
-        # M = 1, real ones of opposite signs at M = 1.5 and of one sign at
-        # M = 2.  At M = 0, N = 0 and S is the sum of B.
-        poly = np.zeros((6, 4))
-        poly[0:3] = [[1.0, 0.3, 1.0, 0.25], [-2.0, 0.0, 1.0, 0.25], [0.0, 0.0, 0.0, 0.25]]
-        poly[4] = [0.0, 0.0, 0.4, 0.5]
-        grid = StepGrid(poly, np.array([3, 1000, 7, 5]))
+    def test_degenerate_maps(self):
+        # rows (a1, a3, p2, p4, k).  Panel 0: B11 = (1 - M**2) / 4 vanishes
+        # at M = 1 with B12 = 0.3, so omega = 0 and N = -0.3 I.  Panel 1:
+        # B11 = 1 - M**2 / 4 and B12 = M (1/2 - M**2 / 8) vanish together at
+        # M = 2, so N = 0 and A = I.  At M = 0, N = 0 on every panel and S is
+        # the sum of B, c diag(a1, k a1) per panel.
+        poly = np.array([
+            [0.25, 1.0, 1.0],
+            [0.25, 0.25, 0.01],
+            [0.4, 0.5, 0.3],
+            [0.1, 0.125, 0.002],
+            [2.0, 0.5, 0.75],
+        ])
+        grid = StepGrid(poly, np.array([3, 5, 7]))
         assert kernel_error(grid, [0.0, 1e-3, 0.5, 1.0, 1.5, 2.0]) <= 1e-12
-        np.testing.assert_array_equal(propagate(grid, [0.0])[0], [[311.25, 0.0], [0.0, 2.25]])
+        np.testing.assert_array_equal(propagate(grid, [0.0])[0], [[12.75, 0.0], [0.0, 9.25]])
 
 
 class TestRunLengthKernel:
@@ -293,7 +296,7 @@ class TestRunLengthKernel:
 
     def test_one_step_panel_and_unequal_runs(self):
         # a panel 1/4096 of the span wide between wider ones, 4096 steps each
-        # (unequal counts: TestClosedFormPowers::test_real_spectrum_and_zero_torque)
+        # (unequal counts: TestClosedFormPowers::test_degenerate_maps)
         shape = ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 0.3, 1.0], [0.7, 2.0, 1.3])
         torques = np.array([0.05, 2.0, 6.5, 11.0])
         worst = 0.0
@@ -320,7 +323,7 @@ class TestRunLengthKernel:
         dip = ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0])
         grid = build_step_grid(dip, 1.0, 1.0, 1.0, 4096)
         assert grid.counts.tolist() == [4096] * 7
-        assert len(grid) == 7 * 4096 and grid.poly.shape == (6, 7)
+        assert len(grid) == 7 * 4096 and grid.poly.shape == (5, 7)
 
     def test_piecewise_memory_independent_of_steps(self):
         tracemalloc.start()
