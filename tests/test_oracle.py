@@ -275,20 +275,22 @@ class TestClosedFormPowers:
 
     def test_degenerate_maps(self):
         # rows (a1, a3, p2, p4, k).  Panel 0: B11 = (1 - M**2) / 4 vanishes
-        # at M = 1 with B12 = 0.3, so omega = 0 and N = -0.3 I.  Panel 1:
-        # B11 = 1 - M**2 / 4 and B12 = M (1/2 - M**2 / 8) vanish together at
-        # M = 2, so N = 0 and A = I.  At M = 0, N = 0 on every panel and S is
-        # the sum of B, c diag(a1, k a1) per panel.
+        # at M = 1 with B12 = 0.3, so omega = 0 and N = -0.3 I.  Panel 3:
+        # the same at M = 1 with B12 = 1.5, so A = -I / 2, as on a uniform
+        # step where B11 = 0.  Panel 1: B11 = 1 - M**2 / 4 and B12 =
+        # M (1/2 - M**2 / 8) vanish together at M = 2, so N = 0 and A = I.
+        # At M = 0, N = 0 on every panel and S is the sum of B, c diag(a1,
+        # k a1) per panel.
         poly = np.array([
-            [0.25, 1.0, 1.0],
-            [0.25, 0.25, 0.01],
-            [0.4, 0.5, 0.3],
-            [0.1, 0.125, 0.002],
-            [2.0, 0.5, 0.75],
+            [0.25, 1.0, 1.0, 0.5],
+            [0.25, 0.25, 0.01, 0.5],
+            [0.4, 0.5, 0.3, 2.0],
+            [0.1, 0.125, 0.002, 0.5],
+            [2.0, 0.5, 0.75, 1.0],
         ])
-        grid = StepGrid(poly, np.array([3, 5, 7]))
+        grid = StepGrid(poly, np.array([3, 5, 7, 4]))
         assert kernel_error(grid, [0.0, 1e-3, 0.5, 1.0, 1.5, 2.0]) <= 1e-12
-        np.testing.assert_array_equal(propagate(grid, [0.0])[0], [[12.75, 0.0], [0.0, 9.25]])
+        np.testing.assert_array_equal(propagate(grid, [0.0])[0], [[14.75, 0.0], [0.0, 11.25]])
 
 
 class TestRunLengthKernel:

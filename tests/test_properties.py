@@ -6,7 +6,9 @@ up to 1e11, for the closed-form torque, the volume and the bound.  The
 shooting oracle runs on fewer rods (:func:`shot_rods`), of equal- or
 unequal-width piecewise or sampled profiles; it also checks that
 refining a profile (splitting a piecewise panel, inserting a sampled
-rod's midpoints) changes neither the closed forms nor the root.  The
+rod's midpoints) changes neither the closed forms nor the root.  Over the
+full range of rods, the oracle's spectrum from M = 0 holds the first
+eigenvalues k M* and the coordinate map inverts itself to roundoff.  The
 fixed-volume ascent starts from panel areas of the same contrasts.  The
 search is derandomized, so every run draws the same rods.
 """
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 from twistrod.greenhill import critical_torque_value
 from twistrod.isoperimetric import upper_bound, verify_bound
 from twistrod.optimizer import OptimizationProblem, _torque, optimize
-from twistrod.oracle import critical_torque_oracle
+from twistrod.oracle import critical_torque_oracle, eigenvalues_in
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
+from twistrod.transform import CoordinateMap
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # A root costs a few milliseconds, so the shooting properties draw fewer
@@ -47,6 +50,11 @@ MIDPOINT_ROOT_TOL = 1e-10
 # shared by width instead of phase fail the second property
 REVERSAL_TOL = 1e-9
 ORACLE_TOL = 1e-7
+# 300 draws of rods(): the first three eigenvalues within 3.7e-12 of k M*
+EIGENVALUE_TOL = 1e-10
+# 3000 draws of shapes(): round trips within 0.21 of 4 eps span max F / min F,
+# the conditioning of the map and its inverse
+ROUND_TRIP_EPS = 4.0 * np.finfo(float).eps
 
 
 def exponent(lo: float, hi: float):
@@ -235,6 +243,28 @@ def test_reversal_keeps_oracle_root(spec):
 @given(shot_rods())
 def test_oracle_matches_closed_form(spec):
     assert critical_torque_oracle(spec) == pytest.approx(critical_torque_value(spec), rel=ORACLE_TOL)
+
+
+@PROPERTY_SETTINGS
+@given(rods(), st.integers(0, 3))
+def test_spectrum_from_zero_holds_the_first_eigenvalues(spec, K):
+    # the scan's first probe is M = 0, where every step map has N = 0
+    m_star = critical_torque_value(spec)
+    roots = eigenvalues_in(spec, 0.0, (K + 0.5) * m_star)
+    assert len(roots) == K
+    for k, root in enumerate(roots, 1):
+        assert root == pytest.approx(k * m_star, rel=EIGENVALUE_TOL)
+
+
+@PROPERTY_SETTINGS
+@given(shapes(), st.floats(0.0, 1.0))
+def test_coordinate_map_round_trips(shape, t):
+    cmap = CoordinateMap.build(shape)
+    _, left, right = shape.panels()
+    contrast = max(left.max(), right.max()) / min(left.min(), right.min())
+    xi, x = t * shape.L, t * cmap.l
+    assert abs(cmap.x_to_xi(cmap.xi_to_x(xi)) - xi) <= ROUND_TRIP_EPS * shape.L * contrast
+    assert abs(cmap.xi_to_x(cmap.x_to_xi(x)) - x) <= ROUND_TRIP_EPS * cmap.l * contrast
 
 
 def assert_refinement_changes_nothing(spec: RodSpec, shape: ShapeFunction, root_tol: float):
