@@ -19,7 +19,8 @@ the values of gz and gy at the step's three stencil points,
 gy / gz = k = J_z / J_y is constant along the span, so the exchange
 multiplies a1 and a3 by k and leaves p2 and p4: B22 = k B11, B21 = -B12
 and A11 = A22.  Then omega**2 = -A12 A21 = k (M B11)**2 >= 0 for every
-rod, and omega = 0 only where M B11 = 0 (``propagate``).
+rod, and omega = 0 only where M B11 = 0; ``propagate`` handles those maps
+except the one with A = 0.
 
 Grid: F is linear on each panel of ``ShapeFunction.panels()``; every
 panel, from f0 to f1, gets the same number c of geometric steps (a
@@ -190,7 +191,10 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     f = lam**c and the translation, the sum of A**k for k < c times B,
     f = expm1(c log lam) / (a + i omega).  Where omega = 0, M B11 = 0 and
     N = a I, so beta multiplies a zero matrix and only has to be finite;
-    where a = 0 as well (M = 0), A = I and the sum is c I."""
+    where a = 0 as well (M = 0), A = I and the sum is c I.  A map with
+    lam = 0 (omega = 0 and a = -1, so A = 0) is not handled: log1p(-1)
+    makes its S NaN.  It needs M**2 = a1 / a3 and M B12 = 1 at once, and
+    no rod is known to reach it."""
     counts = grid.counts.reshape(-1, grid.counts.shape[-1])
     rods, panels = counts.shape
     a1, a3, p2, p4, k = grid.poly.reshape(5, rods, 1, panels)
@@ -215,14 +219,12 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     f = np.empty((2, *z.shape), complex)
     np.exp(z, out=f[0])
     np.expm1(z, out=f[1])
+    # N = a I where omega = 0 (docstring): the sum is c I where a = 0 too,
+    # and beta takes any finite value
     double = q == 0.0
-    if double.any():
-        # N = a I (docstring): the sum is c I where a = 0, beta any finite value
-        identity = double & (a == 0.0)
-        f[1] = np.where(identity, c, f[1] / np.where(identity, 1.0, a + 1j * omega))
-        omega = np.where(double, 1.0, omega)
-    else:
-        f[1] /= a + 1j * omega
+    identity = double & (a == 0.0)
+    f[1] = np.where(identity, c, f[1] / np.where(identity, 1.0, a + 1j * omega))
+    omega = np.where(double, 1.0, omega)
     alpha, beta = f.real, f.imag / omega
     # alpha I + beta (N - a I), then the panel maps [A**c, sum B] and
     # identities up to a power of two of panels
