@@ -209,15 +209,33 @@ class TestBatchedKernel:
         assert peak < 8 * 2**20
 
 
-def longdouble_endpoint(grid: StepGrid, M) -> np.ndarray:
-    """Endpoint matrices of a one-rod ``grid`` at the torques ``M`` in
-    np.longdouble: each panel's augmented step map [[A, B], [0, I]], formed
-    from the grid's coefficients as the oracle docstring writes it, raised
-    to its count by repeated squaring and composed in panel order."""
+def longdouble_rows(shape: ShapeFunction, E: float, J_y: float, J_z: float, steps: int) -> list:
+    """Rows (a1, b1, a3, b3, p2, p4) of each panel's step map in
+    np.longdouble.  With J_y = J_z = 1 the grid's rows (a1, a3, p2, p4)
+    are the products of h and g = 1/(E F) alone (oracle docstring); these
+    are divided by the powers of J_z and J_y of gz = g / J_z and gy = g /
+    J_y, and b1, b3 by those of a1, a3 with y and z exchanged.  Nothing
+    here uses B22 = (J_z/J_y) B11."""
+    a1, a3, p2, p4, _ = build_step_grid(shape, E, 1.0, 1.0, steps).poly.astype(np.longdouble)
+    z, y = 1 / np.longdouble(J_z), 1 / np.longdouble(J_y)
+    return [a1 * z, a1 * y, a3 * z * z * y, a3 * y * y * z, p2 * z * y, p4 * (z * y) ** 2]
+
+
+def grid_rows(grid: StepGrid) -> list:
+    """The six rows of a one-rod ``grid`` in np.longdouble: b1 = k a1 and
+    b3 = k a3 from its rows (a1, a3, p2, p4, k)."""
     a1, a3, p2, p4, k = grid.poly.astype(np.longdouble)
+    return [a1, k * a1, a3, k * a3, p2, p4]
+
+
+def longdouble_endpoint(rows: list, counts: np.ndarray, M) -> np.ndarray:
+    """Endpoint matrices at the torques ``M`` in np.longdouble: each
+    panel's augmented step map [[A, B], [0, I]], formed from its six
+    ``rows`` (:func:`longdouble_rows`) as the oracle docstring writes it,
+    raised to its count by repeated squaring and composed in panel order."""
+    a1, b1, a3, b3, p2, p4 = rows
     m = np.asarray(M, dtype=np.longdouble)[:, None]
-    B11 = a1 - m * m * a3
-    B22 = k * B11
+    B11, B22 = a1 - m * m * a3, b1 - m * m * b3
     B12 = m * (p2 - m * m * p4)
     B21 = -B12
     one, zero = np.ones_like(B11), np.zeros_like(B11)
@@ -229,22 +247,22 @@ def longdouble_endpoint(grid: StepGrid, M) -> np.ndarray:
     ]
     step = np.moveaxis(np.array(rows), (0, 1), (-2, -1))
     power = np.broadcast_to(np.eye(4, dtype=np.longdouble), step.shape).copy()
-    counts = grid.counts.copy()
+    counts = counts.copy()
     while counts.any():
         odd = counts % 2 == 1
         power[:, odd] = step[:, odd] @ power[:, odd]
         step = step @ step
         counts //= 2
     total = power[:, 0]
-    for panel in range(1, grid.counts.size):
+    for panel in range(1, power.shape[1]):
         total = power[:, panel] @ total
     return total[:, :2, 2:]
 
 
-def kernel_error(grid: StepGrid, M) -> float:
-    """Largest difference of ``propagate`` from the long-double reference,
-    relative to max |S| at each torque."""
-    reference = longdouble_endpoint(grid, M)
+def kernel_error(grid: StepGrid, M, rows: list) -> float:
+    """Largest difference of ``propagate`` from the long-double reference
+    of the step maps ``rows``, relative to max |S| at each torque."""
+    reference = longdouble_endpoint(rows, grid.counts, M)
     error = np.abs(propagate(grid, np.asarray(M, dtype=float)) - reference)
     return float(np.max(error.max(axis=(1, 2)) / np.abs(reference).max(axis=(1, 2))))
 
@@ -262,7 +280,7 @@ class TestClosedFormPowers:
             shapes = [random_piecewise_shape(rng), random_sampled_shape(rng)]
             shapes += [ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 1e-8]), ShapeFunction.sampled([1.0, 1e-8])]
             for shape in shapes:
-                for J_y, J_z in ((1.0, 1.0), (16.0, 1.0)):
+                for J_y, J_z in ((1.0, 1.0), (16.0, 1.0), (0.3, 2.7)):
                     m_star = critical_torque_value(RodSpec(1.0, math.sqrt(J_y * J_z), shape, LAW))
                     for steps, factors in (
                         (MIN_STEPS, [0.0, 0.37, 1.3, 9.0, 13.0]),
@@ -270,7 +288,8 @@ class TestClosedFormPowers:
                         (2**18, [0.0, 1e-3, 0.37, 1.3]),
                     ):
                         grid = build_step_grid(shape, 1.0, J_y, J_z, steps)
-                        worst = max(worst, kernel_error(grid, m_star * np.array(factors)))
+                        rows = longdouble_rows(shape, 1.0, J_y, J_z, steps)
+                        worst = max(worst, kernel_error(grid, m_star * np.array(factors), rows))
         assert worst <= 1e-12
 
     def test_degenerate_maps(self):
@@ -289,7 +308,7 @@ class TestClosedFormPowers:
             [2.0, 0.5, 0.75, 1.0],
         ])
         grid = StepGrid(poly, np.array([3, 5, 7, 4]))
-        assert kernel_error(grid, [0.0, 1e-3, 0.5, 1.0, 1.5, 2.0]) <= 1e-12
+        assert kernel_error(grid, [0.0, 1e-3, 0.5, 1.0, 1.5, 2.0], grid_rows(grid)) <= 1e-12
         np.testing.assert_array_equal(propagate(grid, [0.0])[0], [[14.75, 0.0], [0.0, 11.25]])
 
 
