@@ -63,6 +63,14 @@ MUTANTS = [
     ("oracle.py", "f[1] = np.where(identity, c, f[1] / np.where(identity, 1.0, a + 1j * omega))",
      "f[1] = f[1] / np.where(identity, 1.0, a + 1j * omega)", "no-zero-torque-sum"),
     ("oracle.py", "omega = np.where(double, 1.0, omega)", "omega = omega", "no-finite-beta-divisor"),
+    # a bracket of adjacent floats holds no batch: its end is the root
+    ("oracle.py", " or math.nextafter(a, b) == b:", ":", "no-adjacent-floats-return"),
+    # the phase that aims the first shot: each panel's angle times its count,
+    # and the multiple of 2 pi it passes over the probe interval
+    ("oracle.py", "(c * np.arctan2(omega, 1.0 + a)).sum(axis=-1)",
+     "np.arctan2(omega, 1.0 + a).sum(axis=-1)", "phase-without-counts"),
+    ("oracle.py", "math.floor(theta[i] / (2.0 * math.pi))", "(math.floor(theta[i] / (2.0 * math.pi)) + 1)",
+     "phase-zero-one-turn-late"),
 ]
 
 

@@ -41,15 +41,19 @@ upward zero crossings are exactly the eigenvalues k M* and the downward
 ones (k - 1/2) M*, where det S is largest; an anisotropic section keeps
 that pattern.  Default probes are geometric with ratio 1.4 < 3/2 between
 bounds on M* from the extremes of F, so no probe interval holds M* and
-another zero.  A crossing is narrowed by batches of 8 torques per kernel
-call around the zero of the inverse interpolant of the traces computed
-(after Chandrupatla, *Adv. Eng. Software* 28:145, 1997) and confirmed
-against det S.  Nothing in the search reads phi or any other closed form,
-and a crossing that is not an eigenvalue raises.  Each rod's search is a
-generator that yields the torques it needs next, so one driver,
-:func:`_roots`, advances the searches of many rods with one kernel call
-per round; every root function here and in ``anisotropic`` calls it.
-Needs numpy only.
+another zero.  The RK4 maps share one generator, so S = (Lambda - I)
+[[0, -1], [1, 0]] / M with Lambda their product, and trace S = rho
+sin(Theta) (1 + k) / (sqrt(k) M), Theta the angle they turn through
+(:func:`_phase`, no composition): the first kernel call shoots the probes
+up to where Theta passes 2 pi and 8 torques around that torque.  Other
+crossings are narrowed by such batches around the zero of the inverse
+interpolant of the traces (after Chandrupatla, *Adv. Eng. Software*
+28:145, 1997).  Every root is a trace crossing confirmed against det S:
+nothing in the search reads phi or any other closed form, and a crossing
+that is not an eigenvalue raises.  Each rod's search is a generator that
+yields the torques it needs next, so one driver, :func:`_roots`, advances
+the searches of many rods with one kernel call per round; every root
+function here and in ``anisotropic`` calls it.  Needs numpy only.
 """
 
 from __future__ import annotations
@@ -72,16 +76,16 @@ DEFAULT_PROBES = 64
 # Equal intervals of the exhaustive scan of eigenvalues_in
 SPECTRUM_PROBES = 256
 MIN_STEPS = 16
-# Torques per rod and kernel call while scanning.  A call holds a few
-# dozen floats per rod, panel and torque: memory is rods x panels x torques.
+# Torques per rod and kernel call of the scan after the first shot.  A call
+# holds a few dozen floats per rod, panel and torque: rods x panels x torques.
 SCAN_BLOCK = 8
 PROBE_RATIO = 1.4
 BRENT_ITERATIONS = 100
 # Relative tolerance of a refined root, four ulps, as scipy's brentq asks
 RTOL = 8.9e-16
-# A refinement batch (_refine): offsets from the interpolated zero in twice
-# its error estimate, and the fractions of the probe interval of the first
-_OFFSETS, _EVEN = np.arange(-4, 4) / 4.0, np.arange(1, 8) / 8.0
+# A refinement batch (_batch): offsets from an estimated zero in twice its
+# error estimate
+_OFFSETS = np.arange(-4, 4) / 4.0
 _NEVILLE_POINTS = 6
 # Rows of the augmented identity [[I, 0]], the map of a panel of no steps
 _IDENTITY_ROWS = np.eye(2, 4)
@@ -174,6 +178,34 @@ def build_step_grid(
     return StepGrid(poly, counts)
 
 
+def _step_terms(grid: StepGrid, M) -> tuple:
+    """Over (rods, torques, panels), the counts c and the step maps' B11,
+    B22, off = M B12, n12, n21, a, q and omega (:func:`propagate`)."""
+    counts = grid.counts.reshape(-1, grid.counts.shape[-1])
+    rods, panels = counts.shape
+    a1, a3, p2, p4, k = grid.poly.reshape(5, rods, 1, panels)
+    m = np.asarray(M, dtype=float).reshape(rods, -1, 1)
+    m2 = m * m
+    # B11, B22 = k B11 and B12 = -B21
+    B11 = a1 - m2 * a3
+    B22 = k * B11
+    off = m * (p2 - m2 * p4)
+    n12 = m * B11
+    n21 = -k * n12
+    a = -m * off
+    q = -n12 * n21
+    return counts[:, None, :], B11, B22, off, n12, n21, a, q, np.sqrt(q)
+
+
+def _phase(grid: StepGrid, M) -> np.ndarray:
+    """Theta (module docstring, Pruefer's angle) at the torques ``M``, the
+    sum over panels of c atan2(omega, 1 + a), shaped as the traces of
+    :func:`propagate`.  Where M B11 > 0, on grids that resolve M, trace S
+    has the sign of sin(Theta)."""
+    c, *_, a, _, omega = _step_terms(grid, M)
+    return (c * np.arctan2(omega, 1.0 + a)).sum(axis=-1).reshape(np.shape(M))
+
+
 def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     """Endpoint matrices S at the torques ``M``: shape (len(M), 2, 2) for
     the 1-D ``M`` of a one-rod grid, (rods, torques, 2, 2) for ``M`` of
@@ -195,25 +227,11 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     lam = 0 (omega = 0 and a = -1, so A = 0) is not handled: log1p(-1)
     makes its S NaN.  It needs M**2 = a1 / a3 and M B12 = 1 at once, and
     no rod is known to reach it."""
-    counts = grid.counts.reshape(-1, grid.counts.shape[-1])
-    rods, panels = counts.shape
-    a1, a3, p2, p4, k = grid.poly.reshape(5, rods, 1, panels)
-    m = np.asarray(M, dtype=float).reshape(rods, -1, 1)
-    m2 = m * m
-    # B11, B22 = k B11 and B12 = -B21
-    B11 = a1 - m2 * a3
-    B22 = k * B11
-    off = m * (p2 - m2 * p4)
-    n12 = m * B11
-    n21 = -k * n12
-    a = -m * off
-    q = -n12 * n21
+    c, B11, B22, off, n12, n21, a, q, omega = _step_terms(grid, M)
     delta = a * a + q
-    omega = np.sqrt(q)
     log_lam = np.empty(omega.shape, complex)
     log_lam.real = 0.5 * np.log1p(2.0 * a + delta)
     log_lam.imag = np.arctan2(omega, 1.0 + a)
-    c = counts[:, None, :]
     z = c * log_lam
     # f(lam) of A**c and of the sum of A**k, k < c
     f = np.empty((2, *z.shape), complex)
@@ -235,6 +253,7 @@ def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
     B = np.empty((*q.shape, 2, 2))
     B[..., 0, 0], B[..., 0, 1], B[..., 1, 1] = B11, off, B22
     np.negative(off, out=B[..., 1, 0])
+    panels = q.shape[-1]
     maps = np.empty((*q.shape[:2], 1 << (panels - 1).bit_length(), 2, 4))
     maps[:, :, panels:] = _IDENTITY_ROWS
     maps[:, :, :panels, :, :2] = powers[0]
@@ -376,16 +395,29 @@ def _store(evaluated: dict, torques: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float):
-    """A torque in ``evaluated`` within ``xtol + RTOL * b`` of the zero of
-    the trace in (a, b], where it goes from minus to plus.  A batch is the
-    zero z of :func:`_interpolated_zero` and seven torques e/2 apart around
-    it, e twice its error estimate and at least a quarter of the tolerance
-    (the first, from probes too far apart to trust, spreads seven evenly).
-    The end of smaller |trace| of the first sign change is returned once it
-    is within tolerance after a batch centred on a z estimated to within
-    that quarter; :func:`brentq` takes over, shooting the rod's ``grid``
-    itself, if a batch fails to halve it.  A generator like :func:`_search`."""
+def _batch(zero: float, error: float, a: float, b: float, tolerance: float) -> np.ndarray:
+    """Torques e/4 apart around ``zero`` inside (a, b), e = max(2 error, tolerance / 4) <= b - a."""
+    batch = zero + min(max(2.0 * error, 0.25 * tolerance), b - a) * _OFFSETS
+    return batch[(a < batch) & (batch < b)]
+
+
+def _phase_zero(probes: list[float], theta: np.ndarray, i: int) -> tuple[float, float] | None:
+    """Where in (probes[i-1], probes[i]) the phase ``theta`` at ``probes`` passes a multiple 2 pi k,
+    and its error (:func:`_interpolated_zero` on Theta - 2 pi k); None if it passes none."""
+    t = (theta - 2.0 * math.pi * math.floor(theta[i] / (2.0 * math.pi))).tolist()
+    zero, error = _interpolated_zero(probes, t, i) if t[i - 1] < 0.0 <= t[i] else (math.nan, 0.0)
+    return (zero, error) if probes[i - 1] < zero < probes[i] else None
+
+
+def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float, guess):
+    """A torque in ``evaluated`` within ``xtol + RTOL * b`` of the trace's
+    upward zero in (a, b], as a generator like :func:`_search`.  Each batch
+    (:func:`_batch`) surrounds an estimate z of the zero: ``guess``, (z,
+    error), if z is in (a, b), else :func:`_interpolated_zero` on the
+    traces.  The end of smaller |trace| of the first sign change is returned
+    once no float lies inside it, or once it is within tolerance at the
+    start or after a batch on a z within a quarter of it; :func:`brentq`
+    takes over, shooting the rod's ``grid``, if a batch fails to halve it."""
 
     def trace(m: float) -> float:
         if m not in evaluated:
@@ -393,7 +425,7 @@ def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float):
             _store(evaluated, torque, propagate(grid, torque))
         return evaluated[m][0]
 
-    width, centred = math.inf, False
+    width, centred = math.inf, True
     while True:
         x = sorted(evaluated)
         t = [evaluated[m][0] for m in x]
@@ -402,20 +434,15 @@ def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float):
             j += 1
         a, b = x[j - 1], x[j]
         tolerance = xtol + RTOL * b
-        if t[j] == 0.0 or (centred and b - a < tolerance):
+        if t[j] == 0.0 or (centred and b - a < tolerance) or math.nextafter(a, b) == b:
             return b if abs(t[j]) <= abs(t[j - 1]) else a
         if b - a > 0.5 * width:
             return brentq(trace, a, b, xtol=xtol, rtol=RTOL)
-        zero, error = _interpolated_zero(x, t, j)
+        zero, error = guess if guess and a < guess[0] < b else _interpolated_zero(x, t, j)
         if not a < zero < b:
             zero, error = 0.5 * (a + b), b - a
-        centred = error <= 0.25 * tolerance
-        if width == math.inf:
-            batch = np.append(a + (b - a) * _EVEN, zero)
-        else:
-            batch = zero + min(max(2.0 * error, 0.25 * tolerance), b - a) * _OFFSETS
-        width = b - a
-        batch = batch[(a < batch) & (batch < b)]
+        centred, guess, width = error <= 0.25 * tolerance, None, b - a
+        batch = _batch(zero, error, a, b, tolerance)
         _store(evaluated, batch, (yield batch))
 
 
@@ -423,24 +450,36 @@ def _search(grid: StepGrid, probes: np.ndarray, tol: float, first: bool):
     """One rod's search among the increasing torques ``probes``, as a
     generator: it yields the torques it needs next, is sent their endpoint
     matrices S and returns the eigenvalues, the upward zero crossings of
-    trace S.  The probes are evaluated SCAN_BLOCK at a time, each crossing
-    interval (a, b] is refined to within ``tol * b`` (:func:`_refine`), and
-    with ``first`` the scan stops there.  Each root, an evaluated torque,
-    must pass det S(root) <= 1e-6 * max |det S| over the probes scanned so
-    far.  Raises RootSearchError for a crossing that fails the check or
-    does not converge and, with ``first``, when there is no crossing at
-    all.  ``grid`` serves the :func:`brentq` safeguard only."""
+    trace S.  The phase (:func:`_phase`) aims the first shot: the probes
+    through the first interval over which it passes a multiple of 2 pi and,
+    if its zero there (:func:`_phase_zero`) is within a quarter of the
+    tolerance, a batch around it (:func:`_batch`); SCAN_BLOCK probes if it
+    passes none.  Later probes are shot SCAN_BLOCK at a time.  Each crossing
+    interval (a, b] of the probes' traces is refined to within ``tol * b``
+    (:func:`_refine`, from the phase zero there), and with ``first`` the
+    scan stops there.  Each root, an evaluated torque, must pass det
+    S(root) <= 1e-6 * max |det S| over the probes scanned so far.  Raises
+    RootSearchError for a crossing that fails the check or does not
+    converge and, with ``first``, when there is no crossing at all.
+    ``grid`` serves the phase and the :func:`brentq` safeguard only."""
+    theta, x = _phase(grid, probes), probes.tolist()
+    aimed = int(np.argmax(theta // (2.0 * math.pi) > theta[0] // (2.0 * math.pi)))
+    guess, tolerance = aimed and _phase_zero(x, theta, aimed), (tol + RTOL) * x[aimed]
+    centred = guess and guess[1] <= tolerance / 4
+    batch = _batch(*guess, x[aimed - 1], x[aimed], tolerance) if centred else []
     evaluated: dict[float, tuple[float, np.ndarray]] = {}
     roots: list[float] = []
     S = np.empty((0, 2, 2))
-    for start in range(0, probes.size, SCAN_BLOCK):
-        block = probes[start : start + SCAN_BLOCK]
-        S = np.concatenate([S, _store(evaluated, block, (yield block))])
+    start, stop = 0, aimed + 1 if aimed else SCAN_BLOCK
+    while start < probes.size:
+        torques = np.concatenate([probes[start:stop], batch])
+        S = np.concatenate([S, _store(evaluated, torques, (yield torques))[: torques.size - len(batch)]])
         t = S[:, 0, 0] + S[:, 1, 1]
         for i in range(max(start, 1), t.size):
             if not t[i - 1] < 0.0 <= t[i]:
                 continue
-            root = yield from _refine(grid, evaluated, probes[i - 1], probes[i], tol * probes[i])
+            guess = guess if i == aimed else _phase_zero(x, theta, i)
+            root = yield from _refine(grid, evaluated, x[i - 1], x[i], tol * x[i], guess)
             det_at_root = float(endpoint_det(evaluated[root][1]))
             det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
             if det_at_root > 1e-6 * det_scale:
@@ -451,6 +490,7 @@ def _search(grid: StepGrid, probes: np.ndarray, tol: float, first: bool):
             roots.append(root)
             if first:
                 return roots
+        start, stop, batch = stop, stop + SCAN_BLOCK, []
     if first:
         raise RootSearchError(
             f"no upward trace crossing in ({probes[0]:.6g}, {probes[-1]:.6g}): trace runs over "

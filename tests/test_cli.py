@@ -480,22 +480,30 @@ class TestVerify:
         assert failing["failures"]  # offending cases are listed
 
     def test_shooting_suites_share_kernel_calls(self, capsys, monkeypatch):
-        # the rods of both shooting suites are searched together: each kernel
-        # call serves every rod still searching (one call per rod and round
-        # before)
+        # the rods of both shooting suites are searched together, and the
+        # phase aims their one kernel call: each rod's row holds its probes
+        # PROBE_RATIO apart up to the first above its root, then a batch of
+        # at most 8 torques between the last two, padded with its last
         calls = []
         propagate = cli.oracle.propagate
 
         def counting(grid, M):
-            calls.append(np.shape(M))
+            calls.append(np.array(M, dtype=float))
             return propagate(grid, M)
 
         monkeypatch.setattr(cli.oracle, "propagate", counting)
-        for n, most in ((1, 5), (10, 8)):
+        for n in (1, 10):
             calls.clear()
             assert main(["verify", "--n", str(n), "--seed", "2024"]) == 0
             assert json.loads(capsys.readouterr().out)["pass"] is True
-            assert len(calls) <= most and calls[0] == (2 * n, oracle.SCAN_BLOCK)
+            (M,) = calls
+            assert M.shape[0] == 2 * n
+            for row in M:
+                ratios = row[1:] / row[:-1]
+                start = int(np.argmax(ratios < 1.0)) + 1
+                batch = np.unique(row[start:])
+                assert ratios[: start - 1] == pytest.approx(oracle.PROBE_RATIO, rel=1e-12)
+                assert 0 < batch.size <= 8 and row[start - 2] < batch.min() and batch.max() < row[start - 1]
 
 
 class TestVerifyThresholds:

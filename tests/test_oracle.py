@@ -36,7 +36,7 @@ from twistrod.oracle import (
     propagate,
     shoot,
 )
-from twistrod.sampling import Lcg64, random_piecewise_shape, random_rod_spec
+from twistrod.sampling import Lcg64, random_anisotropic_spec, random_piecewise_shape, random_rod_spec
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
 from twistrod.transform import physical_length
 
@@ -94,6 +94,24 @@ def reference_endpoint(shape, E, J_y, J_z, M, c1, c2, steps=4096):
 def trace(grid, M: float) -> float:
     S = propagate(grid, np.array([M]))[0]
     return float(S[0, 0] + S[1, 1])
+
+
+def trace_crossing(grid, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi with trace S(lo) < 0 <= trace S(hi), bisected
+    on the kernel from such a pair."""
+    assert trace(grid, lo) < 0.0 <= trace(grid, hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + 0.5 * (hi - lo)
+        lo, hi = (lo, mid) if trace(grid, mid) >= 0.0 else (mid, hi)
+    return lo, hi
+
+
+def crossing_distance(rod_tuple: tuple, root: float) -> float:
+    """Distance of ``root`` from the kernel's own upward trace crossing near
+    it, bisected to adjacent floats, relative to the root."""
+    grid = build_step_grid(*rod_tuple, oracle.DEFAULT_STEPS)
+    lo, hi = trace_crossing(grid, root * (1.0 - 1e-9), root * (1.0 + 1e-9))
+    return min(abs(root - lo), abs(root - hi)) / root
 
 
 def closed_form_det(spec: RodSpec, M: float) -> float:
@@ -340,7 +358,9 @@ class TestRunLengthKernel:
         assert grid.counts.tolist() == [4096, 4096] and len(grid) == 2 * 4096
         flat = rod(ShapeFunction.sampled([2.0, 2.0]))
         assert build_step_grid(flat.shape, 1.0, 1.0, 1.0, 4096).counts.tolist() == [4096]
-        assert critical_torque_oracle(flat) == critical_torque_oracle(DOUBLE) == 12.566370614359172
+        root = critical_torque_oracle(flat)
+        assert root == critical_torque_oracle(DOUBLE)
+        assert crossing_distance((flat.shape, 1.0, 1.0, 1.0), root) <= 4e-15
         dip = ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0])
         grid = build_step_grid(dip, 1.0, 1.0, 1.0, 4096)
         assert grid.counts.tolist() == [4096] * 7
@@ -579,6 +599,16 @@ def unconfirmable_kernel(grid, M):
     return np.stack([np.stack([half_trace, -ones], -1), np.stack([ones, half_trace], -1)], -2)
 
 
+# Rods whose soft part 4096 steps shared out by width could not follow
+HARD_SHAPES = [
+    ShapeFunction.sampled([1.0, 1e-8]),
+    ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0]),
+    ShapeFunction.sampled([1e-4, 1.0, 1e-4]),
+    ShapeFunction.piecewise([0.0, 0.999, 1.0], [1.0, 1e-6]),
+    ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 1.0], [1e-8, 1.0]),
+]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestUnresolvedRods:
     """Rods whose soft part 4096 steps shared out by width could not follow:
@@ -587,13 +617,7 @@ class TestUnresolvedRods:
 
     @pytest.mark.parametrize(
         "shape",
-        [
-            ShapeFunction.sampled([1.0, 1e-8]),
-            ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0]),
-            ShapeFunction.sampled([1e-4, 1.0, 1e-4]),
-            ShapeFunction.piecewise([0.0, 0.999, 1.0], [1.0, 1e-6]),
-            ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 1.0], [1e-8, 1.0]),
-        ],
+        HARD_SHAPES,
         ids=[
             "sampled_1e-8",
             "sampled_dip_1e-5",
@@ -688,8 +712,9 @@ class TestCriticalTorqueOracle:
             8.0 * math.pi / 3.0, rel=1e-6
         )
 
-    def test_four_kernel_calls_per_root(self, monkeypatch):
-        # one scan call, then batches of at most 8 new torques
+    def test_one_kernel_call_per_root(self, monkeypatch):
+        # the phase aims the one call: the probes up to the first above the
+        # root, then a batch of at most 8 torques between the last two
         calls = []
 
         def counting(grid, M):
@@ -697,16 +722,50 @@ class TestCriticalTorqueOracle:
             return propagate(grid, M)
 
         monkeypatch.setattr(oracle, "propagate", counting)
-        critical_torque_oracle(PIECEWISE)
-        refined = np.concatenate(calls[1:]).tolist()
-        assert len(calls) <= 4
-        assert max(m.size for m in calls[1:]) <= 8
-        assert not set(refined) & set(calls[0].tolist())
+        root = critical_torque_oracle(PIECEWISE)
+        probes = probe_torques(PIECEWISE.shape, 1.0, 1.0, 1.0, None, DEFAULT_PROBES)
+        above = int(np.searchsorted(probes, root))
+        (shot,) = calls
+        batch = shot[above + 1 :]
+        assert shot[: above + 1].tolist() == probes[: above + 1].tolist()
+        assert 0 < batch.size <= 8 and root in batch.tolist()
+        assert ((probes[above - 1] < batch) & (batch < probes[above])).all()
         calls.clear()
         rng = Lcg64(2024)
         for _ in range(50):
             critical_torque_oracle(random_rod_spec(rng))
-        assert len(calls) <= 4 * 50
+        stress = random_sampled_rods() + [rod(shape) for shape in HARD_SHAPES]
+        for spec in stress:
+            critical_torque_oracle(spec)
+        assert len(calls) == 50 + len(stress)
+
+    def test_scan_the_phase_does_not_aim(self, monkeypatch):
+        # no multiple of 2 pi over the probes: SCAN_BLOCK of them per call
+        calls = []
+
+        def counting(grid, M):
+            calls.append(np.size(M))
+            return propagate(grid, M)
+
+        monkeypatch.setattr(oracle, "propagate", counting)
+        with pytest.raises(RootSearchError, match="sign change"):
+            critical_torque_oracle(UNIFORM, bracket=(1.0, 5.0))
+        assert sum(calls) == DEFAULT_PROBES + 1 and len(calls) <= 9
+
+    def test_bracket_of_adjacent_floats(self):
+        # at tol 1e-15 a bracket can close to two adjacent floats, where no
+        # batch fits: its end of smaller |trace| is the root, never an empty
+        # request to the kernel
+        rng = Lcg64(2024)
+        specs = [random_rod_spec(rng) for _ in range(44)]
+        for spec in (specs[24], specs[28], specs[43]):
+            root = critical_torque_oracle(spec, tol=1e-15)
+            assert crossing_distance((spec.shape, spec.E, spec.J_ref, spec.J_ref), root) <= 2e-15
+        m_star = critical_torque_value(specs[3])
+        roots = eigenvalues_in(specs[3], 0.0, 9.5 * m_star, tol=1e-15)
+        assert len(roots) == 9
+        for k, root in enumerate(roots, 1):
+            assert root == pytest.approx(k * m_star, rel=1e-9)
 
     def test_no_root_reports_endpoints(self):
         with pytest.raises(RootSearchError) as err:
@@ -739,13 +798,31 @@ class TestCriticalTorqueOracle:
         assert found == pytest.approx(exact, rel=1e-8)
 
 
+class TestRootAccuracy:
+    def test_first_roots_at_the_trace_crossing(self):
+        # the root is the kernel's own upward trace crossing to roundoff, on
+        # rods of every kind (the flat rod's was 4.6e-14 off when the last
+        # batch came from interpolated traces)
+        rng = Lcg64(2024)
+        rods = [(s.shape, s.E, s.J_ref, s.J_ref) for s in (random_rod_spec(rng) for _ in range(10))]
+        rng = Lcg64(2026)
+        anisotropic = [random_anisotropic_spec(rng) for _ in range(10)]
+        rods += [(a.shape, a.E, a.section.Jy, a.section.Jz) for a in anisotropic]
+        rng = Lcg64(43)
+        rods += [(random_sampled_shape(rng), 1.3, 0.7, 0.7) for _ in range(10)]
+        rods += [(s.shape, 1.0, 1.0, 1.0) for s in random_sampled_rods()[::10]]
+        rods += [(shape, 1.0, 1.0, 1.0) for shape in HARD_SHAPES + [ShapeFunction.sampled([2.0, 2.0])]]
+        for rod_tuple, root in zip(rods, oracle.first_roots(rods)):
+            assert crossing_distance(rod_tuple, root) <= 4e-15
+
+
 class TestLockstep:
     """Rods searched together, one kernel call per round for all of them."""
 
     @staticmethod
     def rods() -> list[tuple]:
-        # 1-8 panels; Lcg64(15) and Lcg64(24) hold rods that fall back to
-        # brentq at tol 1e-15
+        # 1-8 panels; at tol 1e-15 a bracket of Lcg64(15) or Lcg64(24) rods
+        # closes to adjacent floats (test_bracket_of_adjacent_floats)
         rods = []
         for seed in (15, 24, 61, 62):
             rng = Lcg64(seed)
@@ -772,7 +849,7 @@ class TestLockstep:
         fallbacks = sorted(brackets)
         brackets.clear()
         assert oracle.first_roots(rods, tol=1e-15) == single
-        assert fallbacks and sorted(brackets) == fallbacks
+        assert len(brackets) == len(fallbacks) and sorted(brackets) == fallbacks
 
     def test_failing_rod_raises_its_own_error(self):
         # at 16 steps per panel these two find a trace crossing that is no eigenvalue

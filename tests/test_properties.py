@@ -15,6 +15,7 @@ search is derandomized, so every run draws the same rods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,14 @@ from hypothesis import strategies as st
 from twistrod.greenhill import critical_torque_value
 from twistrod.isoperimetric import upper_bound, verify_bound
 from twistrod.optimizer import OptimizationProblem, _torque, optimize
-from twistrod.oracle import critical_torque_oracle, eigenvalues_in
+from twistrod.oracle import (
+    DEFAULT_STEPS,
+    _phase,
+    build_step_grid,
+    critical_torque_oracle,
+    eigenvalues_in,
+    propagate,
+)
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
 from twistrod.transform import CoordinateMap
 
@@ -50,6 +58,10 @@ MIDPOINT_ROOT_TOL = 1e-10
 # shared by width instead of phase fail the second property
 REVERSAL_TOL = 1e-9
 ORACLE_TOL = 1e-7
+# 300 draws of shot_rods() at J_z/J_y from 1/16 to 16, 400 torques up to
+# 10 M*: Theta rose at every torque, and trace S and sin(Theta) had the same
+# sign wherever |sin(Theta)| > 1e-6
+SINE_FLOOR = 1e-6
 # 300 draws of rods(): the first three eigenvalues within 3.7e-12 of k M*
 EIGENVALUE_TOL = 1e-10
 # 3000 draws of shapes(): round trips within 0.21 of 4 eps span max F / min F,
@@ -243,6 +255,23 @@ def test_reversal_keeps_oracle_root(spec):
 @given(shot_rods())
 def test_oracle_matches_closed_form(spec):
     assert critical_torque_oracle(spec) == pytest.approx(critical_torque_value(spec), rel=ORACLE_TOL)
+
+
+@ORACLE_SETTINGS
+@given(shot_rods(), st.one_of(st.just(1.0), exponent(-1.2, 1.2)))
+def test_trace_follows_the_phase(spec, ratio):
+    # the step maps share one generator, so trace S = rho sin(Theta)
+    # (1 + k) / (sqrt(k) M): the search aims its first shot with Theta
+    J_y, J_z = spec.J_ref, spec.J_ref * ratio
+    m_star = critical_torque_value(replace(spec, J_ref=math.sqrt(J_y * J_z)))
+    torques = np.linspace(0.0, 10.0 * m_star, 401)[1:]
+    grid = build_step_grid(spec.shape, spec.E, J_y, J_z, DEFAULT_STEPS)
+    theta = _phase(grid, torques)
+    S = propagate(grid, torques)
+    assert (np.diff(theta) > 0.0).all()
+    sine = np.sin(theta)
+    clear = np.abs(sine) > SINE_FLOOR
+    assert (np.sign(S[:, 0, 0] + S[:, 1, 1])[clear] == np.sign(sine)[clear]).all()
 
 
 @PROPERTY_SETTINGS
