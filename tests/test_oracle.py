@@ -821,7 +821,7 @@ class TestLockstep:
 
     @staticmethod
     def rods() -> list[tuple]:
-        # 1-8 panels; at tol 1e-15 a bracket of Lcg64(15) or Lcg64(24) rods
+        # 1-8 panels; at tol 1e-15 the bracket of the first Lcg64(62) rod
         # closes to adjacent floats (test_bracket_of_adjacent_floats)
         rods = []
         for seed in (15, 24, 61, 62):
@@ -849,7 +849,8 @@ class TestLockstep:
         fallbacks = sorted(brackets)
         brackets.clear()
         assert oracle.first_roots(rods, tol=1e-15) == single
-        assert len(brackets) == len(fallbacks) and sorted(brackets) == fallbacks
+        # the same brentq fallbacks batched as alone, however many (none now)
+        assert sorted(brackets) == fallbacks
 
     def test_failing_rod_raises_its_own_error(self):
         # at 16 steps per panel these two find a trace crossing that is no eigenvalue

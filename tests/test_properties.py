@@ -9,6 +9,7 @@ refining a profile (splitting a piecewise panel, inserting a sampled
 rod's midpoints) changes neither the closed forms nor the root.  Over the
 full range of rods, the oracle's spectrum from M = 0 holds the first
 eigenvalues k M* and the coordinate map inverts itself to roundoff.  The
+phase the oracle aims with rises with M and gives trace S its sign.  The
 fixed-volume ascent starts from panel areas of the same contrasts.  The
 search is derandomized, so every run draws the same rods.
 """
