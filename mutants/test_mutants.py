@@ -39,7 +39,6 @@ MUTANTS = [
     ("shape.py", "return value, np.maximum(error, floor)", "return value, error", "no-roundoff-floor"),
     ("optimizer.py", "GAP_CONVERGED = 1e-3", "GAP_CONVERGED = 1e-1", "GAP_CONVERGED"),
     ("oracle.py", "PROBE_RATIO = 1.4", "PROBE_RATIO = 4.0", "PROBE_RATIO"),
-    ("oracle.py", "SCAN_BLOCK = 8", "SCAN_BLOCK = 1", "SCAN_BLOCK"),
     ("oracle.py", "_NEVILLE_POINTS = 6", "_NEVILLE_POINTS = 2", "_NEVILLE_POINTS"),
     ("oracle.py", "BRENT_ITERATIONS = 100", "BRENT_ITERATIONS = 3", "BRENT_ITERATIONS"),
     ("oracle.py", "MIN_STEPS = 16", "MIN_STEPS = 2", "MIN_STEPS"),
@@ -65,12 +64,17 @@ MUTANTS = [
     ("oracle.py", "omega = np.where(double, 1.0, omega)", "omega = omega", "no-finite-beta-divisor"),
     # a bracket of adjacent floats holds no batch: its end is the root
     ("oracle.py", " or math.nextafter(a, b) == b:", ":", "no-adjacent-floats-return"),
-    # the phase that aims the first shot: each panel's angle times its count,
+    # the phase that places the roots: each panel's angle times its count,
     # and the multiple of 2 pi it passes over the probe interval
     ("oracle.py", "(c * np.arctan2(omega, 1.0 + a)).sum(axis=-1)",
      "np.arctan2(omega, 1.0 + a).sum(axis=-1)", "phase-without-counts"),
-    ("oracle.py", "math.floor(theta[i] / (2.0 * math.pi))", "(math.floor(theta[i] / (2.0 * math.pi)) + 1)",
+    ("oracle.py", "(theta - 2.0 * math.pi * turns[i])", "(theta - 2.0 * math.pi * (turns[i] + 1))",
      "phase-zero-one-turn-late"),
+    # the first root's shot runs one probe past the pass; the spectrum's
+    # batches every pass; its roots must be as many as the phase's turns
+    ("oracle.py", "passes[0] + 2", "passes[0] + 1", "no-probe-past-the-pass"),
+    ("oracle.py", "if len(roots) != turns[-1] - turns[0]:", "if False:", "no-phase-count-check"),
+    ("oracle.py", "[: 1 if first else None]", "[:1]", "spectrum-batches-first-pass-only"),
 ]
 
 

@@ -44,13 +44,16 @@ bounds on M* from the extremes of F, so no probe interval holds M* and
 another zero.  The RK4 maps share one generator, so S = (Lambda - I)
 [[0, -1], [1, 0]] / M with Lambda their product, and trace S = rho
 sin(Theta) (1 + k) / (sqrt(k) M), Theta the angle they turn through
-(:func:`_phase`, no composition): the first kernel call shoots the probes
-up to where Theta passes 2 pi and 8 torques around that torque.  Other
-crossings are narrowed by such batches around the zero of the inverse
-interpolant of the traces (after Chandrupatla, *Adv. Eng. Software*
-28:145, 1997).  Every root is a trace crossing confirmed against det S:
-nothing in the search reads phi or any other closed form, and a crossing
-that is not an eigenvalue raises.  Each rod's search is a generator that
+(:func:`_phase`, no composition).  Every search is one kernel call: the
+probes and 8 torques around each torque where Theta passes a multiple of
+2 pi (the first one only, and the probes one past it, for the first
+root).  A crossing that batch does not close is narrowed by batches
+around the zero of the inverse interpolant of the traces (after
+Chandrupatla, *Adv. Eng. Software* 28:145, 1997).  Every root is a trace
+crossing confirmed against det S, and a spectrum must hold as many as
+the multiples of 2 pi Theta passes: nothing in the search reads phi or
+any other closed form, and a crossing that is not an eigenvalue or a
+count that disagrees raises.  Each rod's search is a generator that
 yields the torques it needs next, so one driver, :func:`_roots`, advances
 the searches of many rods with one kernel call per round; every root
 function here and in ``anisotropic`` calls it.  Needs numpy only.
@@ -76,9 +79,6 @@ DEFAULT_PROBES = 64
 # Equal intervals of the exhaustive scan of eigenvalues_in
 SPECTRUM_PROBES = 256
 MIN_STEPS = 16
-# Torques per rod and kernel call of the scan after the first shot.  A call
-# holds a few dozen floats per rod, panel and torque: rods x panels x torques.
-SCAN_BLOCK = 8
 PROBE_RATIO = 1.4
 BRENT_ITERATIONS = 100
 # Relative tolerance of a refined root, four ulps, as scipy's brentq asks
@@ -401,23 +401,15 @@ def _batch(zero: float, error: float, a: float, b: float, tolerance: float) -> n
     return batch[(a < batch) & (batch < b)]
 
 
-def _phase_zero(probes: list[float], theta: np.ndarray, i: int) -> tuple[float, float] | None:
-    """Where in (probes[i-1], probes[i]) the phase ``theta`` at ``probes`` passes a multiple 2 pi k,
-    and its error (:func:`_interpolated_zero` on Theta - 2 pi k); None if it passes none."""
-    t = (theta - 2.0 * math.pi * math.floor(theta[i] / (2.0 * math.pi))).tolist()
-    zero, error = _interpolated_zero(probes, t, i) if t[i - 1] < 0.0 <= t[i] else (math.nan, 0.0)
-    return (zero, error) if probes[i - 1] < zero < probes[i] else None
-
-
-def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float, guess):
+def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float):
     """A torque in ``evaluated`` within ``xtol + RTOL * b`` of the trace's
     upward zero in (a, b], as a generator like :func:`_search`.  Each batch
-    (:func:`_batch`) surrounds an estimate z of the zero: ``guess``, (z,
-    error), if z is in (a, b), else :func:`_interpolated_zero` on the
-    traces.  The end of smaller |trace| of the first sign change is returned
-    once no float lies inside it, or once it is within tolerance at the
-    start or after a batch on a z within a quarter of it; :func:`brentq`
-    takes over, shooting the rod's ``grid``, if a batch fails to halve it."""
+    (:func:`_batch`) surrounds the zero z of :func:`_interpolated_zero` on
+    the traces, or the midpoint if z falls outside.  The end of smaller
+    |trace| of the first sign change is returned once no float lies inside
+    it, or once it is within tolerance at the start or after a batch on a z
+    within a quarter of it; :func:`brentq` takes over, shooting the rod's
+    ``grid``, if a batch fails to halve it."""
 
     def trace(m: float) -> float:
         if m not in evaluated:
@@ -438,10 +430,10 @@ def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float, gu
             return b if abs(t[j]) <= abs(t[j - 1]) else a
         if b - a > 0.5 * width:
             return brentq(trace, a, b, xtol=xtol, rtol=RTOL)
-        zero, error = guess if guess and a < guess[0] < b else _interpolated_zero(x, t, j)
+        zero, error = _interpolated_zero(x, t, j)
         if not a < zero < b:
             zero, error = 0.5 * (a + b), b - a
-        centred, guess, width = error <= 0.25 * tolerance, None, b - a
+        centred, width = error <= 0.25 * tolerance, b - a
         batch = _batch(zero, error, a, b, tolerance)
         _store(evaluated, batch, (yield batch))
 
@@ -450,51 +442,57 @@ def _search(grid: StepGrid, probes: np.ndarray, tol: float, first: bool):
     """One rod's search among the increasing torques ``probes``, as a
     generator: it yields the torques it needs next, is sent their endpoint
     matrices S and returns the eigenvalues, the upward zero crossings of
-    trace S.  The phase (:func:`_phase`) aims the first shot: the probes
-    through the first interval over which it passes a multiple of 2 pi and,
-    if its zero there (:func:`_phase_zero`) is within a quarter of the
-    tolerance, a batch around it (:func:`_batch`); SCAN_BLOCK probes if it
-    passes none.  Later probes are shot SCAN_BLOCK at a time.  Each crossing
-    interval (a, b] of the probes' traces is refined to within ``tol * b``
-    (:func:`_refine`, from the phase zero there), and with ``first`` the
-    scan stops there.  Each root, an evaluated torque, must pass det
-    S(root) <= 1e-6 * max |det S| over the probes scanned so far.  Raises
-    RootSearchError for a crossing that fails the check or does not
-    converge and, with ``first``, when there is no crossing at all.
-    ``grid`` serves the phase and the :func:`brentq` safeguard only."""
+    trace S.  The phase (:func:`_phase`) places them before the one shot:
+    over a pass, a probe interval where Theta passes a multiple 2 pi k, a
+    batch (:func:`_batch`) around the zero of Theta - 2 pi k
+    (:func:`_interpolated_zero`) joins the probes if that zero is within a
+    quarter of the tolerance.  With ``first`` only the first pass gets one,
+    and the shot stops one probe past it (far above the root the maps
+    overflow).  Each upward crossing of the traces of all torques shot is
+    refined to ``tol`` times the probe above it (:func:`_refine`), and must
+    pass det S(root) <= 1e-6 * max |det S| over the probes up to it.
+    Raises RootSearchError for a crossing that fails or does not converge,
+    with ``first`` for no crossing, else for fewer or more roots than
+    multiples of 2 pi passed.  ``grid`` serves the phase and the
+    :func:`brentq` safeguard only."""
     theta, x = _phase(grid, probes), probes.tolist()
-    aimed = int(np.argmax(theta // (2.0 * math.pi) > theta[0] // (2.0 * math.pi)))
-    guess, tolerance = aimed and _phase_zero(x, theta, aimed), (tol + RTOL) * x[aimed]
-    centred = guess and guess[1] <= tolerance / 4
-    batch = _batch(*guess, x[aimed - 1], x[aimed], tolerance) if centred else []
+    turns = theta // (2.0 * math.pi)
+    passes = (np.flatnonzero(turns[1:] > turns[:-1]) + 1)[: 1 if first else None].tolist()
+    batches = []
+    for i in passes:
+        zero, error = _interpolated_zero(x, (theta - 2.0 * math.pi * turns[i]).tolist(), i)
+        tolerance = (tol + RTOL) * x[i]
+        if x[i - 1] < zero < x[i] and error <= tolerance / 4:
+            batches.append(_batch(zero, error, x[i - 1], x[i], tolerance))
+    stop = passes[0] + 2 if first and passes else probes.size
+    torques = np.concatenate([probes[:stop], *batches])
     evaluated: dict[float, tuple[float, np.ndarray]] = {}
+    S = _store(evaluated, torques, (yield torques))[:stop]
+    m = sorted(evaluated)
+    t = [evaluated[v][0] for v in m]
     roots: list[float] = []
-    S = np.empty((0, 2, 2))
-    start, stop = 0, aimed + 1 if aimed else SCAN_BLOCK
-    while start < probes.size:
-        torques = np.concatenate([probes[start:stop], batch])
-        S = np.concatenate([S, _store(evaluated, torques, (yield torques))[: torques.size - len(batch)]])
-        t = S[:, 0, 0] + S[:, 1, 1]
-        for i in range(max(start, 1), t.size):
-            if not t[i - 1] < 0.0 <= t[i]:
-                continue
-            guess = guess if i == aimed else _phase_zero(x, theta, i)
-            root = yield from _refine(grid, evaluated, x[i - 1], x[i], tol * x[i], guess)
-            det_at_root = float(endpoint_det(evaluated[root][1]))
-            det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
-            if det_at_root > 1e-6 * det_scale:
-                raise RootSearchError(
-                    f"trace crossing at M={root:.6g} is not an eigenvalue: "
-                    f"det {det_at_root:.3e} vs scan scale {det_scale:.3e}"
-                )
-            roots.append(root)
-            if first:
-                return roots
-        start, stop, batch = stop, stop + SCAN_BLOCK, []
+    for j in [j for j in range(1, len(m)) if t[j - 1] < 0.0 <= t[j]]:
+        i = bisect.bisect_left(x, m[j])
+        root = yield from _refine(grid, evaluated, m[j - 1], m[j], tol * x[i])
+        det_at_root = float(endpoint_det(evaluated[root][1]))
+        det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
+        if det_at_root > 1e-6 * det_scale:
+            raise RootSearchError(
+                f"trace crossing at M={root:.6g} is not an eigenvalue: "
+                f"det {det_at_root:.3e} vs scan scale {det_scale:.3e}"
+            )
+        roots.append(root)
+        if first:
+            return roots
     if first:
         raise RootSearchError(
-            f"no upward trace crossing in ({probes[0]:.6g}, {probes[-1]:.6g}): trace runs over "
-            f"[{t.min():.3e}, {t.max():.3e}] without a sign change from minus to plus"
+            f"no upward trace crossing in ({m[0]:.6g}, {m[-1]:.6g}): trace runs over "
+            f"[{min(t):.3e}, {max(t):.3e}] without a sign change from minus to plus"
+        )
+    if len(roots) != turns[-1] - turns[0]:
+        raise RootSearchError(
+            f"{len(roots)} upward trace crossings in ({probes[0]:.6g}, {probes[-1]:.6g}], but the "
+            f"phase passes {turns[-1] - turns[0]:.0f} multiples of 2 pi"
         )
     return roots
 

@@ -482,8 +482,9 @@ class TestVerify:
     def test_shooting_suites_share_kernel_calls(self, capsys, monkeypatch):
         # the rods of both shooting suites are searched together, and the
         # phase aims their one kernel call: each rod's row holds its probes
-        # PROBE_RATIO apart up to the first above its root, then a batch of
-        # at most 8 torques between the last two, padded with its last
+        # PROBE_RATIO apart through the one after the first above its root,
+        # then a batch of at most 8 torques between the first above the root
+        # and the one before, padded with its last
         calls = []
         propagate = cli.oracle.propagate
 
@@ -503,7 +504,7 @@ class TestVerify:
                 start = int(np.argmax(ratios < 1.0)) + 1
                 batch = np.unique(row[start:])
                 assert ratios[: start - 1] == pytest.approx(oracle.PROBE_RATIO, rel=1e-12)
-                assert 0 < batch.size <= 8 and row[start - 2] < batch.min() and batch.max() < row[start - 1]
+                assert 0 < batch.size <= 8 and row[start - 3] < batch.min() and batch.max() < row[start - 2]
 
 
 class TestVerifyThresholds:

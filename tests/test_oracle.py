@@ -713,8 +713,9 @@ class TestCriticalTorqueOracle:
         )
 
     def test_one_kernel_call_per_root(self, monkeypatch):
-        # the phase aims the one call: the probes up to the first above the
-        # root, then a batch of at most 8 torques between the last two
+        # the phase aims the one call: the probes through the one after the
+        # first above the root, then a batch of at most 8 torques around the
+        # root between the first above it and the one before
         calls = []
 
         def counting(grid, M):
@@ -726,8 +727,8 @@ class TestCriticalTorqueOracle:
         probes = probe_torques(PIECEWISE.shape, 1.0, 1.0, 1.0, None, DEFAULT_PROBES)
         above = int(np.searchsorted(probes, root))
         (shot,) = calls
-        batch = shot[above + 1 :]
-        assert shot[: above + 1].tolist() == probes[: above + 1].tolist()
+        batch = shot[above + 2 :]
+        assert shot[: above + 2].tolist() == probes[: above + 2].tolist()
         assert 0 < batch.size <= 8 and root in batch.tolist()
         assert ((probes[above - 1] < batch) & (batch < probes[above])).all()
         calls.clear()
@@ -740,7 +741,8 @@ class TestCriticalTorqueOracle:
         assert len(calls) == 50 + len(stress)
 
     def test_scan_the_phase_does_not_aim(self, monkeypatch):
-        # no multiple of 2 pi over the probes: SCAN_BLOCK of them per call
+        # no multiple of 2 pi over the probes: one call shoots them all, and
+        # nothing else
         calls = []
 
         def counting(grid, M):
@@ -750,7 +752,20 @@ class TestCriticalTorqueOracle:
         monkeypatch.setattr(oracle, "propagate", counting)
         with pytest.raises(RootSearchError, match="sign change"):
             critical_torque_oracle(UNIFORM, bracket=(1.0, 5.0))
-        assert sum(calls) == DEFAULT_PROBES + 1 and len(calls) <= 9
+        assert calls == [DEFAULT_PROBES + 1]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [ShapeFunction.constant(1.0, 1.0), ShapeFunction.sampled([1.0, 1.0]),
+         ShapeFunction.piecewise([0.0, 0.5, 1.0], [1.0, 1.0])],
+        ids=["constant", "sampled", "piecewise"],
+    )
+    def test_root_just_above_the_pass(self, shape):
+        # at 2**16 steps the unit rod's trace crosses within roundoff above
+        # the probe where the phase passes 2 pi: the shot's probe past that
+        # one holds the crossing
+        root = critical_torque_oracle(rod(shape), steps=2**16)
+        assert abs(root - 2.0 * math.pi) <= 1e-15 * 2.0 * math.pi
 
     def test_bracket_of_adjacent_floats(self):
         # at tol 1e-15 a bracket can close to two adjacent floats, where no
@@ -889,6 +904,38 @@ class TestEigenvalueSequence:
         assert len(roots) == 2
         assert roots[0] == pytest.approx(m_star, rel=1e-8)
         assert roots[1] == pytest.approx(2.0 * m_star, rel=1e-8)
+
+    def test_one_kernel_call(self, monkeypatch):
+        # the phase places every root of the scan: one batch per pass, all
+        # in the one call of the probes.  Up to 200.5 M* the 256 probes are
+        # 0.78 M* apart, so an interval can hold an upward and a downward
+        # crossing, and only the batch shows the upward one
+        calls = []
+
+        def counting(grid, M):
+            calls.append(np.size(M))
+            return propagate(grid, M)
+
+        monkeypatch.setattr(oracle, "propagate", counting)
+        rng = Lcg64(2024)
+        specs = [random_rod_spec(rng) for _ in range(4)]
+        cases = [(PIECEWISE, 0.05, 2.99, 4096, 1e-8), (specs[3], 0.0, 9.5, 4096, 1e-8),
+                 (specs[0], 0.0, 200.5, 2**20, 1e-12)]
+        for spec, lo, hi, steps, rel in cases:
+            m_star = critical_torque_value(spec)
+            calls.clear()
+            roots = eigenvalues_in(spec, lo * m_star, hi * m_star, steps=steps)
+            assert len(calls) == 1 and len(roots) == int(hi)
+            for k, root in enumerate(roots, 1):
+                assert root == pytest.approx(k * m_star, rel=rel)
+
+    def test_count_disagreeing_with_the_phase_raises(self):
+        # 256 probes 3.9 M* apart: the phase passes several multiples of
+        # 2 pi per interval, and the missing roots raise
+        spec = random_rod_spec(Lcg64(2024))
+        m_star = critical_torque_value(spec)
+        with pytest.raises(RootSearchError, match=r"^256 upward .* passes 1000 multiples"):
+            eigenvalues_in(spec, 0.0, 1000.5 * m_star, steps=2**20)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
