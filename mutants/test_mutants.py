@@ -32,8 +32,8 @@ MUTANTS = [
      "log_ratio = np.log1p(d / f0)", "reciprocal-log1p-only"),
     ("transform.py", "log_ratio = np.where(near, np.log1p(d / f0), np.log(ratio))",
      "log_ratio = np.log(ratio)", "reciprocal-log-only"),
-    # the oracle confirms every trace crossing against det S
-    ("oracle.py", "if det_at_root > 1e-6 * det_scale:", "if det_at_root > math.inf:",
+    # the oracle confirms every root against det S
+    ("oracle.py", "if det[below + 1] > 1e-6 * det_scale:", "if det[below + 1] > math.inf:",
      "no-determinant-confirmation"),
     # the quadrature's error estimate is floored at roundoff
     ("shape.py", "return value, np.maximum(error, floor)", "return value, error", "no-roundoff-floor"),
@@ -62,19 +62,21 @@ MUTANTS = [
     ("oracle.py", "f[1] = np.where(identity, c, f[1] / np.where(identity, 1.0, a + 1j * omega))",
      "f[1] = f[1] / np.where(identity, 1.0, a + 1j * omega)", "no-zero-torque-sum"),
     ("oracle.py", "omega = np.where(double, 1.0, omega)", "omega = omega", "no-finite-beta-divisor"),
-    # a bracket of adjacent floats holds no batch: its end is the root
-    ("oracle.py", " or math.nextafter(a, b) == b:", ":", "no-adjacent-floats-return"),
     # the phase that places the roots: each panel's angle times its count,
-    # and the multiple of 2 pi it passes over the probe interval
+    # every multiple of 2 pi it passes over a probe interval, and the
+    # interpolated zero taken within a quarter of the tolerance, from each side
     ("oracle.py", "(c * np.arctan2(omega, 1.0 + a)).sum(axis=-1)",
      "np.arctan2(omega, 1.0 + a).sum(axis=-1)", "phase-without-counts"),
-    ("oracle.py", "(theta - 2.0 * math.pi * turns[i])", "(theta - 2.0 * math.pi * (turns[i] + 1))",
+    ("oracle.py", "turn, e = 2.0 * math.pi * k,", "turn, e = 2.0 * math.pi * (k + 1),",
      "phase-zero-one-turn-late"),
-    # the first root's shot runs one probe past the pass; the spectrum's
-    # batches every pass; its roots must be as many as the phase's turns
-    ("oracle.py", "passes[0] + 2", "passes[0] + 1", "no-probe-past-the-pass"),
-    ("oracle.py", "if len(roots) != turns[-1] - turns[0]:", "if False:", "no-phase-count-check"),
-    ("oracle.py", "[: 1 if first else None]", "[:1]", "spectrum-batches-first-pass-only"),
+    ("oracle.py", "range(int(turns[i - 1]) + 1, int(turns[i]) + 1)", "range(int(turns[i]), int(turns[i]) + 1)",
+     "one-root-per-interval"),
+    ("oracle.py", "error <= e / 4", "True", "interpolated-zero-always-taken"),
+    ("oracle.py", "error <= e / 4", "False", "interpolated-zero-never-taken"),
+    # the one shot confirms each root as an upward trace crossing and holds
+    # no other upward crossing
+    ("oracle.py", "if not t[below] < 0.0 <= t[below + 2]:", "if False:", "no-trace-sign-check"),
+    ("oracle.py", "if crossings != len(roots):", "if False:", "no-crossing-count-check"),
 ]
 
 

@@ -44,24 +44,21 @@ bounds on M* from the extremes of F, so no probe interval holds M* and
 another zero.  The RK4 maps share one generator, so S = (Lambda - I)
 [[0, -1], [1, 0]] / M with Lambda their product, and trace S = rho
 sin(Theta) (1 + k) / (sqrt(k) M), Theta the angle they turn through
-(:func:`_phase`, no composition).  Every search is one kernel call: the
-probes and 8 torques around each torque where Theta passes a multiple of
-2 pi (the first one only, and the probes one past it, for the first
-root).  A crossing that batch does not close is narrowed by batches
-around the zero of the inverse interpolant of the traces (after
-Chandrupatla, *Adv. Eng. Software* 28:145, 1997).  Every root is a trace
-crossing confirmed against det S, and a spectrum must hold as many as
-the multiples of 2 pi Theta passes: nothing in the search reads phi or
-any other closed form, and a crossing that is not an eigenvalue or a
-count that disagrees raises.  Each rod's search is a generator that
-yields the torques it needs next, so one driver, :func:`_roots`, advances
-the searches of many rods with one kernel call per round; every root
+(:func:`_phase`, no composition).  The phase places every root: where
+Theta passes a multiple 2 pi k between two probes, the root is the zero
+of the inverse interpolant of Theta - 2 pi k at the probes or, if that is
+not within a quarter of the tolerance, :func:`brentq`'s on the phase.
+One kernel call then shoots the probes (through the one above the root,
+for the first root) and three torques around each root: trace S must
+cross zero upward across each, det S must be small there, and the shot
+must hold no other upward crossing.  Nothing in the search reads phi or
+any other closed form, and a root the kernel does not confirm raises.
+:func:`_roots` searches many rods with one kernel call; every root
 function here and in ``anisotropic`` calls it.  Needs numpy only.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -76,16 +73,11 @@ from .shape import RodSpec, ShapeFunction, _ArrayRecord, require_positive
 DEFAULT_STEPS = 4096
 DEFAULT_TOL = 1e-10
 DEFAULT_PROBES = 64
-# Equal intervals of the exhaustive scan of eigenvalues_in
-SPECTRUM_PROBES = 256
 MIN_STEPS = 16
 PROBE_RATIO = 1.4
 BRENT_ITERATIONS = 100
-# Relative tolerance of a refined root, four ulps, as scipy's brentq asks
+# Relative tolerance of a root, four ulps, as scipy's brentq asks
 RTOL = 8.9e-16
-# A refinement batch (_batch): offsets from an estimated zero in twice its
-# error estimate
-_OFFSETS = np.arange(-4, 4) / 4.0
 _NEVILLE_POINTS = 6
 # Rows of the augmented identity [[I, 0]], the map of a panel of no steps
 _IDENTITY_ROWS = np.eye(2, 4)
@@ -137,10 +129,6 @@ class StepGrid:
             poly[:, rod, :panels], poly[:, rod, panels:] = g.poly, g.poly[:, -1:]
             counts[rod, :panels] = g.counts
         return cls(poly, counts)
-
-    def rods(self, index: Sequence[int]) -> "StepGrid":
-        """The rods numbered ``index`` of a stacked grid."""
-        return StepGrid(self.poly[:, index], self.counts[index])
 
 
 def build_step_grid(
@@ -369,10 +357,11 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: f
 
 
 def _interpolated_zero(x: list[float], t: list[float], j: int) -> tuple[float, float]:
-    """Zero of the inverse interpolant of traces ``t`` at sorted torques ``x``
-    (t[j-1] < 0 <= t[j]) and its last correction as its error: Neville's
-    scheme on the _NEVILLE_POINTS torques nearest the crossing over which t
-    increases, so that x is a function of t, the farthest from zero last."""
+    """Zero of the inverse interpolant of values ``t`` at sorted torques
+    ``x`` (t[j-1] < 0 <= t[j]) and its last correction as its error:
+    Neville's scheme on the _NEVILLE_POINTS torques nearest the sign change
+    over which t increases, so that x is a function of t, the farthest from
+    zero last."""
     start, stop = j - 1, j + 1
     while start > 0 and t[start - 1] < t[start]:
         start -= 1
@@ -389,168 +378,108 @@ def _interpolated_zero(x: list[float], t: list[float], j: int) -> tuple[float, f
     return p[0], abs(p[0] - previous[0])
 
 
-def _store(evaluated: dict, torques: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Keep the endpoint matrices ``S`` at ``torques`` as torque: (trace, matrix)."""
-    evaluated.update(zip(torques.tolist(), zip((S[:, 0, 0] + S[:, 1, 1]).tolist(), S)))
-    return S
-
-
-def _batch(zero: float, error: float, a: float, b: float, tolerance: float) -> np.ndarray:
-    """Torques e/4 apart around ``zero`` inside (a, b), e = max(2 error, tolerance / 4) <= b - a."""
-    batch = zero + min(max(2.0 * error, 0.25 * tolerance), b - a) * _OFFSETS
-    return batch[(a < batch) & (batch < b)]
-
-
-def _refine(grid: StepGrid, evaluated: dict, a: float, b: float, xtol: float):
-    """A torque in ``evaluated`` within ``xtol + RTOL * b`` of the trace's
-    upward zero in (a, b], as a generator like :func:`_search`.  Each batch
-    (:func:`_batch`) surrounds the zero z of :func:`_interpolated_zero` on
-    the traces, or the midpoint if z falls outside.  The end of smaller
-    |trace| of the first sign change is returned once no float lies inside
-    it, or once it is within tolerance at the start or after a batch on a z
-    within a quarter of it; :func:`brentq` takes over, shooting the rod's
-    ``grid``, if a batch fails to halve it."""
-
-    def trace(m: float) -> float:
-        if m not in evaluated:
-            torque = np.array([m])
-            _store(evaluated, torque, propagate(grid, torque))
-        return evaluated[m][0]
-
-    width, centred = math.inf, True
-    while True:
-        x = sorted(evaluated)
-        t = [evaluated[m][0] for m in x]
-        j = bisect.bisect_left(x, a) + 1
-        while not t[j - 1] < 0.0 <= t[j]:
-            j += 1
-        a, b = x[j - 1], x[j]
-        tolerance = xtol + RTOL * b
-        if t[j] == 0.0 or (centred and b - a < tolerance) or math.nextafter(a, b) == b:
-            return b if abs(t[j]) <= abs(t[j - 1]) else a
-        if b - a > 0.5 * width:
-            return brentq(trace, a, b, xtol=xtol, rtol=RTOL)
-        zero, error = _interpolated_zero(x, t, j)
-        if not a < zero < b:
-            zero, error = 0.5 * (a + b), b - a
-        centred, width = error <= 0.25 * tolerance, b - a
-        batch = _batch(zero, error, a, b, tolerance)
-        _store(evaluated, batch, (yield batch))
-
-
-def _search(grid: StepGrid, probes: np.ndarray, tol: float, first: bool):
-    """One rod's search among the increasing torques ``probes``, as a
-    generator: it yields the torques it needs next, is sent their endpoint
-    matrices S and returns the eigenvalues, the upward zero crossings of
-    trace S.  The phase (:func:`_phase`) places them before the one shot:
-    over a pass, a probe interval where Theta passes a multiple 2 pi k, a
-    batch (:func:`_batch`) around the zero of Theta - 2 pi k
-    (:func:`_interpolated_zero`) joins the probes if that zero is within a
-    quarter of the tolerance.  With ``first`` only the first pass gets one,
-    and the shot stops one probe past it (far above the root the maps
-    overflow).  Each upward crossing of the traces of all torques shot is
-    refined to ``tol`` times the probe above it (:func:`_refine`), and must
-    pass det S(root) <= 1e-6 * max |det S| over the probes up to it.
-    Raises RootSearchError for a crossing that fails or does not converge,
-    with ``first`` for no crossing, else for fewer or more roots than
-    multiples of 2 pi passed.  ``grid`` serves the phase and the
-    :func:`brentq` safeguard only."""
+def _place(grid: StepGrid, probes: np.ndarray, tol: float, first: bool) -> list[tuple[float, int]]:
+    """Each torque r where the phase (:func:`_phase`) passes a multiple
+    2 pi k over the increasing ``probes`` x, with the index i of the probe
+    above it (x[i-1] < r <= x[i]); with ``first`` the first only.  r is
+    the zero of Theta - 2 pi k at the probes (:func:`_interpolated_zero`)
+    if it lies inside (x[i-1], x[i]) with error <= e/4, e = (tol + RTOL)
+    x[i], else :func:`brentq`'s on the phase to within about e/2, which
+    shoots nothing."""
     theta, x = _phase(grid, probes), probes.tolist()
     turns = theta // (2.0 * math.pi)
-    passes = (np.flatnonzero(turns[1:] > turns[:-1]) + 1)[: 1 if first else None].tolist()
-    batches = []
-    for i in passes:
-        zero, error = _interpolated_zero(x, (theta - 2.0 * math.pi * turns[i]).tolist(), i)
-        tolerance = (tol + RTOL) * x[i]
-        if x[i - 1] < zero < x[i] and error <= tolerance / 4:
-            batches.append(_batch(zero, error, x[i - 1], x[i], tolerance))
-    stop = passes[0] + 2 if first and passes else probes.size
-    torques = np.concatenate([probes[:stop], *batches])
-    evaluated: dict[float, tuple[float, np.ndarray]] = {}
-    S = _store(evaluated, torques, (yield torques))[:stop]
-    m = sorted(evaluated)
-    t = [evaluated[v][0] for v in m]
-    roots: list[float] = []
-    for j in [j for j in range(1, len(m)) if t[j - 1] < 0.0 <= t[j]]:
-        i = bisect.bisect_left(x, m[j])
-        root = yield from _refine(grid, evaluated, m[j - 1], m[j], tol * x[i])
-        det_at_root = float(endpoint_det(evaluated[root][1]))
-        det_scale = float(np.max(np.abs(endpoint_det(S[: i + 1]))))
-        if det_at_root > 1e-6 * det_scale:
+    roots = []
+    for i in (np.flatnonzero(turns[1:] > turns[:-1]) + 1).tolist():
+        for k in range(int(turns[i - 1]) + 1, int(turns[i]) + 1):
+            turn, e = 2.0 * math.pi * k, (tol + RTOL) * x[i]
+            zero, error = _interpolated_zero(x, (theta - turn).tolist(), i)
+            if not (x[i - 1] < zero < x[i] and error <= e / 4):
+                zero = brentq(
+                    lambda m: float(_phase(grid, m)) - turn, x[i - 1], x[i], xtol=tol * x[i] / 2, rtol=RTOL
+                )
+            roots.append((zero, i))
+            if first:
+                return roots
+    return roots
+
+
+def _confirm(shot: list[float], S: np.ndarray, roots: list[tuple[float, int]], first: bool) -> None:
+    """Check the roots of :func:`_place` against the endpoint matrices ``S``
+    at the torques ``shot``: the probes, then r - e/2, r and r + e/2 for
+    each root r.  Raises RootSearchError unless trace S(r - e/2) < 0 <=
+    trace S(r + e/2) and det S(r) <= 1e-6 * max |det S| over the probes up
+    to r, for every r, and the sorted shot holds as many upward trace
+    crossings as roots, and, with ``first``, one root."""
+    t, det = S[:, 0, 0] + S[:, 1, 1], endpoint_det(S)
+    stop = len(shot) - 3 * len(roots)
+    for below, (root, i) in zip(range(stop, len(shot), 3), roots):
+        if not t[below] < 0.0 <= t[below + 2]:
+            raise RootSearchError(
+                f"phase zero at M={root:.6g} is not an eigenvalue: trace S goes from "
+                f"{t[below]:.3e} to {t[below + 2]:.3e} across it, not from minus to plus"
+            )
+        det_scale = float(np.max(np.abs(det[: i + 1])))
+        if det[below + 1] > 1e-6 * det_scale:
             raise RootSearchError(
                 f"trace crossing at M={root:.6g} is not an eigenvalue: "
-                f"det {det_at_root:.3e} vs scan scale {det_scale:.3e}"
+                f"det {det[below + 1]:.3e} vs scan scale {det_scale:.3e}"
             )
-        roots.append(root)
-        if first:
-            return roots
-    if first:
+    sorted_t = t[np.argsort(shot, kind="stable")]
+    crossings = np.count_nonzero((sorted_t[:-1] < 0.0) & (sorted_t[1:] >= 0.0))
+    if crossings != len(roots):
         raise RootSearchError(
-            f"no upward trace crossing in ({m[0]:.6g}, {m[-1]:.6g}): trace runs over "
-            f"[{min(t):.3e}, {max(t):.3e}] without a sign change from minus to plus"
+            f"{crossings} upward trace crossings in ({shot[0]:.6g}, {shot[stop - 1]:.6g}], but the "
+            f"phase places {len(roots)} roots"
         )
-    if len(roots) != turns[-1] - turns[0]:
+    if first and not roots:
         raise RootSearchError(
-            f"{len(roots)} upward trace crossings in ({probes[0]:.6g}, {probes[-1]:.6g}], but the "
-            f"phase passes {turns[-1] - turns[0]:.0f} multiples of 2 pi"
+            f"no upward trace crossing in ({shot[0]:.6g}, {shot[-1]:.6g}): trace runs over "
+            f"[{t.min():.3e}, {t.max():.3e}] without a sign change from minus to plus"
         )
-    return roots
 
 
 def _roots(
     rods: Sequence[tuple[ShapeFunction, float, float, float]], bracket, probes: int, tol: float,
     steps: int, first: bool,
 ) -> list[list[float]]:
-    """Eigenvalues of each rod (shape, E, J_y, J_z): the roots of its
-    :func:`_search` over :func:`probe_torques` of ``bracket`` and ``probes``
-    on ``steps`` steps per panel.  The searches run side by side: each
-    round, one :func:`propagate` call on the stacked grids of the live rods
-    shoots the torques every one of them asked for, each rod's padded with
-    its last.  Raises, once all are done, the RootSearchError of the first
-    rod in order that failed."""
+    """Eigenvalues of each rod (shape, E, J_y, J_z) over
+    :func:`probe_torques` of ``bracket`` and ``probes`` on ``steps`` steps
+    per panel, the first only with ``first``: the phase places them
+    (:func:`_place`), and one :func:`propagate` call on the stacked grids
+    shoots what :func:`_confirm` checks, each rod's torques padded with its
+    last.  Raises the RootSearchError of the first rod in order that fails
+    the check, or, before the shot, one :func:`brentq` raises on the phase."""
     if not rods:
         return []
     grids = [build_step_grid(shape, E, J_y, J_z, steps) for shape, E, J_y, J_z in rods]
-    stacked = StepGrid.stack(grids)
-    searches = [
-        _search(grid, probe_torques(*rod, bracket, probes), tol, first) for grid, rod in zip(grids, rods)
-    ]
-    results: list = [None] * len(rods)
-    failures: dict[int, RootSearchError] = {}
-    requests: dict[int, np.ndarray] = {}
-
-    def advance(i: int, S) -> None:
-        try:
-            requests[i] = searches[i].send(S)
-        except StopIteration as done:
-            results[i] = done.value
-        except RootSearchError as error:
-            failures[i] = error
-
-    for i in range(len(rods)):
-        advance(i, None)
-    while requests:
-        live = list(requests)
-        torques = [requests.pop(i) for i in live]
-        M = np.empty((len(live), max(t.size for t in torques)))
-        for row, t in zip(M, torques):
-            row[: t.size], row[t.size :] = t, t[-1]
-        S = propagate(stacked if len(live) == len(rods) else stacked.rods(live), M)
-        for i, S_rod, t in zip(live, S, torques):
-            advance(i, S_rod[: t.size])
-    if failures:
-        raise failures[min(failures)]
-    return results
+    scans = [probe_torques(*rod, bracket, probes) for rod in rods]
+    placed = [_place(grid, x, tol, first) for grid, x in zip(grids, scans)]
+    shots = []
+    for x, roots in zip(scans, placed):
+        # with ``first`` the probes stop at the one above the root: far
+        # above it the maps overflow
+        shot = x[: roots[0][1] + 1 if first and roots else None].tolist()
+        for root, i in roots:
+            e = (tol + RTOL) * x[i]
+            shot += [root - e / 2, root, root + e / 2]
+        shots.append(shot)
+    M = np.empty((len(rods), max(map(len, shots))))
+    for row, shot in zip(M, shots):
+        row[: len(shot)], row[len(shot) :] = shot, shot[-1]
+    S = propagate(StepGrid.stack(grids), M)
+    for shot, S_rod, roots in zip(shots, S, placed):
+        _confirm(shot, S_rod[: len(shot)], roots, first)
+    return [[root for root, _ in roots] for roots in placed]
 
 
 def first_roots(
     rods: Sequence[tuple[ShapeFunction, float, float, float]], tol: float = DEFAULT_TOL,
     steps: int = DEFAULT_STEPS,
 ) -> list[float]:
-    """Smallest buckling torque of each rod (shape, E, J_y, J_z), searched
-    as :func:`critical_torque_oracle` searches one with its default scan,
-    to the same float, with the rods shot together (:func:`_roots`).
-    Raises the RootSearchError of the first rod in order that has no root."""
+    """Smallest buckling torque of each rod (shape, E, J_y, J_z), placed
+    as :func:`critical_torque_oracle` places one with its default scan, to
+    the same float, and confirmed in one kernel call for all (:func:`_roots`).
+    Raises the RootSearchError of the first rod in order that fails."""
     return [roots[0] for roots in _roots(rods, None, DEFAULT_PROBES, tol, steps, True)]
 
 
@@ -559,11 +488,11 @@ def critical_torque_oracle(
     steps: int = DEFAULT_STEPS,
 ) -> float:
     """Smallest buckling torque, to relative tolerance ``tol``: the first
-    confirmed upward trace crossing of a scan over DEFAULT_PROBES equal
-    intervals of ``bracket`` or, by default, between bounds on M* from the
-    extremes of F (:func:`probe_torques`, no closed form).  Raises
-    RootSearchError when the scan holds no crossing or the crossing found
-    is not an eigenvalue."""
+    torque where the phase passes a multiple of 2 pi over a scan of
+    DEFAULT_PROBES equal intervals of ``bracket`` or, by default, between
+    bounds on M* from the extremes of F (:func:`probe_torques`, no closed
+    form), confirmed as an upward trace crossing.  Raises RootSearchError
+    when the scan holds no crossing or the root is not confirmed."""
     rod = (spec.shape, spec.E, spec.J_ref, spec.J_ref)
     return _roots([rod], bracket, DEFAULT_PROBES, tol, steps, True)[0][0]
 
@@ -571,10 +500,12 @@ def critical_torque_oracle(
 def eigenvalues_in(
     spec: RodSpec, M_lo: float, M_hi: float, tol: float = DEFAULT_TOL, steps: int = DEFAULT_STEPS,
 ) -> list[float]:
-    """All buckling torques in (M_lo, M_hi], 0 <= M_lo < M_hi: every confirmed
-    upward trace crossing of a scan over SPECTRUM_PROBES equal intervals."""
+    """All buckling torques in (M_lo, M_hi], 0 <= M_lo < M_hi: one per
+    multiple of 2 pi the phase passes over DEFAULT_PROBES equal intervals,
+    however many in one interval, each confirmed as an upward trace
+    crossing, in one kernel call."""
     rod = (spec.shape, spec.E, spec.J_ref, spec.J_ref)
-    return _roots([rod], (M_lo, M_hi), SPECTRUM_PROBES, tol, steps, False)[0]
+    return _roots([rod], (M_lo, M_hi), DEFAULT_PROBES, tol, steps, False)[0]
 
 
 def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:

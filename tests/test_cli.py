@@ -481,10 +481,10 @@ class TestVerify:
 
     def test_shooting_suites_share_kernel_calls(self, capsys, monkeypatch):
         # the rods of both shooting suites are searched together, and the
-        # phase aims their one kernel call: each rod's row holds its probes
-        # PROBE_RATIO apart through the one after the first above its root,
-        # then a batch of at most 8 torques between the first above the root
-        # and the one before, padded with its last
+        # phase places their roots before the one kernel call: each rod's row
+        # holds its probes PROBE_RATIO apart through the first above its
+        # root r, then r - e/2, r and r + e/2, e = (tol + RTOL) times that
+        # probe, padded with its last
         calls = []
         propagate = cli.oracle.propagate
 
@@ -502,9 +502,10 @@ class TestVerify:
             for row in M:
                 ratios = row[1:] / row[:-1]
                 start = int(np.argmax(ratios < 1.0)) + 1
-                batch = np.unique(row[start:])
+                root, e = row[start + 1], (oracle.DEFAULT_TOL + oracle.RTOL) * row[start - 1]
                 assert ratios[: start - 1] == pytest.approx(oracle.PROBE_RATIO, rel=1e-12)
-                assert 0 < batch.size <= 8 and row[start - 3] < batch.min() and batch.max() < row[start - 2]
+                assert row[start - 2] < root <= row[start - 1]
+                assert row[start:].tolist() == [root - e / 2, root] + [root + e / 2] * (row.size - start - 2)
 
 
 class TestVerifyThresholds:

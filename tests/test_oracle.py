@@ -6,6 +6,7 @@ import ast
 import cmath
 import functools
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -388,7 +389,9 @@ class TestRunLengthKernel:
         finally:
             tracemalloc.stop()
         assert len(roots) == 2
-        assert peak < 8 * 2**20
+        # the one call shoots 65 probes and 3 torques per root (1.7 MB);
+        # 256 probes and 8 torques per root took 6.0 MB
+        assert peak < 3 * 2**20
 
 
 def random_sampled_rods() -> list[RodSpec]:
@@ -566,8 +569,15 @@ class TestBrentq:
         )[1]
         assert not info.converged and info.function_calls == len(points)
 
-    def test_takes_over_when_a_batch_fails_to_halve_the_bracket(self, monkeypatch):
-        # a triple zero of the trace defeats the interpolated batches
+    def test_takes_over_when_the_interpolated_zero_is_off(self, monkeypatch):
+        # a cubic phase, 2 pi + d**3 / 100 + d / 1000 with d = M - 5.3, is
+        # too flat near its zero for the inverse interpolant of the probes:
+        # brentq places the root on the phase alone, and a triple zero of
+        # the trace confirms it
+        def cubic_phase(grid, M):
+            d = np.asarray(M, dtype=float) - 5.3
+            return 2.0 * math.pi + 1e-2 * d**3 + 1e-3 * d
+
         def cubic_trace(grid, M):
             half = 0.5 * (np.asarray(M, dtype=float) - 5.3) ** 3
             zero = np.zeros_like(half)
@@ -581,9 +591,10 @@ class TestBrentq:
             return brentq(f, a, b, **tolerances)
 
         monkeypatch.setattr(oracle, "brentq", recording)
+        monkeypatch.setattr(oracle, "_phase", cubic_phase)
         monkeypatch.setattr(oracle, "propagate", cubic_trace)
         root = critical_torque_oracle(UNIFORM, bracket=(1.0, 9.0))
-        assert len(brackets) == 1 and brackets[0][0] < 5.3 < brackets[0][1]
+        assert brackets == [(5.25, 5.375)]  # the probe interval where the phase passes 2 pi
         assert abs(root - 5.3) <= 1e-10 * 5.375  # tol times the probe above the zero
 
     def test_nan_raises(self):
@@ -597,6 +608,20 @@ def unconfirmable_kernel(grid, M):
     half_trace = 0.5 * (np.asarray(M, dtype=float) - 5.0)
     ones = np.ones_like(half_trace)
     return np.stack([np.stack([half_trace, -ones], -1), np.stack([ones, half_trace], -1)], -2)
+
+
+def sign_keeping_kernel(grid, M):
+    """Endpoint matrices [[h, h], [h, h]], h = (M - 5) / 2: det S = 0
+    everywhere, and trace S crosses zero upward at M = 5 only."""
+    half_trace = 0.5 * (np.asarray(M, dtype=float) - 5.0)
+    return np.stack([np.stack([half_trace, half_trace], -1)] * 2, -2)
+
+
+def extra_crossing_kernel(grid, M):
+    """The rod's endpoint matrices, negated for 2 < M < 3: det S is
+    unchanged, and trace S gains an upward crossing at M = 3."""
+    M = np.asarray(M, dtype=float)
+    return propagate(grid, M) * np.where(np.abs(M - 2.5) < 0.5, -1.0, 1.0)[..., None, None]
 
 
 # Rods whose soft part 4096 steps shared out by width could not follow
@@ -638,6 +663,21 @@ class TestUnresolvedRods:
         monkeypatch.setattr(oracle, "propagate", unconfirmable_kernel)
         with pytest.raises(RootSearchError, match="not an eigenvalue"):
             critical_torque_oracle(UNIFORM)
+
+    def test_root_where_the_trace_keeps_its_sign_raises(self, monkeypatch):
+        # det S = 0 at the phase zero 2 pi, and the probes' one upward
+        # crossing, at 5, matches the one root: only the trace's sign
+        # across 2 pi +- e/2 tells it is no crossing
+        monkeypatch.setattr(oracle, "propagate", sign_keeping_kernel)
+        with pytest.raises(RootSearchError, match="not from minus to plus"):
+            critical_torque_oracle(UNIFORM, bracket=(1.0, 9.0))
+
+    def test_extra_upward_crossing_raises(self, monkeypatch):
+        # the root at 2 pi is confirmed, but the probes 1/8 apart hold a
+        # second upward crossing, at 3, that the phase does not place
+        monkeypatch.setattr(oracle, "propagate", extra_crossing_kernel)
+        with pytest.raises(RootSearchError, match="^2 upward trace crossings .* places 1 roots"):
+            critical_torque_oracle(UNIFORM, bracket=(1.0, 9.0))
 
 
 def imported_modules(path: Path) -> list[str]:
@@ -713,9 +753,9 @@ class TestCriticalTorqueOracle:
         )
 
     def test_one_kernel_call_per_root(self, monkeypatch):
-        # the phase aims the one call: the probes through the one after the
-        # first above the root, then a batch of at most 8 torques around the
-        # root between the first above it and the one before
+        # the phase places the root before the one call, which shoots the
+        # probes through the first above the root, then r - e/2, r and
+        # r + e/2, e = (tol + RTOL) times that probe
         calls = []
 
         def counting(grid, M):
@@ -726,11 +766,10 @@ class TestCriticalTorqueOracle:
         root = critical_torque_oracle(PIECEWISE)
         probes = probe_torques(PIECEWISE.shape, 1.0, 1.0, 1.0, None, DEFAULT_PROBES)
         above = int(np.searchsorted(probes, root))
+        e = (DEFAULT_TOL + oracle.RTOL) * probes[above]
         (shot,) = calls
-        batch = shot[above + 2 :]
-        assert shot[: above + 2].tolist() == probes[: above + 2].tolist()
-        assert 0 < batch.size <= 8 and root in batch.tolist()
-        assert ((probes[above - 1] < batch) & (batch < probes[above])).all()
+        assert probes[above - 1] < root <= probes[above]
+        assert shot.tolist() == probes[: above + 1].tolist() + [root - e / 2, root, root + e / 2]
         calls.clear()
         rng = Lcg64(2024)
         for _ in range(50):
@@ -762,15 +801,15 @@ class TestCriticalTorqueOracle:
     )
     def test_root_just_above_the_pass(self, shape):
         # at 2**16 steps the unit rod's trace crosses within roundoff above
-        # the probe where the phase passes 2 pi: the shot's probe past that
-        # one holds the crossing
+        # the probe where the phase passes 2 pi: the root placed at or below
+        # that probe is confirmed by the torque e/2 above it
         root = critical_torque_oracle(rod(shape), steps=2**16)
         assert abs(root - 2.0 * math.pi) <= 1e-15 * 2.0 * math.pi
 
     def test_bracket_of_adjacent_floats(self):
-        # at tol 1e-15 a bracket can close to two adjacent floats, where no
-        # batch fits: its end of smaller |trace| is the root, never an empty
-        # request to the kernel
+        # at tol 1e-15 a bracket of trace values closed to two adjacent
+        # floats on these rods (an empty request to the kernel once): the
+        # phase zero needs no bracket, and it lies at the crossing
         rng = Lcg64(2024)
         specs = [random_rod_spec(rng) for _ in range(44)]
         for spec in (specs[24], specs[28], specs[43]):
@@ -832,12 +871,11 @@ class TestRootAccuracy:
 
 
 class TestLockstep:
-    """Rods searched together, one kernel call per round for all of them."""
+    """Rods searched together, one kernel call for all of them."""
 
     @staticmethod
     def rods() -> list[tuple]:
-        # 1-8 panels; at tol 1e-15 the bracket of the first Lcg64(62) rod
-        # closes to adjacent floats (test_bracket_of_adjacent_floats)
+        # 1-8 panels
         rods = []
         for seed in (15, 24, 61, 62):
             rng = Lcg64(seed)
@@ -864,7 +902,8 @@ class TestLockstep:
         fallbacks = sorted(brackets)
         brackets.clear()
         assert oracle.first_roots(rods, tol=1e-15) == single
-        # the same brentq fallbacks batched as alone, however many (none now)
+        # the same brentq safeguards on the phase batched as alone, however
+        # many (none now)
         assert sorted(brackets) == fallbacks
 
     def test_failing_rod_raises_its_own_error(self):
@@ -906,10 +945,10 @@ class TestEigenvalueSequence:
         assert roots[1] == pytest.approx(2.0 * m_star, rel=1e-8)
 
     def test_one_kernel_call(self, monkeypatch):
-        # the phase places every root of the scan: one batch per pass, all
-        # in the one call of the probes.  Up to 200.5 M* the 256 probes are
-        # 0.78 M* apart, so an interval can hold an upward and a downward
-        # crossing, and only the batch shows the upward one
+        # the phase places every root of the scan, and the one call shoots
+        # the probes and three torques around each root.  Up to 200.5 M*
+        # the 64 probes are 3.1 M* apart, so an interval holds several
+        # roots, and only the torques around each show its crossing
         calls = []
 
         def counting(grid, M):
@@ -929,13 +968,25 @@ class TestEigenvalueSequence:
             for k, root in enumerate(roots, 1):
                 assert root == pytest.approx(k * m_star, rel=rel)
 
-    def test_count_disagreeing_with_the_phase_raises(self):
-        # 256 probes 3.9 M* apart: the phase passes several multiples of
-        # 2 pi per interval, and the missing roots raise
+    def test_several_roots_per_probe_interval(self, monkeypatch):
+        # 64 probes 15.6 M* apart: the phase passes about 16 multiples of
+        # 2 pi in each interval, and each is a root
+        calls = []
+
+        def counting(grid, M):
+            calls.append(np.size(M))
+            return propagate(grid, M)
+
+        monkeypatch.setattr(oracle, "propagate", counting)
         spec = random_rod_spec(Lcg64(2024))
         m_star = critical_torque_value(spec)
-        with pytest.raises(RootSearchError, match=r"^256 upward .* passes 1000 multiples"):
-            eigenvalues_in(spec, 0.0, 1000.5 * m_star, steps=2**20)
+        start = time.perf_counter()
+        roots = eigenvalues_in(spec, 0.0, 1000.5 * m_star, steps=2**20)
+        elapsed = time.perf_counter() - start
+        assert len(calls) == 1 and len(roots) == 1000
+        for k, root in enumerate(roots, 1):
+            assert abs(root - k * m_star) <= 1e-12 * k * m_star
+        assert elapsed < 1.0
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
