@@ -77,6 +77,17 @@ MUTANTS = [
     # no other upward crossing
     ("oracle.py", "if not t[below] < 0.0 <= t[below + 2]:", "if False:", "no-trace-sign-check"),
     ("oracle.py", "if crossings != len(roots):", "if False:", "no-crossing-count-check"),
+    # main builds the subparser of the command it runs, and the usage line
+    # of that parser names all three
+    ("cli.py", "if command in (None, name):", "if True:", "every-command-built"),
+    ("cli.py", 'sub.metavar = "{" + ",".join(COMMANDS) + "}"', "pass", "one-command-usage"),
+    ("cli.py", "command = argv[0] if argv and argv[0] in COMMANDS else None", "command = None",
+     "no-command-dispatch"),
+    # malformed input: a spec that is no JSON object, a law exponent with a
+    # fraction, a NaN or negative optimizer tolerance
+    ("cli.py", "if not isinstance(doc, dict):", "if False:", "no-top-level-object-check"),
+    ("shape.py", 'n=json_whole_number(n, "section-law exponent")', "n=int(n)", "fractional-law-exponent"),
+    ("optimizer.py", "if not tol >= 0.0:", "if False:", "no-tol-check"),
 ]
 
 

@@ -6,7 +6,15 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 All output is machine-readable: one JSON report on stdout for
 ``analyze`` and ``verify``, JSON lines for ``optimize``; mode-shape
 samples go to CSV.  Reports echo the fully resolved input, so a run can
-be reproduced from its report alone.
+be reproduced from its report alone.  Malformed input (a spec that is
+no JSON object, a file that cannot be read or written, a field of the
+wrong type) exits 2 with an ``input error:`` line, never a traceback.
+
+``COMMANDS`` maps each command to its help, the function that adds its
+arguments and its handler.  ``main`` builds a fresh parser on every
+call, holding only the subparser of the command it runs: building all
+three cost about as much as the library work of an ``analyze``.  Help,
+no command or an unknown one get the full parser.
 """
 
 from __future__ import annotations
@@ -30,7 +38,14 @@ from .sampling import (
     random_piecewise_shape,
     random_rod_spec,
 )
-from .shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
+from .shape import (
+    CrossSectionLaw,
+    RodSpec,
+    ShapeFunction,
+    area_profile,
+    json_number,
+    json_whole_number,
+)
 from .transform import physical_length
 
 EXIT_OK = 0
@@ -46,11 +61,16 @@ BOUND_TOLERANCE = 1e-10
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read input file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, not {json.dumps(doc)[:40]}")
+    return doc
 
 
 def _parse_rod(doc: dict) -> tuple[RodSpec, aniso.AnisotropicRodSpec | None, dict]:
@@ -61,7 +81,7 @@ def _parse_rod(doc: dict) -> tuple[RodSpec, aniso.AnisotropicRodSpec | None, dic
             raise ValueError(f"rod spec missing required field '{key}'")
     shape = ShapeFunction.from_dict(doc["shape"])
     law = CrossSectionLaw.from_dict(doc["law"])
-    E = float(doc["E"])
+    E = json_number(doc["E"], "'E'")
     echo: dict = {"E": E, "shape": shape.to_dict(), "law": law.to_dict()}
 
     if "Jy" in doc or "Jz" in doc:
@@ -69,14 +89,16 @@ def _parse_rod(doc: dict) -> tuple[RodSpec, aniso.AnisotropicRodSpec | None, dic
             raise ValueError("anisotropic spec needs both 'Jy' and 'Jz'")
         if "J_ref" in doc:
             raise ValueError("give either 'J_ref' or the pair 'Jy'/'Jz', not both")
-        section = aniso.AnisotropicSection(Jy=float(doc["Jy"]), Jz=float(doc["Jz"]))
+        section = aniso.AnisotropicSection(
+            Jy=json_number(doc["Jy"], "'Jy'"), Jz=json_number(doc["Jz"], "'Jz'")
+        )
         aspec = aniso.AnisotropicRodSpec(E=E, section=section, shape=shape, law=law)
         spec = aniso.reduce_to_isotropic(aspec)
         echo.update({"Jy": section.Jy, "Jz": section.Jz, "J_effective": spec.J_ref})
         return spec, aspec, echo
     if "J_ref" not in doc:
         raise ValueError("rod spec missing 'J_ref' (or the pair 'Jy'/'Jz')")
-    spec = RodSpec(E=E, J_ref=float(doc["J_ref"]), shape=shape, law=law)
+    spec = RodSpec(E=E, J_ref=json_number(doc["J_ref"], "'J_ref'"), shape=shape, law=law)
     echo["J_ref"] = spec.J_ref
     return spec, None, echo
 
@@ -99,7 +121,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         mode = mode_shape(spec, m_star)
         if aspec is not None:
             mode = aniso.mode_to_anisotropic(mode, aspec.section.k)
-        mode.to_csv(args.out)
+        try:
+            mode.to_csv(args.out)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
         mode_csv = str(Path(args.out))
 
     report = {
@@ -123,15 +148,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _segment_count(value) -> int:
-    """The panel count read from JSON: an integer, or a float without a fraction."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"'segments' must be a whole number, got {value!r}")
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     doc = _load_json(args.spec)
     for key in ("V", "L", "E", "law"):
@@ -148,7 +164,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     default_segments = 8 if init_areas is None else len(init_areas)
     segments = args.segments
     if segments is None:
-        segments = _segment_count(doc.get("segments", default_segments))
+        segments = json_whole_number(doc.get("segments", default_segments), "'segments'")
     if init_areas is None:
         init_areas = random_areas(Lcg64(args.seed), segments)
     elif len(init_areas) != segments:
@@ -157,7 +173,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
 
     problem = opt.OptimizationProblem.from_areas(
-        init_areas, V_target=float(doc["V"]), L=float(doc["L"]), law=law, E=float(doc["E"])
+        init_areas,
+        V_target=json_number(doc["V"], "'V'"),
+        L=json_number(doc["L"], "'L'"),
+        law=law,
+        E=json_number(doc["E"], "'E'"),
     )
     trace = opt.optimize(problem, max_iters=args.max_iters, tol=args.tol)
     print(trace.to_json_lines())
@@ -254,48 +274,74 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _analyze_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", required=True, help="Rod spec JSON file.")
+    parser.add_argument("--out", help="Write the buckling-mode samples to this CSV.")
+    parser.add_argument(
+        "--oracle", action="store_true", help="Also run the shooting eigensolver."
+    )
+    parser.add_argument(
+        "--steps", type=int, default=oracle.DEFAULT_STEPS, help="RK4 steps per panel."
+    )
+
+
+def _optimize_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", required=True, help="Problem JSON file.")
+    parser.add_argument("--segments", type=int, help="Override the panel count.")
+    parser.add_argument("--max-iters", type=int, default=1000)
+    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument(
+        "--seed", type=int, default=1, help="Seed for the random start when 'init' is absent."
+    )
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, default=50, help="Cases per suite.")
+    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS, help="RK4 steps per panel.")
+    parser.add_argument(
+        "--inject-wrong-exponent", action="store_true", help=argparse.SUPPRESS
+    )
+
+
+# Each command's help, the function that adds its arguments, and its handler.
+COMMANDS = {
+    "analyze": ("Analyze one rod spec (JSON report).", _analyze_arguments, cmd_analyze),
+    "optimize": ("Run the fixed-volume shape optimizer.", _optimize_arguments, cmd_optimize),
+    "verify": ("Cross-validation suites on random cases.", _verify_arguments, cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A fresh parser with the subparser of ``command`` only, or of every
+    command when ``command`` is None.  A parser of one command names all
+    three in its usage line, as the full parser does, so its errors read
+    the same."""
     parser = argparse.ArgumentParser(
         prog="twistrod",
         description="Critical twist-buckling torque of variable-cross-section rods: "
         "exact value, shooting cross-check, isoperimetric bound, shape optimization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="Analyze one rod spec (JSON report).")
-    p_analyze.add_argument("--spec", required=True, help="Rod spec JSON file.")
-    p_analyze.add_argument("--out", help="Write the buckling-mode samples to this CSV.")
-    p_analyze.add_argument(
-        "--oracle", action="store_true", help="Also run the shooting eigensolver."
-    )
-    p_analyze.add_argument(
-        "--steps", type=int, default=oracle.DEFAULT_STEPS, help="RK4 steps per panel."
-    )
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_opt = sub.add_parser("optimize", help="Run the fixed-volume shape optimizer.")
-    p_opt.add_argument("--spec", required=True, help="Problem JSON file.")
-    p_opt.add_argument("--segments", type=int, help="Override the panel count.")
-    p_opt.add_argument("--max-iters", type=int, default=1000)
-    p_opt.add_argument("--tol", type=float, default=1e-10)
-    p_opt.add_argument(
-        "--seed", type=int, default=1, help="Seed for the random start when 'init' is absent."
-    )
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_verify = sub.add_parser("verify", help="Cross-validation suites on random cases.")
-    p_verify.add_argument("--n", type=int, default=50, help="Cases per suite.")
-    p_verify.add_argument("--seed", type=int, default=2024)
-    p_verify.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS, help="RK4 steps per panel.")
-    p_verify.add_argument(
-        "--inject-wrong-exponent", action="store_true", help=argparse.SUPPRESS
-    )
-    p_verify.set_defaults(func=cmd_verify)
+    if command is not None:
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if command in (None, name):
+            command_parser = sub.add_parser(name, help=help_text)
+            add_arguments(command_parser)
+            command_parser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command named by ``argv[0]`` (``sys.argv[1:]`` when ``argv``
+    is None), building the parser of that command only; any other first
+    word (none, ``-h``, ``--``, an unknown one) gets the full parser and
+    its help or usage error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -254,12 +254,16 @@ def optimize(
     ``2*pi*E*alpha`` once, in the order of the panel formula, and
     rescales each fresh candidate in place, so its floats are those of
     the formulas above.  Raises ValueError when
-    ``max_iters`` is negative, and when the torque of the starting
-    profile or of the constant section is not positive and finite: every
-    iterate's torque lies between the two.
+    ``max_iters`` is negative, when ``tol`` is negative or NaN (a NaN
+    gain test never stops the loop, and a negative ``tol`` accepts
+    losses), and when the torque of the starting profile or of the
+    constant section is not positive and finite: every iterate's torque
+    lies between the two.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
     V, L, E, law, areas = problem.V_target, problem.L, problem.E, problem.law, problem.areas
     n = law.n
     h = L / areas.size

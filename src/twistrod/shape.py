@@ -137,6 +137,35 @@ def require_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
+def json_number(value, what: str) -> float:
+    """A number read from JSON: whatever ``float`` takes, except that
+    ``null``, ``true``, a list or an object is a ValueError naming ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _json_array(value, what: str) -> np.ndarray:
+    """A shape's list of numbers read from JSON; an object in it is a ValueError."""
+    try:
+        return np.array(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"shape {what} must be a list of numbers, got {value!r}") from None
+
+
+def json_whole_number(value, what: str) -> int:
+    """A count read from JSON: an integer, or a float without a fraction
+    (``true`` is not a number)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
 # QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule
 # (Piessens et al., 1983, routine QK21): abscissae on [-1, 1] from the
 # end towards the centre, Kronrod weights, and the Gauss weights that
@@ -472,20 +501,24 @@ class ShapeFunction(_ArrayRecord):
             raise ValueError("shape descriptor missing 'kind'") from None
         if kind == "constant":
             values = d.get("values")
-            if not values or len(values) != 1:
+            if not isinstance(values, list) or len(values) != 1:
                 raise ValueError("constant shape needs exactly one entry in 'values'")
-            return cls.constant(values[0], d.get("L", 1.0))
+            return cls.constant(
+                json_number(values[0], "shape value"), json_number(d.get("L", 1.0), "shape 'L'")
+            )
         if kind == "piecewise":
             if "breakpoints" not in d:
                 raise ValueError("piecewise shape needs 'breakpoints'")
-            shape = cls.piecewise(d["breakpoints"], d.get("values", []))
-            if "L" in d and float(d["L"]) != shape.L:
+            shape = cls.piecewise(
+                _json_array(d["breakpoints"], "'breakpoints'"), _json_array(d.get("values", []), "'values'")
+            )
+            if "L" in d and json_number(d["L"], "shape 'L'") != shape.L:
                 raise ValueError(f"piecewise shape has 'L' {d['L']!r} but its breakpoints end at {shape.L!r}")
             return shape
         if kind == "sampled":
             if "L" not in d:
                 raise ValueError("sampled shape needs 'L'")
-            return cls.sampled(d.get("values", []), d["L"])
+            return cls.sampled(_json_array(d.get("values", []), "'values'"), json_number(d["L"], "shape 'L'"))
         raise ValueError(f"unknown shape kind {kind!r}")
 
 
@@ -522,9 +555,13 @@ class CrossSectionLaw:
     @classmethod
     def from_dict(cls, d: dict) -> "CrossSectionLaw":
         try:
-            return cls(n=int(d["n"]), alpha=float(d["alpha"]))
+            n, alpha = d["n"], d["alpha"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"law descriptor needs 'n' and 'alpha': {exc}") from None
+        return cls(
+            n=json_whole_number(n, "section-law exponent"),
+            alpha=json_number(alpha, "section-law coefficient"),
+        )
 
 
 # The law of a profile in area units, F = A exactly: one value for every

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,10 +56,65 @@ PROBLEM = {
 }
 
 
+SAMPLED_ROD = {**CONSTANT_ROD, "shape": {"kind": "sampled", "L": 1.0, "values": [1.0, 1.5, 1.2]}}
+
+
 def write(tmp_path, name: str, doc: dict) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def with_shape(rod: dict, **fields) -> dict:
+    return {**rod, "shape": {**rod["shape"], **fields}}
+
+
+def spec_argv(command: str, doc, *options: str):
+    """argv of ``command`` on a spec file holding ``doc``, for a ``tmp_path``."""
+    return lambda tmp_path: [command, "--spec", write(tmp_path, "spec.json", doc), *options]
+
+
+# A null, a boolean and a list where a number belongs
+NOT_NUMBERS = {"null": None, "true": True, "list": [1.0]}
+
+MALFORMED_INPUT = {
+    **{f"{command}-top-level-{name}": spec_argv(command, doc)
+       for command in ("analyze", "optimize")
+       for name, doc in (("null", None), ("number", 5), ("list", [1]))},
+    **{f"{command}-spec-is-a-directory": (lambda tmp_path, c=command: [c, "--spec", str(tmp_path)])
+       for command in ("analyze", "optimize")},
+    "analyze-out-in-missing-directory": lambda tmp_path: [
+        "analyze", "--spec", write(tmp_path, "rod.json", CONSTANT_ROD),
+        "--out", str(tmp_path / "no" / "mode.csv"),
+    ],
+    **{f"analyze-{key}-{name}": spec_argv("analyze", {**rod, key: bad})
+       for key, rod in (("E", CONSTANT_ROD), ("J_ref", CONSTANT_ROD), ("Jy", ANISO_ROD), ("Jz", ANISO_ROD))
+       for name, bad in NOT_NUMBERS.items()},
+    **{f"analyze-{rod['shape']['kind']}-L-{name}": spec_argv("analyze", with_shape(rod, L=bad))
+       for rod in (CONSTANT_ROD, PIECEWISE_ROD, SAMPLED_ROD) for name, bad in NOT_NUMBERS.items()},
+    **{f"analyze-constant-value-{name}": spec_argv("analyze", with_shape(CONSTANT_ROD, values=[bad]))
+       for name, bad in NOT_NUMBERS.items()},
+    "analyze-constant-values-not-a-list": spec_argv("analyze", with_shape(CONSTANT_ROD, values=5)),
+    "analyze-piecewise-value-list": spec_argv("analyze", with_shape(PIECEWISE_ROD, values=[[1.0], 2.0])),
+    "analyze-piecewise-value-object": spec_argv("analyze", with_shape(PIECEWISE_ROD, values=[{}, 2.0])),
+    "analyze-breakpoints-object": spec_argv("analyze", with_shape(PIECEWISE_ROD, breakpoints={})),
+    "analyze-sampled-value-object": spec_argv("analyze", with_shape(SAMPLED_ROD, values=[1.0, {}])),
+    "analyze-alpha-true": spec_argv("analyze", {**CONSTANT_ROD, "law": {"n": 1, "alpha": True}}),
+    **{f"optimize-{key}-{name}": spec_argv("optimize", {**PROBLEM, key: bad})
+       for key in ("V", "L", "E") for name, bad in NOT_NUMBERS.items()},
+    # a NaN gain test never stops the ascent, a negative tol accepts losses
+    **{f"optimize-tol-{tol}": spec_argv("optimize", PROBLEM, "--tol", tol) for tol in ("nan", "-1")},
+}
+
+
+def run_cli(argv, capsys) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestAnalyze:
@@ -220,6 +277,34 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["oracle"]["disagreement"] <= 1e-6
         assert report["ratio"] < 1.0
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUT.values(), ids=MALFORMED_INPUT.keys())
+def test_malformed_input_is_input_error(tmp_path, capsys, argv):
+    # exit 1 means a failed verification: malformed input exits 2, never
+    # with a traceback
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+class TestLawExponent:
+    @pytest.mark.parametrize("n", [1.5, True, "2", None])
+    def test_not_a_whole_number_is_input_error(self, tmp_path, capsys, n):
+        spec = write(tmp_path, "rod.json", {**CONSTANT_ROD, "law": {"n": n, "alpha": 1.0}})
+        assert main(["analyze", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert f"input error: section-law exponent must be a whole number, got {n!r}" in captured.err
+        assert captured.out == ""
+
+    def test_whole_float_is_the_integer(self, tmp_path, capsys):
+        law = {"n": 2, "alpha": 1.0}
+        assert main(["analyze", "--spec", write(tmp_path, "int.json", {**CONSTANT_ROD, "law": law})]) == 0
+        as_int = capsys.readouterr().out
+        spec = write(tmp_path, "float.json", {**CONSTANT_ROD, "law": {**law, "n": 2.0}})
+        assert main(["analyze", "--spec", spec]) == 0
+        assert capsys.readouterr().out == as_int
 
 
 class TestOptimize:
@@ -540,3 +625,69 @@ def test_step_defaults_are_the_oracle_default():
     parser = cli.build_parser()
     for argv in (["analyze", "--spec", "rod.json"], ["verify"]):
         assert parser.parse_args(argv).steps == oracle.DEFAULT_STEPS
+        assert cli.build_parser(argv[0]).parse_args(argv).steps == oracle.DEFAULT_STEPS
+
+
+# Help, usage errors and the success and input-error paths of each
+# command; {rod}, {problem}, {missing} and {out} name files in tmp_path.
+PARSER_BATTERY = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["bogus"], ["anal"],
+    ["analyze", "-h"], ["optimize", "-h"], ["verify", "-h"],
+    ["verify", "--bogus"], ["optimize", "--spec", "{problem}", "--bogus"], ["verify", "--n", "0", "extra"],
+    ["--", "verify", "--n", "0"], ["analyze"], ["optimize"], ["verify", "--n", "x"], ["verify", "--n"],
+    ["analyze", "--steps", "x", "--spec", "{rod}"],
+    ["analyze", "--spec", "{rod}"], ["analyze", "--spec", "{rod}", "--oracle", "--out", "{out}"],
+    ["analyze", "--spec", "{missing}"],
+    ["optimize", "--spec", "{problem}"], ["optimize", "--spec", "{missing}"],
+    ["verify", "--n", "1"], ["verify", "--n", "-1"],
+]
+
+
+class TestParserPerCommand:
+    """``main`` builds the subparser of the command it runs, and only that."""
+
+    @pytest.mark.parametrize(
+        "argv", PARSER_BATTERY, ids=[" ".join(a) or "no-arguments" for a in PARSER_BATTERY]
+    )
+    def test_output_is_the_full_parsers(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        files = {
+            "rod": write(tmp_path, "rod.json", PIECEWISE_ROD),
+            "problem": write(tmp_path, "prob.json", PROBLEM),
+            "missing": str(tmp_path / "missing.json"),
+            "out": str(tmp_path / "mode.csv"),
+        }
+        argv = [word.format(**files) for word in argv]
+        one_command = run_cli(argv, capsys)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert one_command == run_cli(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            (["analyze", "--spec", "no-such-file.json"], ["analyze"]),
+            (["optimize", "--spec", "no-such-file.json"], ["optimize"]),
+            (["verify", "--n", "0"], ["verify"]),
+            (["--", "verify", "--n", "0"], ["analyze", "optimize", "verify"]),
+            (["-h"], ["analyze", "optimize", "verify"]),
+        ],
+    )
+    def test_subparsers_added(self, capsys, monkeypatch, argv, added):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        run_cli(argv, capsys)
+        assert names == added
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        # the console script of pyproject.toml calls main() with no argv
+        monkeypatch.setattr(sys, "argv", ["twistrod", "verify", "--n", "0", "--seed", "7"])
+        assert main() == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["seed"], report["n"]) == (7, 0)

@@ -349,6 +349,18 @@ class TestOptimize:
         with pytest.raises(ValueError, match="max_iters"):
             optimize(prob, max_iters=-1)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -5e-324])
+    def test_rejects_nan_or_negative_tol(self, tol):
+        # a NaN gain test never stops the ascent, a negative tol accepts losses
+        prob = OptimizationProblem.from_areas([1.0, 3.0], 2.0, 1.0, LAW1, 1.0)
+        with pytest.raises(ValueError, match="tol must be at least 0"):
+            optimize(prob, tol=tol)
+
+    def test_zero_tol_stops_at_the_first_loss(self):
+        prob = OptimizationProblem.from_areas([1.0, 3.0], 2.0, 1.0, LAW1, 1.0)
+        values = [it.M_star for it in optimize(prob, tol=0.0).iterates]
+        assert all(nxt >= prev for prev, nxt in zip(values, values[1:]))
+
     def test_json_lines(self):
         prob = OptimizationProblem.from_areas([1.0, 3.0], 2.0, 1.0, LAW1, 1.0)
         trace = optimize(prob)
