@@ -88,6 +88,20 @@ MUTANTS = [
     ("cli.py", "if not isinstance(doc, dict):", "if False:", "no-top-level-object-check"),
     ("shape.py", 'n=json_whole_number(n, "section-law exponent")', "n=int(n)", "fractional-law-exponent"),
     ("optimizer.py", "if not tol >= 0.0:", "if False:", "no-tol-check"),
+    # one rule for a number read from JSON: no bool, no string (a string is
+    # taken by float() and by numpy), a list for a list of numbers, no
+    # integer too large for a float; and no bool law exponent in the library
+    ("shape.py", "return issubclass(cls, (int, float)) and not issubclass(cls, bool)",
+     "return issubclass(cls, (int, float))", "json-bool-is-a-number"),
+    ("shape.py", "return issubclass(cls, (int, float)) and not", "return issubclass(cls, (int, float, str)) and not",
+     "json-string-is-a-number"),
+    ("shape.py", "if isinstance(value, list) and all(", "if all(", "json-numbers-without-a-list"),
+    ("shape.py", "return float(value)\n        except OverflowError:", "return float(value)\n        except ZeroDivisionError:",
+     "json-number-overflow-uncaught"),
+    ("shape.py", "return np.array(value, dtype=float)\n        except OverflowError:",
+     "return np.array(value, dtype=float)\n        except ZeroDivisionError:", "json-numbers-overflow-uncaught"),
+    ("shape.py", "if self.n not in (1, 2, 3) or isinstance(self.n, bool):", "if self.n not in (1, 2, 3):",
+     "law-exponent-bool"),
 ]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greenhill import ModeShape
-from .oracle import DEFAULT_PROBES, DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _roots, _shoot
+from .oracle import DEFAULT_STEPS, DEFAULT_TOL, ShootingResult, _roots, _shoot
 # propagate is not called here: bench/tracer.py patches this binding by name
 from .oracle import build_step_grid, propagate
 from .shape import CrossSectionLaw, RodSpec, ShapeFunction, require_positive
@@ -122,4 +122,4 @@ def first_root_anisotropic(
     (:func:`~twistrod.oracle.probe_torques`), which read no closed form.
     """
     rod = (spec.shape, spec.E, spec.section.Jy, spec.section.Jz)
-    return _roots([rod], bracket, DEFAULT_PROBES, tol, steps, True)[0][0]
+    return _roots([rod], bracket, tol, steps, True)[0][0]

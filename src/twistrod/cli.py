@@ -44,6 +44,7 @@ from .shape import (
     ShapeFunction,
     area_profile,
     json_number,
+    json_numbers,
     json_whole_number,
 )
 from .transform import physical_length
@@ -154,12 +155,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if key not in doc:
             raise ValueError(f"optimization problem missing required field '{key}'")
     law = CrossSectionLaw.from_dict(doc["law"])
-    init_areas = None
-    if "init" in doc:
-        try:
-            init_areas = [float(a) for a in doc["init"]]
-        except TypeError:
-            raise ValueError(f"'init' must be a list of areas, got {doc['init']!r}") from None
+    init_areas = json_numbers(doc["init"], "'init'") if "init" in doc else None
     # without a stated count, the panels are the start's, or 8 for a random start
     default_segments = 8 if init_areas is None else len(init_areas)
     segments = args.segments

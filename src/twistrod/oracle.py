@@ -268,18 +268,17 @@ def shoot(spec: RodSpec, M: float, steps: int = DEFAULT_STEPS) -> ShootingResult
     return _shoot(grid, M)
 
 
-def probe_torques(
-    shape: ShapeFunction, E: float, J_y: float, J_z: float, bracket, probes: int
-) -> np.ndarray:
-    """``probes + 1`` torques evenly over ``bracket`` or, if it is None,
-    PROBE_RATIO apart from a ratio below 2 pi E min(J_y, J_z) min F / L to a
-    ratio above 2 pi E max(J_y, J_z) max F / L, which bound M*; the margins
-    keep a root that discretisation moves past a bound inside the scan."""
+def probe_torques(shape: ShapeFunction, E: float, J_y: float, J_z: float, bracket) -> np.ndarray:
+    """``DEFAULT_PROBES + 1`` torques evenly over ``bracket`` or, if it is
+    None, PROBE_RATIO apart from a ratio below 2 pi E min(J_y, J_z) min F/L
+    to a ratio above 2 pi E max(J_y, J_z) max F/L, which bound M*; the
+    margins keep a root that discretisation moves past a bound inside the
+    scan."""
     if bracket is not None:
         lo, hi = bracket
         if not 0.0 <= lo < hi:
             raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
-        return np.linspace(lo, hi, probes + 1)
+        return np.linspace(lo, hi, DEFAULT_PROBES + 1)
     _, left, right = shape.panels()
     scale = 2.0 * math.pi * E / shape.L
     lo = scale * min(J_y, J_z) * float(np.minimum(left, right).min())
@@ -306,7 +305,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: f
             raise RootSearchError(f"function value is nan at x={x!r}")
         return fx
 
-    xpre, xcur = float(a), float(b)
+    xpre, xcur = map(float, (a, b))
     fpre, fcur = value(xpre), value(xcur)
     if fpre == 0.0:
         return xpre
@@ -439,20 +438,19 @@ def _confirm(shot: list[float], S: np.ndarray, roots: list[tuple[float, int]], f
 
 
 def _roots(
-    rods: Sequence[tuple[ShapeFunction, float, float, float]], bracket, probes: int, tol: float,
-    steps: int, first: bool,
+    rods: Sequence[tuple[ShapeFunction, float, float, float]], bracket, tol: float, steps: int, first: bool
 ) -> list[list[float]]:
     """Eigenvalues of each rod (shape, E, J_y, J_z) over
-    :func:`probe_torques` of ``bracket`` and ``probes`` on ``steps`` steps
-    per panel, the first only with ``first``: the phase places them
-    (:func:`_place`), and one :func:`propagate` call on the stacked grids
-    shoots what :func:`_confirm` checks, each rod's torques padded with its
-    last.  Raises the RootSearchError of the first rod in order that fails
-    the check, or, before the shot, one :func:`brentq` raises on the phase."""
+    :func:`probe_torques` of ``bracket`` on ``steps`` steps per panel, the
+    first only with ``first``: the phase places them (:func:`_place`), and
+    one :func:`propagate` call on the stacked grids shoots what
+    :func:`_confirm` checks, each rod's torques padded with its last.
+    Raises the RootSearchError of the first rod in order that fails the
+    check, or, before the shot, one :func:`brentq` raises on the phase."""
     if not rods:
         return []
     grids = [build_step_grid(shape, E, J_y, J_z, steps) for shape, E, J_y, J_z in rods]
-    scans = [probe_torques(*rod, bracket, probes) for rod in rods]
+    scans = [probe_torques(*rod, bracket) for rod in rods]
     placed = [_place(grid, x, tol, first) for grid, x in zip(grids, scans)]
     shots = []
     for x, roots in zip(scans, placed):
@@ -480,7 +478,7 @@ def first_roots(
     as :func:`critical_torque_oracle` places one with its default scan, to
     the same float, and confirmed in one kernel call for all (:func:`_roots`).
     Raises the RootSearchError of the first rod in order that fails."""
-    return [roots[0] for roots in _roots(rods, None, DEFAULT_PROBES, tol, steps, True)]
+    return [roots[0] for roots in _roots(rods, None, tol, steps, True)]
 
 
 def critical_torque_oracle(
@@ -494,7 +492,7 @@ def critical_torque_oracle(
     form), confirmed as an upward trace crossing.  Raises RootSearchError
     when the scan holds no crossing or the root is not confirmed."""
     rod = (spec.shape, spec.E, spec.J_ref, spec.J_ref)
-    return _roots([rod], bracket, DEFAULT_PROBES, tol, steps, True)[0][0]
+    return _roots([rod], bracket, tol, steps, True)[0][0]
 
 
 def eigenvalues_in(
@@ -505,7 +503,7 @@ def eigenvalues_in(
     however many in one interval, each confirmed as an upward trace
     crossing, in one kernel call."""
     rod = (spec.shape, spec.E, spec.J_ref, spec.J_ref)
-    return _roots([rod], (M_lo, M_hi), DEFAULT_PROBES, tol, steps, False)[0]
+    return _roots([rod], (M_lo, M_hi), tol, steps, False)[0]
 
 
 def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:

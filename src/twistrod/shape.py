@@ -137,31 +137,40 @@ def require_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
+def _number_type(cls: type) -> bool:
+    """Whether ``cls`` is the type of a JSON number: int or float, never bool."""
+    return issubclass(cls, (int, float)) and not issubclass(cls, bool)
+
+
 def json_number(value, what: str) -> float:
-    """A number read from JSON: whatever ``float`` takes, except that
-    ``null``, ``true``, a list or an object is a ValueError naming ``what``."""
-    if not isinstance(value, bool):
+    """A number read from JSON, as a float.  One rule holds for every number
+    of a document: an int or a float, never a bool, that a float can hold; a
+    string, ``true``, ``false``, ``null``, a list, an object or an integer
+    too large for a float is a ValueError naming ``what``."""
+    if _number_type(type(value)):
         try:
             return float(value)
-        except TypeError:
+        except OverflowError:
             pass
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
-def _json_array(value, what: str) -> np.ndarray:
-    """A shape's list of numbers read from JSON; an object in it is a ValueError."""
-    try:
-        return np.array(value, dtype=float)
-    except TypeError:
-        raise ValueError(f"shape {what} must be a list of numbers, got {value!r}") from None
+def json_numbers(value, what: str) -> np.ndarray:
+    """A list of numbers read from JSON, as a float array: a list whose every
+    entry is a number under :func:`json_number`'s rule, else a ValueError
+    naming ``what``."""
+    if isinstance(value, list) and all(map(_number_type, set(map(type, value)))):
+        try:
+            return np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a list of numbers, got {value!r}")
 
 
 def json_whole_number(value, what: str) -> int:
-    """A count read from JSON: an integer, or a float without a fraction
-    (``true`` is not a number)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
+    """A count read from JSON: a number under :func:`json_number`'s rule
+    without a fraction, as an int, else a ValueError naming ``what``."""
+    if _number_type(type(value)) and json_number(value, what).is_integer():
         return int(value)
     raise ValueError(f"{what} must be a whole number, got {value!r}")
 
@@ -499,26 +508,22 @@ class ShapeFunction(_ArrayRecord):
             kind = d["kind"]
         except (TypeError, KeyError):
             raise ValueError("shape descriptor missing 'kind'") from None
+        values = json_numbers(d.get("values", []), "shape 'values'")
         if kind == "constant":
-            values = d.get("values")
-            if not isinstance(values, list) or len(values) != 1:
+            if values.size != 1:
                 raise ValueError("constant shape needs exactly one entry in 'values'")
-            return cls.constant(
-                json_number(values[0], "shape value"), json_number(d.get("L", 1.0), "shape 'L'")
-            )
+            return cls.constant(values[0], json_number(d.get("L", 1.0), "shape 'L'"))
         if kind == "piecewise":
             if "breakpoints" not in d:
                 raise ValueError("piecewise shape needs 'breakpoints'")
-            shape = cls.piecewise(
-                _json_array(d["breakpoints"], "'breakpoints'"), _json_array(d.get("values", []), "'values'")
-            )
+            shape = cls.piecewise(json_numbers(d["breakpoints"], "shape 'breakpoints'"), values)
             if "L" in d and json_number(d["L"], "shape 'L'") != shape.L:
                 raise ValueError(f"piecewise shape has 'L' {d['L']!r} but its breakpoints end at {shape.L!r}")
             return shape
         if kind == "sampled":
             if "L" not in d:
                 raise ValueError("sampled shape needs 'L'")
-            return cls.sampled(_json_array(d.get("values", []), "'values'"), json_number(d["L"], "shape 'L'"))
+            return cls.sampled(values, json_number(d["L"], "shape 'L'"))
         raise ValueError(f"unknown shape kind {kind!r}")
 
 
@@ -536,7 +541,7 @@ class CrossSectionLaw:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.n not in (1, 2, 3):
+        if self.n not in (1, 2, 3) or isinstance(self.n, bool):
             raise ValueError(f"section-law exponent must be 1, 2 or 3, got {self.n}")
         require_positive(self.alpha, "section-law coefficient")
 

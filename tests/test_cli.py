@@ -74,8 +74,16 @@ def spec_argv(command: str, doc, *options: str):
     return lambda tmp_path: [command, "--spec", write(tmp_path, "spec.json", doc), *options]
 
 
-# A null, a boolean and a list where a number belongs
-NOT_NUMBERS = {"null": None, "true": True, "list": [1.0]}
+# Where a number belongs: a null, a boolean, a list, an object, a string
+# and an integer too large for a float.  Put in the place of 1.0, true
+# and "1.0" would each read as a valid 1.0 if they were taken for numbers.
+NOT_NUMBERS = {"null": None, "true": True, "list": [1.0], "object": {}, "string": "1.0", "400-digits": 10**400}
+
+
+def with_entry(numbers: list, bad) -> list:
+    """``numbers`` with ``bad`` in the place of 1.0."""
+    return [bad if x == 1.0 else x for x in numbers]
+
 
 MALFORMED_INPUT = {
     **{f"{command}-top-level-{name}": spec_argv(command, doc)
@@ -90,18 +98,26 @@ MALFORMED_INPUT = {
     **{f"analyze-{key}-{name}": spec_argv("analyze", {**rod, key: bad})
        for key, rod in (("E", CONSTANT_ROD), ("J_ref", CONSTANT_ROD), ("Jy", ANISO_ROD), ("Jz", ANISO_ROD))
        for name, bad in NOT_NUMBERS.items()},
+    **{f"analyze-{key}-{name}": spec_argv("analyze", {**CONSTANT_ROD, "law": {"n": 1, "alpha": 1.0, key: bad}})
+       for key in ("n", "alpha") for name, bad in NOT_NUMBERS.items()},
     **{f"analyze-{rod['shape']['kind']}-L-{name}": spec_argv("analyze", with_shape(rod, L=bad))
        for rod in (CONSTANT_ROD, PIECEWISE_ROD, SAMPLED_ROD) for name, bad in NOT_NUMBERS.items()},
-    **{f"analyze-constant-value-{name}": spec_argv("analyze", with_shape(CONSTANT_ROD, values=[bad]))
+    # every entry of a list of numbers follows the rule of a single number
+    **{f"analyze-{rod['shape']['kind']}-value-{name}": spec_argv(
+        "analyze", with_shape(rod, values=with_entry(rod["shape"]["values"], bad)))
+       for rod in (CONSTANT_ROD, PIECEWISE_ROD, SAMPLED_ROD) for name, bad in NOT_NUMBERS.items()},
+    **{f"analyze-breakpoint-{name}": spec_argv(
+        "analyze", with_shape(PIECEWISE_ROD, breakpoints=with_entry(PIECEWISE_ROD["shape"]["breakpoints"], bad)))
        for name, bad in NOT_NUMBERS.items()},
-    "analyze-constant-values-not-a-list": spec_argv("analyze", with_shape(CONSTANT_ROD, values=5)),
-    "analyze-piecewise-value-list": spec_argv("analyze", with_shape(PIECEWISE_ROD, values=[[1.0], 2.0])),
-    "analyze-piecewise-value-object": spec_argv("analyze", with_shape(PIECEWISE_ROD, values=[{}, 2.0])),
+    **{f"analyze-{rod['shape']['kind']}-values-not-a-list": spec_argv("analyze", with_shape(rod, values=5))
+       for rod in (CONSTANT_ROD, PIECEWISE_ROD, SAMPLED_ROD)},
     "analyze-breakpoints-object": spec_argv("analyze", with_shape(PIECEWISE_ROD, breakpoints={})),
-    "analyze-sampled-value-object": spec_argv("analyze", with_shape(SAMPLED_ROD, values=[1.0, {}])),
-    "analyze-alpha-true": spec_argv("analyze", {**CONSTANT_ROD, "law": {"n": 1, "alpha": True}}),
     **{f"optimize-{key}-{name}": spec_argv("optimize", {**PROBLEM, key: bad})
-       for key in ("V", "L", "E") for name, bad in NOT_NUMBERS.items()},
+       for key in ("V", "L", "E", "segments") for name, bad in NOT_NUMBERS.items()},
+    **{f"optimize-init-{name}": spec_argv("optimize", {**PROBLEM, "init": with_entry(PROBLEM["init"], bad)})
+       for name, bad in NOT_NUMBERS.items()},
+    # a string is no list of areas, though its characters read as [1.0, 3.0]
+    "optimize-init-not-a-list": spec_argv("optimize", {**PROBLEM, "init": "13"}),
     # a NaN gain test never stops the ascent, a negative tol accepts losses
     **{f"optimize-tol-{tol}": spec_argv("optimize", PROBLEM, "--tol", tol) for tol in ("nan", "-1")},
 }

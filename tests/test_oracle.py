@@ -528,7 +528,7 @@ class TestBrentq:
         for shape in shapes:
             spec = rod(shape)
             grid = build_step_grid(shape, spec.E, spec.J_ref, spec.J_ref, 4096)
-            ms = probe_torques(shape, spec.E, spec.J_ref, spec.J_ref, None, DEFAULT_PROBES)
+            ms = probe_torques(shape, spec.E, spec.J_ref, spec.J_ref, None)
             S = propagate(grid, ms)
             t = S[:, 0, 0] + S[:, 1, 1]
             i = int(np.flatnonzero((t[:-1] < 0.0) & (t[1:] >= 0.0))[0]) + 1
@@ -764,7 +764,7 @@ class TestCriticalTorqueOracle:
 
         monkeypatch.setattr(oracle, "propagate", counting)
         root = critical_torque_oracle(PIECEWISE)
-        probes = probe_torques(PIECEWISE.shape, 1.0, 1.0, 1.0, None, DEFAULT_PROBES)
+        probes = probe_torques(PIECEWISE.shape, 1.0, 1.0, 1.0, None)
         above = int(np.searchsorted(probes, root))
         e = (DEFAULT_TOL + oracle.RTOL) * probes[above]
         (shot,) = calls

@@ -449,7 +449,7 @@ class TestSectionLaw:
     def test_valid_exponents_only(self):
         for n in (1, 2, 3):
             CrossSectionLaw(n, 1.0)
-        for n in (0, 4, -1):
+        for n in (0, 4, -1, True, False):
             with pytest.raises(ValueError):
                 CrossSectionLaw(n, 1.0)
         with pytest.raises(ValueError):
