@@ -102,6 +102,8 @@ MUTANTS = [
      "return np.array(value, dtype=float)\n        except ZeroDivisionError:", "json-numbers-overflow-uncaught"),
     ("shape.py", "if self.n not in (1, 2, 3) or isinstance(self.n, bool):", "if self.n not in (1, 2, 3):",
      "law-exponent-bool"),
+    # a random optimizer start draws at most MAX_RANDOM_SEGMENTS areas
+    ("cli.py", "if segments > MAX_RANDOM_SEGMENTS:", "if False:", "random-start-uncapped"),
 ]
 
 

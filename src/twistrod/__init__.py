@@ -22,6 +22,7 @@ from .errors import (
 from .greenhill import (
     BucklingResult,
     ModeShape,
+    convergence_study,
     critical_torque,
     critical_torque_constant,
     critical_torque_value,
@@ -43,7 +44,7 @@ from .optimizer import (
     objective,
     optimize,
 )
-from .oracle import ShootingResult, convergence_study, critical_torque_oracle, eigenvalues_in, shoot
+from .oracle import ShootingResult, critical_torque_oracle, eigenvalues_in, shoot
 from .shape import (
     AreaProfile,
     CrossSectionLaw,

@@ -30,14 +30,7 @@ from . import optimizer as opt
 from . import oracle
 from .errors import EigenvalueConsistencyError, QuadratureError, RootSearchError
 from .greenhill import critical_torque_constant, critical_torque_value, mode_shape
-from .sampling import (
-    Lcg64,
-    law_for_exponent,
-    random_anisotropic_spec,
-    random_areas,
-    random_piecewise_shape,
-    random_rod_spec,
-)
+from .sampling import Lcg64, random_anisotropic_spec, random_areas, random_rod_spec
 from .shape import (
     CrossSectionLaw,
     RodSpec,
@@ -57,6 +50,8 @@ EXIT_NOT_CONVERGED = 4
 
 ORACLE_TOLERANCE = 1e-6
 BOUND_TOLERANCE = 1e-10
+# most panels of a random start; 'init' may give more
+MAX_RANDOM_SEGMENTS = 2**16
 
 
 def _load_json(path: str) -> dict:
@@ -162,6 +157,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if segments is None:
         segments = json_whole_number(doc.get("segments", default_segments), "'segments'")
     if init_areas is None:
+        if segments > MAX_RANDOM_SEGMENTS:
+            raise ValueError(
+                f"a random start takes at most {MAX_RANDOM_SEGMENTS} segments, got {segments};"
+                " give 'init' for more"
+            )
         init_areas = random_areas(Lcg64(args.seed), segments)
     elif len(init_areas) != segments:
         raise ValueError(
@@ -216,7 +216,7 @@ def _isoperimetric_case(spec: RodSpec, theta_override: bool) -> tuple[float, dic
     report = iso._bound_report(spec, profile, critical_torque_value(spec))
     violation = max(0.0, report.ratio - 1.0)
     theta = 1.0 / (exponent + 1.0) if theta_override else None
-    residuals = iso.split_identity_residuals(profile, exponent, theta)
+    residuals = iso.split_identity_residuals(profile, theta=theta)
     return max(violation, *residuals), {"n": exponent}
 
 
@@ -232,10 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rng = Lcg64(args.seed)
     rods = [random_rod_spec(rng) for _ in range(n)]
     rng = Lcg64(args.seed + 1)
-    bound_cases = [
-        RodSpec(E=1.0, J_ref=1.0, shape=random_piecewise_shape(rng), law=law_for_exponent(1 + case % 3))
-        for case in range(n)
-    ]
+    bound_cases = [random_rod_spec(rng, 1 + case % 3) for case in range(n)]
     rng = Lcg64(args.seed + 2)
     anisotropic = [random_anisotropic_spec(rng) for _ in range(n)]
     shot = oracle.first_roots(

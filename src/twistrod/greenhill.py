@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EigenvalueConsistencyError
+from .oracle import critical_torque_oracle
 from .shape import RodSpec, _ArrayRecord, require_positive
 from .transform import physical_length
 
@@ -90,6 +91,16 @@ def critical_torque_value(spec: RodSpec, mode_index: int = 1) -> float:
     """Critical torque alone: 2*pi*k*E / integral dt/(F(t)*J_ref), the
     uniform rod's torque at the equivalent length."""
     return critical_torque_constant(spec.E, spec.J_ref, physical_length(spec.shape), mode_index)
+
+
+def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:
+    """Relative error of the shooting oracle against the closed-form critical
+    torque per panel step count, the search running far below the
+    discretization error to show the integrator's convergence order."""
+    exact = critical_torque_value(spec)
+    bracket = (0.5 * exact, 1.5 * exact)
+    approx = [critical_torque_oracle(spec, bracket, 1e-13, steps) for steps in steps_list]
+    return [(steps, abs(m - exact) / exact) for steps, m in zip(steps_list, approx)]
 
 
 def critical_torque(

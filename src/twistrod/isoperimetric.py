@@ -154,15 +154,15 @@ def proportionality_gap(inst: HolderInstance) -> float:
     return float(np.max(np.abs(fp * (inst.L / fp_int) - gq * (inst.L / gq_int))))
 
 
-def law_split_instance(
-    profile: AreaProfile, n: int, theta: float | None = None
-) -> HolderInstance:
+def law_split_instance(profile: AreaProfile, *, theta: float | None = None) -> HolderInstance:
     """The inequality instance behind the bound: f = A**theta, g = A**(-theta).
 
-    ``theta`` defaults to n/(n+1); overriding it is meant for negative
-    controls (a wrong split must break the integral identities).
+    The exponents are the profile's section law's: ``theta`` defaults to
+    n/(n+1) with n = ``profile.law.n``, and the conjugate pair is
+    ((n+1)/n, n+1).  Overriding ``theta``, by keyword only, is meant for
+    negative controls (a wrong split must break the integral identities).
     """
-    default_theta, p, q = holder_exponents_for_law(n)
+    default_theta, p, q = holder_exponents_for_law(profile.law.n)
     th = default_theta if theta is None else theta
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -175,21 +175,24 @@ def law_split_instance(
 
 
 def split_identity_residuals(
-    profile: AreaProfile, n: int, theta: float | None = None
+    profile: AreaProfile, *, theta: float | None = None
 ) -> tuple[float, float, float]:
     """Relative residuals of the three split identities.
 
     With the correct split, integral f**p is the volume, integral g**q is
     the reciprocal-power integral of the area, and integral f*g is the
     length.  Returns the relative deviations in that order.  The split is
-    ``law_split_instance``'s, f = A**theta and g = A**(-theta), integrated
-    by quadrature without building the instance: both factors of a
-    validated profile are positive, so its nonnegativity probe is moot.
+    ``law_split_instance``'s, f = A**theta and g = A**(-theta) with the
+    exponents of the profile's section law and ``theta`` a keyword-only
+    override, integrated by quadrature without building the instance:
+    both factors of a validated profile are positive, so its
+    nonnegativity probe is moot.
     The four integrals (f**p, g**q, f*g and A**-n) are one stacked
     ``integrate`` pass that evaluates the area once per node array; each
     is the same float as its own ``integrate`` call.  The volume is the
     profile's, integrated apart by ``area_profile``.
     """
+    n = profile.law.n
     default_theta, p, q = holder_exponents_for_law(n)
     th = default_theta if theta is None else theta
 

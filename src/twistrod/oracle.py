@@ -51,8 +51,10 @@ not within a quarter of the tolerance, :func:`brentq`'s on the phase.
 One kernel call then shoots the probes (through the one above the root,
 for the first root) and three torques around each root: trace S must
 cross zero upward across each, det S must be small there, and the shot
-must hold no other upward crossing.  Nothing in the search reads phi or
-any other closed form, and a root the kernel does not confirm raises.
+must hold no other upward crossing.  Nothing in the module reads phi or
+any other closed form (it imports neither ``greenhill`` nor
+``transform``; :func:`~twistrod.greenhill.convergence_study` measures it
+against the closed form), and a root the kernel does not confirm raises.
 :func:`_roots` searches many rods with one kernel call; every root
 function here and in ``anisotropic`` calls it.  Needs numpy only.
 """
@@ -66,7 +68,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RootSearchError
-from .greenhill import critical_torque_value
 from .shape import RodSpec, ShapeFunction, _ArrayRecord, require_positive
 
 # RK4 steps per panel
@@ -505,12 +506,3 @@ def eigenvalues_in(
     rod = (spec.shape, spec.E, spec.J_ref, spec.J_ref)
     return _roots([rod], (M_lo, M_hi), tol, steps, False)[0]
 
-
-def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:
-    """Relative error against the closed-form critical torque, the one closed
-    form the module reads, per panel step count, the search running far below
-    the discretization error to show the integrator's convergence order."""
-    exact = critical_torque_value(spec)
-    bracket = (0.5 * exact, 1.5 * exact)
-    approx = [critical_torque_oracle(spec, bracket, 1e-13, steps) for steps in steps_list]
-    return [(steps, abs(m - exact) / exact) for steps, m in zip(steps_list, approx)]

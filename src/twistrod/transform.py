@@ -52,28 +52,18 @@ class CoordinateMap(_ArrayRecord):
         return cls(shape=shape, nodes_x=xs)
 
     @property
-    def nodes_xi(self) -> np.ndarray:
-        """The panel edges, where ``nodes_x`` holds x."""
-        return self.shape.panels()[0]
-
-    @property
     def l(self) -> float:
         """Image of the full span: x(L)."""
         return float(self.nodes_x[-1])
 
-    @property
-    def L(self) -> float:
-        return self.shape.L
-
     def xi_to_x(self, xi: float) -> float:
         """Forward map; exact at panel nodes, closed form within panels."""
-        if not 0.0 <= xi <= self.L:
-            raise ValueError(f"coordinate {xi} outside [0, {self.L}]")
-        i = min(int(np.searchsorted(self.nodes_xi, xi, side="right")) - 1, self.nodes_xi.size - 2)
+        if not 0.0 <= xi <= self.shape.L:
+            raise ValueError(f"coordinate {xi} outside [0, {self.shape.L}]")
+        edges, left, _ = self.shape.panels()
+        i = min(int(np.searchsorted(edges, xi, side="right")) - 1, edges.size - 2)
         # F is linear on the panel, so [a, xi] is a panel from F(a) to F(xi)
-        partial = _reciprocal_integral(
-            xi - self.nodes_xi[i], self.shape.panels()[1][i], self.shape(xi)
-        )
+        partial = _reciprocal_integral(xi - edges[i], left[i], self.shape(xi))
         return float(self.nodes_x[i] + partial)
 
     def x_to_xi(self, x: float) -> float:
@@ -82,8 +72,8 @@ class CoordinateMap(_ArrayRecord):
             raise ValueError(f"coordinate {x} outside [0, {self.l}]")
         x = min(x, self.l)
         i = min(int(np.searchsorted(self.nodes_x, x, side="right")) - 1, self.nodes_x.size - 2)
-        a, b = self.nodes_xi[i], self.nodes_xi[i + 1]
-        _, left, right = self.shape.panels()
+        edges, left, right = self.shape.panels()
+        a, b = edges[i], edges[i + 1]
         f0, d = left[i], right[i] - left[i]
         u = x - self.nodes_x[i]
         if d == 0.0:

@@ -17,7 +17,7 @@ from twistrod.anisotropic import (
     first_root_anisotropic,
     reduce_to_isotropic,
 )
-from twistrod.greenhill import critical_torque, critical_torque_value
+from twistrod.greenhill import convergence_study, critical_torque, critical_torque_value
 from twistrod.isoperimetric import (
     HolderInstance,
     holder_check,
@@ -31,7 +31,7 @@ from twistrod.optimizer import (
     brute_force_segments,
     optimize,
 )
-from twistrod.oracle import convergence_study, critical_torque_oracle
+from twistrod.oracle import critical_torque_oracle
 from twistrod.sampling import Lcg64, law_for_exponent, random_areas, random_piecewise_shape
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, area_profile
 
@@ -132,7 +132,7 @@ def test_criterion_4_isoperimetric_inequality():
             E=1.0, J_ref=1.0, shape=random_piecewise_shape(rng), law=law_for_exponent(n)
         )
         worst_identity = max(
-            worst_identity, max(split_identity_residuals(area_profile(spec), n))
+            worst_identity, max(split_identity_residuals(area_profile(spec)))
         )
     assert worst_identity <= 1e-10
 
@@ -141,7 +141,7 @@ def test_criterion_4_isoperimetric_inequality():
     spec = RodSpec(
         E=1.0, J_ref=1.0, shape=random_piecewise_shape(rng), law=law_for_exponent(2)
     )
-    uncorrected = max(split_identity_residuals(area_profile(spec), 2, theta=1.0 / 3.0))
+    uncorrected = max(split_identity_residuals(area_profile(spec), theta=1.0 / 3.0))
     assert uncorrected > 1e-3
 
     report(

@@ -398,6 +398,35 @@ class TestOptimize:
         assert main(["optimize", "--spec", spec, "--seed", "7", "--segments", "8"]) == 0
         assert capsys.readouterr().out == default
 
+    @pytest.mark.parametrize("stated", ["--segments", "segments"])
+    def test_random_start_takes_at_most_2_16_panels(self, tmp_path, capsys, monkeypatch, stated):
+        # one panel more is an input error, raised before any area is drawn
+        doc = {k: v for k, v in PROBLEM.items() if k not in ("init", "segments")}
+        drawn = []
+        random_areas = cli.random_areas
+        monkeypatch.setattr(cli, "random_areas", lambda rng, k: drawn.append(k) or random_areas(rng, k))
+        for count, code in ((2**16, 4), (2**16 + 1, 2)):
+            argv = ["optimize", "--max-iters", "0", "--spec"]
+            if stated == "segments":
+                argv += [write(tmp_path, "prob.json", {**doc, "segments": count})]
+            else:
+                argv += [write(tmp_path, "prob.json", doc), "--segments", str(count)]
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            if code == 2:
+                assert captured.err == (
+                    "input error: a random start takes at most 65536 segments, got 65537;"
+                    " give 'init' for more\n"
+                )
+                assert captured.out == ""
+        assert drawn == [2**16]
+
+    def test_init_has_no_panel_cap(self, tmp_path, capsys):
+        doc = {**PROBLEM, "init": [2.0] * (2**16 + 1), "segments": 2**16 + 1}
+        assert main(["optimize", "--max-iters", "0", "--spec", write(tmp_path, "prob.json", doc)]) == 0
+        final = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert final["final_gap"] == 0.0
+
     def test_iteration_starved_run_exits_nonconverged(self, tmp_path, capsys):
         spec = write(tmp_path, "prob.json", PROBLEM)
         assert main(["optimize", "--spec", spec, "--max-iters", "1"]) == 4
@@ -629,7 +658,7 @@ class TestVerifyThresholds:
     def test_bound_tolerance(self, capsys, monkeypatch, offset, code):
         residuals = iso.split_identity_residuals
         monkeypatch.setattr(
-            iso, "split_identity_residuals", lambda *a: tuple(r + offset for r in residuals(*a))
+            iso, "split_identity_residuals", lambda *a, **k: tuple(r + offset for r in residuals(*a, **k))
         )
         assert main(["verify", "--n", "2", "--seed", "5"]) == code
         suites = json.loads(capsys.readouterr().out)["suites"]

@@ -253,10 +253,11 @@ class TestVerifyBound:
         assert set(payload) == {"M_star", "M_bound", "ratio", "equality_gap"}
 
 
-def reference_split_identity_residuals(profile, n, theta=None):
+def reference_split_identity_residuals(profile, theta=None):
     """The split identities integrated through the ``HolderInstance`` of
     ``law_split_instance``."""
-    inst = law_split_instance(profile, n, theta)
+    inst = law_split_instance(profile, theta=theta)
+    n = profile.law.n
     bp = profile.panel_edges
     f_p = integrate(lambda t: inst.f(t) ** inst.p, 0.0, profile.L, breakpoints=bp)
     g_q = integrate(lambda t: inst.g(t) ** inst.q, 0.0, profile.L, breakpoints=bp)
@@ -316,7 +317,7 @@ def holder_instances():
     for n in (1, 2, 3):
         for shape in (random_piecewise_shape(rng), ShapeFunction.sampled([1.0, 0.2, 3.0, 0.7], 1.7)):
             spec = RodSpec(E=1.0, J_ref=1.0, shape=shape, law=law_for_exponent(n))
-            insts.append(law_split_instance(area_profile(spec), n))
+            insts.append(law_split_instance(area_profile(spec)))
     return insts
 
 
@@ -385,12 +386,12 @@ class TestSplitIdentities:
         monkeypatch.setattr(iso, "integrate", counting_integrate)
         monkeypatch.setattr(AreaProfile, "area", counting_area)
         # a piecewise rod converges in the first round: one pass, one area
-        split_identity_residuals(piecewise, 2)
+        split_identity_residuals(piecewise)
         assert (len(passes), len(rounds), len(areas)) == (1, 1, 1)
         # a sampled rod refines some identities: still one pass, and one
         # area evaluation per round
         passes.clear(), rounds.clear(), areas.clear()
-        split_identity_residuals(sampled, 3)
+        split_identity_residuals(sampled)
         assert len(passes) == 1 and len(rounds) > 1
         assert areas == rounds
 
@@ -407,14 +408,14 @@ class TestSplitIdentities:
             spec = RodSpec(E=1.0, J_ref=1.0, shape=shape, law=law_for_exponent(n))
             profiles.append((area_profile(spec), n))
         expected = [
-            (reference_split_identity_residuals(profile, n, theta), theta)
+            (reference_split_identity_residuals(profile, theta), theta)
             for profile, n in profiles
             for theta in (None, 1.0 / (n + 1.0))
         ]
         built = []
         monkeypatch.setattr(iso.HolderInstance, "__post_init__", lambda inst: built.append(inst))
         got = [
-            split_identity_residuals(profile, n, theta)
+            split_identity_residuals(profile, theta=theta)
             for profile, n in profiles
             for theta in (None, 1.0 / (n + 1.0))
         ]
@@ -428,7 +429,7 @@ class TestSplitIdentities:
             spec = RodSpec(
                 E=1.0, J_ref=1.0, shape=random_piecewise_shape(rng), law=law_for_exponent(n)
             )
-            residuals = split_identity_residuals(area_profile(spec), n)
+            residuals = split_identity_residuals(area_profile(spec))
             assert max(residuals) <= 1e-10
 
     def test_wrong_split_breaks_identities(self):
@@ -437,7 +438,7 @@ class TestSplitIdentities:
         spec = RodSpec(
             E=1.0, J_ref=1.0, shape=random_piecewise_shape(rng), law=law_for_exponent(2)
         )
-        residuals = split_identity_residuals(area_profile(spec), 2, theta=1.0 / 3.0)
+        residuals = split_identity_residuals(area_profile(spec), theta=1.0 / 3.0)
         assert max(residuals) > 1e-3
 
     def test_split_instance_is_valid_holder_instance(self):
@@ -445,7 +446,25 @@ class TestSplitIdentities:
         spec = RodSpec(
             E=1.0, J_ref=1.0, shape=random_piecewise_shape(rng), law=law_for_exponent(3)
         )
-        inst = law_split_instance(area_profile(spec), 3)
+        inst = law_split_instance(area_profile(spec))
         lhs, rhs, holds = holder_check(inst)
         assert holds
         assert lhs == pytest.approx(spec.shape.L, rel=1e-10)
+
+    @pytest.mark.parametrize("split", [law_split_instance, split_identity_residuals])
+    def test_exponent_is_the_laws_and_theta_keyword_only(self, split):
+        # n comes from the profile's law; an exponent passed in its old place
+        # raises instead of being read as theta
+        for n in (1, 2, 3):
+            spec = RodSpec(E=1.0, J_ref=1.0, shape=random_piecewise_shape(Lcg64(73)), law=law_for_exponent(n))
+            profile = area_profile(spec)
+            for positional in (n, 1.0 / (n + 1.0)):
+                with pytest.raises(TypeError):
+                    split(profile, positional)
+            theta = n / (n + 1.0)
+            if split is split_identity_residuals:
+                assert split(profile) == split(profile, theta=theta)
+            else:
+                inst = split(profile)
+                assert (inst.p, inst.q) == ((n + 1.0) / n, n + 1.0)
+                assert inst.f(0.5) == np.asarray(profile.area(0.5)) ** theta

@@ -23,14 +23,13 @@ from twistrod.anisotropic import (
     reduce_to_isotropic,
 )
 from twistrod.errors import RootSearchError
-from twistrod.greenhill import critical_torque_value
+from twistrod.greenhill import convergence_study, critical_torque_value
 from twistrod.oracle import (
     DEFAULT_PROBES,
     DEFAULT_TOL,
     MIN_STEPS,
     StepGrid,
     build_step_grid,
-    convergence_study,
     critical_torque_oracle,
     eigenvalues_in,
     probe_torques,
@@ -700,6 +699,13 @@ class TestIndependence:
             imported = imported_modules(package / name)
             assert not any("transform" in module.split(".") for module in imported), name
 
+    def test_oracle_imports_no_closed_form(self):
+        # the closed form lives in greenhill and transform; convergence_study,
+        # which measures the oracle against it, sits in greenhill
+        imported = imported_modules(Path(twistrod.__file__).parent / "oracle.py")
+        closed_form = {"greenhill", "transform"}
+        assert not [module for module in imported if closed_form & set(module.split("."))]
+
     def test_only_shape_reads_kind(self):
         # every other module works from the panel table, ShapeFunction.panels
         paths = sorted(Path(twistrod.__file__).parent.glob("*.py"))
@@ -721,7 +727,6 @@ class TestIndependence:
             raise AssertionError("the closed form was read")
 
         monkeypatch.setattr(twistrod.greenhill, "critical_torque_value", closed_form)
-        monkeypatch.setattr(oracle, "critical_torque_value", closed_form)
         assert abs(critical_torque_oracle(spec) - exact) <= 1e-10 * exact
         assert abs(first_root_anisotropic(aspec) - exact_aniso) <= 1e-10 * exact_aniso
 

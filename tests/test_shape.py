@@ -615,7 +615,7 @@ class TestStressRods:
                 spec = RodSpec(E=E, J_ref=J_ref, shape=shape, law=CrossSectionLaw(n, alpha))
                 profile = area_profile(spec)
                 assert profile.volume == pytest.approx(exact_volume(spec), rel=1e-12)
-                assert max(split_identity_residuals(profile, n)) <= 1e-10
+                assert max(split_identity_residuals(profile)) <= 1e-10
 
 
 class TestValueSemantics:

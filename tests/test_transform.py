@@ -57,7 +57,7 @@ class TestForwardMap:
         for _ in range(5):
             m = CoordinateMap.build(random_piecewise_shape(rng))
             assert m.xi_to_x(0.0) == 0.0
-            assert m.xi_to_x(m.L) == m.l
+            assert m.xi_to_x(m.shape.L) == m.l
 
     def test_monotone(self):
         rng = Lcg64(9)
