@@ -77,12 +77,14 @@ MUTANTS = [
     # no other upward crossing
     ("oracle.py", "if not t[below] < 0.0 <= t[below + 2]:", "if False:", "no-trace-sign-check"),
     ("oracle.py", "if crossings != len(roots):", "if False:", "no-crossing-count-check"),
-    # main builds the subparser of the command it runs, and the usage line
-    # of that parser names all three
-    ("cli.py", "if command in (None, name):", "if True:", "every-command-built"),
-    ("cli.py", 'sub.metavar = "{" + ",".join(COMMANDS) + "}"', "pass", "one-command-usage"),
-    ("cli.py", "command = argv[0] if argv and argv[0] in COMMANDS else None", "command = None",
-     "no-command-dispatch"),
+    # main builds the parser of the command it runs alone, hands arguments
+    # that parser leaves over to the full parser, and gives the full parser
+    # an empty argv
+    ("cli.py", "if argv and argv[0] in COMMANDS:", "if False:", "command-dispatch-off"),
+    ("cli.py", "if args is None or extras:", "if args is None:", "leftover-arguments-ignored"),
+    ("cli.py", "if args is None or extras:", "if extras:", "empty-argv-unguarded"),
+    # a --steps the oracle would refuse is an input error, shooting or not
+    ("cli.py", "if steps < oracle.MIN_STEPS:", "if False:", "steps-unchecked"),
     # malformed input: a spec that is no JSON object, a law exponent with a
     # fraction, a NaN or negative optimizer tolerance
     ("cli.py", "if not isinstance(doc, dict):", "if False:", "no-top-level-object-check"),

@@ -12,9 +12,12 @@ wrong type) exits 2 with an ``input error:`` line, never a traceback.
 
 ``COMMANDS`` maps each command to its help, the function that adds its
 arguments and its handler.  ``main`` builds a fresh parser on every
-call, holding only the subparser of the command it runs: building all
-three cost about as much as the library work of an ``analyze``.  Help,
-no command or an unknown one get the full parser.
+call: the parser of the command it runs alone, the one the full parser
+would build as that command's subparser, without the ``twistrod``
+parser around it.  Building the full parser cost about as much as the
+library work of an ``analyze``.  Help, no command, an unknown one and
+arguments the command does not take get the full parser, and its help
+or usage error.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     be written to ``--out``, as ``mode_shape`` at M*; an anisotropic rod's
     mode is then mapped back to physical deflections
     (``anisotropic.mode_to_anisotropic``)."""
+    _check_steps(args.steps)
     doc = _load_json(args.spec)
     spec, aspec, echo = _parse_rod(doc)
 
@@ -192,6 +196,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
+def _check_steps(steps: int) -> None:
+    """Refuse a ``--steps`` the oracle would refuse, whether or not it shoots."""
+    if steps < oracle.MIN_STEPS:
+        raise ValueError(f"--steps must be at least {oracle.MIN_STEPS}, got {steps}")
+
+
 def _suite(disagreements: list[tuple[float, dict]], tolerance: float) -> dict:
     """Report of one verify suite from each case's disagreement and the
     labels a failure of it reports."""
@@ -229,6 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise ValueError(f"--n must be at least 0, got {n}")
+    _check_steps(args.steps)
     rng = Lcg64(args.seed)
     rods = [random_rod_spec(rng) for _ in range(n)]
     rng = Lcg64(args.seed + 1)
@@ -305,36 +316,44 @@ COMMANDS = {
 }
 
 
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments and the handler of command ``name``."""
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A fresh parser with the subparser of ``command`` only, or of every
-    command when ``command`` is None.  A parser of one command names all
-    three in its usage line, as the full parser does, so its errors read
-    the same."""
+    """A fresh parser of ``command`` alone, the one the full parser builds
+    as its subparser (prog ``twistrod <command>``), or the full parser,
+    with a subparser for every command, when ``command`` is None."""
+    if command is not None:
+        return _command_parser(argparse.ArgumentParser(prog=f"twistrod {command}"), command)
     parser = argparse.ArgumentParser(
         prog="twistrod",
         description="Critical twist-buckling torque of variable-cross-section rods: "
         "exact value, shooting cross-check, isoperimetric bound, shape optimization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is not None:
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        if command in (None, name):
-            command_parser = sub.add_parser(name, help=help_text)
-            add_arguments(command_parser)
-            command_parser.set_defaults(func=handler)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the command named by ``argv[0]`` (``sys.argv[1:]`` when ``argv``
-    is None), building the parser of that command only; any other first
-    word (none, ``-h``, ``--``, an unknown one) gets the full parser and
-    its help or usage error."""
+    is None) with the parser of that command alone.  Any other first word
+    (none, ``-h``, ``--``, an unknown one), or arguments the command's
+    parser leaves over, get the full parser, which parses ``argv`` and
+    prints its help or usage error."""
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args, extras = None, argv
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extras:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -16,6 +16,7 @@ import twistrod.greenhill as greenhill
 import twistrod.isoperimetric as iso
 import twistrod.oracle as oracle
 from twistrod.cli import main
+from twistrod.errors import EigenvalueConsistencyError, QuadratureError, RootSearchError
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction
 from twistrod.transform import CoordinateMap
 
@@ -123,10 +124,10 @@ MALFORMED_INPUT = {
 }
 
 
-def run_cli(argv, capsys) -> tuple:
-    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
+def run_cli(argv, capsys, entry=main) -> tuple:
+    """Exit code, stdout and stderr of ``entry(argv)``, argparse's exits included."""
     try:
-        code = main(argv)
+        code = entry(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -670,7 +671,29 @@ def test_step_defaults_are_the_oracle_default():
     parser = cli.build_parser()
     for argv in (["analyze", "--spec", "rod.json"], ["verify"]):
         assert parser.parse_args(argv).steps == oracle.DEFAULT_STEPS
-        assert cli.build_parser(argv[0]).parse_args(argv).steps == oracle.DEFAULT_STEPS
+        assert cli.build_parser(argv[0]).parse_args(argv[1:]).steps == oracle.DEFAULT_STEPS
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("shoots", [False, True], ids=["no-shooting", "shooting"])
+def test_steps_below_oracle_minimum_is_input_error(tmp_path, capsys, command, shoots):
+    # refused before any work, whether or not the run would shoot
+    if command == "analyze":
+        argv = ["analyze", "--spec", write(tmp_path, "rod.json", CONSTANT_ROD)] + ["--oracle"] * shoots
+    else:
+        argv = ["verify", "--n", str(int(shoots))]
+    # accepted: verify may then fail its tolerance (exit 1), it does not refuse
+    assert main(argv + ["--steps", str(oracle.MIN_STEPS)]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)
+    assert main(argv + ["--steps", str(oracle.MIN_STEPS - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --steps must be at least {oracle.MIN_STEPS}, got {oracle.MIN_STEPS - 1}\n"
+
+
+def test_steps_checked_before_the_spec_is_read(capsys):
+    assert main(["analyze", "--spec", "no-such-file.json", "--steps", "-5"]) == 2
+    assert "--steps must be at least" in capsys.readouterr().err
 
 
 # Help, usage errors and the success and input-error paths of each
@@ -685,11 +708,31 @@ PARSER_BATTERY = [
     ["analyze", "--spec", "{missing}"],
     ["optimize", "--spec", "{problem}"], ["optimize", "--spec", "{missing}"],
     ["verify", "--n", "1"], ["verify", "--n", "-1"],
+    # where the command's parser alone and the full parser could part:
+    # "--", "-", "--opt=value", an abbreviation, the command word repeated,
+    # an option without its value and an unknown short option
+    ["verify", "--", "--n"], ["verify", "--n", "0", "--"], ["verify", "--n", "0", "-"],
+    ["verify", "--n=0"], ["verify", "--se", "3", "--n", "0"],
+    ["verify", "verify"], ["analyze", "--spec"], ["analyze", "--spec", "{rod}", "-x"],
 ]
 
 
+def full_parser_main(argv) -> int:
+    """``main`` as the full parser runs it: ``build_parser().parse_args``,
+    then the handler, with ``main``'s exit codes for its errors."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return cli.EXIT_INPUT_ERROR
+    except (QuadratureError, RootSearchError, EigenvalueConsistencyError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return cli.EXIT_NUMERIC_ERROR
+
+
 class TestParserPerCommand:
-    """``main`` builds the subparser of the command it runs, and only that."""
+    """``main`` builds the parser of the command it runs, and only that."""
 
     @pytest.mark.parametrize(
         "argv", PARSER_BATTERY, ids=[" ".join(a) or "no-arguments" for a in PARSER_BATTERY]
@@ -703,32 +746,51 @@ class TestParserPerCommand:
             "out": str(tmp_path / "mode.csv"),
         }
         argv = [word.format(**files) for word in argv]
-        one_command = run_cli(argv, capsys)
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-        assert one_command == run_cli(argv, capsys)
+        assert run_cli(argv, capsys) == run_cli(argv, capsys, full_parser_main)
+
+    @staticmethod
+    def parsers_built(monkeypatch) -> list:
+        """A list that collects the prog of each ArgumentParser built from
+        here on; a subparser's is ``twistrod <command>``."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
 
     @pytest.mark.parametrize(
         "argv, added",
         [
-            (["analyze", "--spec", "no-such-file.json"], ["analyze"]),
-            (["optimize", "--spec", "no-such-file.json"], ["optimize"]),
-            (["verify", "--n", "0"], ["verify"]),
+            (["analyze", "--spec", "no-such-file.json"], []),
+            (["optimize", "--spec", "no-such-file.json"], []),
+            (["verify", "--n", "0"], []),
             (["--", "verify", "--n", "0"], ["analyze", "optimize", "verify"]),
             (["-h"], ["analyze", "optimize", "verify"]),
+            (["bogus"], ["analyze", "optimize", "verify"]),
+            (["verify", "--n", "0", "extra"], ["analyze", "optimize", "verify"]),
         ],
     )
     def test_subparsers_added(self, capsys, monkeypatch, argv, added):
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def counting(self, name, **kwargs):
-            names.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        # a well-formed command run builds its own parser and nothing else;
+        # the full parser is the twistrod parser and one subparser per
+        # command, built after the command's own parser when that leaves
+        # arguments over
+        built = self.parsers_built(monkeypatch)
         run_cli(argv, capsys)
-        assert names == added
+        expected = [f"twistrod {argv[0]}"] if argv[0] in cli.COMMANDS else []
+        if added:
+            expected += ["twistrod"] + [f"twistrod {name}" for name in added]
+        assert built == expected
+
+    def test_fresh_parser_per_call(self, capsys, monkeypatch):
+        built = self.parsers_built(monkeypatch)
+        for _ in range(2):
+            assert run_cli(["verify", "--n", "0"], capsys)[0] == 0
+        assert built == ["twistrod verify"] * 2
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         # the console script of pyproject.toml calls main() with no argv
