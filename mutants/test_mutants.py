@@ -33,7 +33,7 @@ MUTANTS = [
     ("transform.py", "log_ratio = np.where(near, np.log1p(d / f0), np.log(ratio))",
      "log_ratio = np.log(ratio)", "reciprocal-log-only"),
     # the oracle confirms every root against det S
-    ("oracle.py", "if det[below + 1] > 1e-6 * det_scale:", "if det[below + 1] > math.inf:",
+    ("oracle.py", "if det[below + 1] > 1e-6 * det_scale[i]:", "if det[below + 1] > math.inf:",
      "no-determinant-confirmation"),
     # the quadrature's error estimate is floored at roundoff
     ("shape.py", "return value, np.maximum(error, floor)", "return value, error", "no-roundoff-floor"),
@@ -55,9 +55,17 @@ MUTANTS = [
     ("optimizer.py", "VOLUME_TOL = 1e-10", "VOLUME_TOL = 1e-12", "VOLUME_TOL-tight"),
     ("isoperimetric.py", "CONJUGATE_TOL = 1e-12", "CONJUGATE_TOL = 1e-3", "CONJUGATE_TOL-loose"),
     ("isoperimetric.py", "CONJUGATE_TOL = 1e-12", "CONJUGATE_TOL = 1e-14", "CONJUGATE_TOL-tight"),
-    # oracle steps shared evenly among the panels instead of given to each
+    # oracle steps shared evenly among each rod's panels instead of given to each
     ("oracle.py", "counts = np.full(left.size, steps)",
-     "counts = np.full(left.size, max(1, steps // left.size))", "even-split-steps"),
+     "counts = np.repeat(np.maximum(1, steps // sizes), sizes)", "even-split-steps"),
+    # a rod of a stacked grid: the panels that pad its row take no steps, the
+    # probes that pad it are no probes, and its phase is summed from the left
+    ("oracle.py", "StepGrid(poly[:, rows], np.where(own, counts[rows], 0))", "StepGrid(poly[:, rows], counts[rows])",
+     "padding-panels-given-steps"),
+    ("oracle.py", "return np.where(probe < np.array(count)[:, None], x, np.nan)", "return x",
+     "padded-probe-read-as-real"),
+    ("oracle.py", "np.cumsum(c * np.arctan2(omega, 1.0 + a), axis=-1)[..., -1]",
+     "(c * np.arctan2(omega, 1.0 + a)).sum(axis=-1)", "phase-summed-pairwise"),
     # the kernel's omega = 0 guard: the sum c I where M = 0, and beta's finite divisor
     ("oracle.py", "f[1] = np.where(identity, c, f[1] / np.where(identity, 1.0, a + 1j * omega))",
      "f[1] = f[1] / np.where(identity, 1.0, a + 1j * omega)", "no-zero-torque-sum"),
@@ -65,8 +73,8 @@ MUTANTS = [
     # the phase that places the roots: each panel's angle times its count,
     # every multiple of 2 pi it passes over a probe interval, and the
     # interpolated zero taken within a quarter of the tolerance, from each side
-    ("oracle.py", "(c * np.arctan2(omega, 1.0 + a)).sum(axis=-1)",
-     "np.arctan2(omega, 1.0 + a).sum(axis=-1)", "phase-without-counts"),
+    ("oracle.py", "np.cumsum(c * np.arctan2(omega, 1.0 + a), axis=-1)",
+     "np.cumsum(np.arctan2(omega, 1.0 + a), axis=-1)", "phase-without-counts"),
     ("oracle.py", "turn, e = 2.0 * math.pi * k,", "turn, e = 2.0 * math.pi * (k + 1),",
      "phase-zero-one-turn-late"),
     ("oracle.py", "range(int(turns[i - 1]) + 1, int(turns[i]) + 1)", "range(int(turns[i]), int(turns[i]) + 1)",

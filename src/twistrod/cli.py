@@ -32,7 +32,7 @@ from . import isoperimetric as iso
 from . import optimizer as opt
 from . import oracle
 from .errors import EigenvalueConsistencyError, QuadratureError, RootSearchError
-from .greenhill import critical_torque_constant, critical_torque_value, mode_shape
+from .greenhill import _critical_torques, critical_torque_constant, mode_shape
 from .sampling import Lcg64, random_anisotropic_spec, random_areas, random_rod_spec
 from .shape import (
     CrossSectionLaw,
@@ -143,6 +143,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report["oracle"] = {
             "M": m_oracle,
             "disagreement": abs(m_oracle - m_star) / m_star,
+            "steps": args.steps,
         }
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -220,10 +221,12 @@ def _suite(disagreements: list[tuple[float, dict]], tolerance: float) -> dict:
     }
 
 
-def _isoperimetric_case(spec: RodSpec, theta_override: bool) -> tuple[float, dict]:
+def _isoperimetric_case(spec: RodSpec, m_star: float, theta_override: bool) -> tuple[float, dict]:
+    """One bound case: the bound's violation by the rod's critical torque
+    ``m_star`` and the split identities' residuals, the worst of them."""
     exponent = spec.law.n
     profile = area_profile(spec)
-    report = iso._bound_report(spec, profile, critical_torque_value(spec))
+    report = iso._bound_report(spec, profile, m_star)
     violation = max(0.0, report.ratio - 1.0)
     theta = 1.0 / (exponent + 1.0) if theta_override else None
     residuals = iso.split_identity_residuals(profile, theta=theta)
@@ -234,8 +237,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Three suites of ``args.n`` seeded cases each: the closed form against
     the shooting oracle, the isoperimetric bound with its split identity,
     and the anisotropic reduction against the unreduced shooting.  Every
-    case is drawn first; the oracle roots of both shooting suites are then
-    found together (:func:`~twistrod.oracle.first_roots`)."""
+    case is drawn first.  The oracle roots of both shooting suites are then
+    found together (:func:`~twistrod.oracle.first_roots`), and the
+    closed-form torques of every rod drawn, the shooting rods, the
+    anisotropic reductions and the bound rods, in one pass over their
+    panel tables (``greenhill._critical_torques``)."""
     n = args.n
     if n < 0:
         raise ValueError(f"--n must be at least 0, got {n}")
@@ -251,15 +257,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         + [(a.shape, a.E, a.section.Jy, a.section.Jz) for a in anisotropic],
         steps=args.steps,
     )
-    exact = [critical_torque_value(s) for s in rods]
-    exact += [critical_torque_value(aniso.reduce_to_isotropic(a)) for a in anisotropic]
+    exact = _critical_torques(rods + [aniso.reduce_to_isotropic(a) for a in anisotropic] + bound_cases)
     disagreements = [(abs(m - e) / e, {}) for m, e in zip(shot, exact)]
+    bound = [
+        _isoperimetric_case(spec, m_star, args.inject_wrong_exponent)
+        for spec, m_star in zip(bound_cases, exact[2 * n :])
+    ]
     suites = {
         "torque_vs_oracle": _suite(disagreements[:n], ORACLE_TOLERANCE),
-        "isoperimetric_bound": _suite(
-            [_isoperimetric_case(spec, args.inject_wrong_exponent) for spec in bound_cases],
-            BOUND_TOLERANCE,
-        ),
+        "isoperimetric_bound": _suite(bound, BOUND_TOLERANCE),
         "anisotropic_reduction": _suite(disagreements[n:], ORACLE_TOLERANCE),
     }
     all_pass = all(s["pass"] for s in suites.values())

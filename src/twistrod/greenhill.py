@@ -22,13 +22,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EigenvalueConsistencyError
 from .oracle import critical_torque_oracle
 from .shape import RodSpec, _ArrayRecord, require_positive
-from .transform import physical_length
+from .transform import _lengths, physical_length
 
 # Endpoint residual above this fraction of the mode amplitude means the
 # requested torque is not an eigenvalue.
@@ -91,6 +92,13 @@ def critical_torque_value(spec: RodSpec, mode_index: int = 1) -> float:
     """Critical torque alone: 2*pi*k*E / integral dt/(F(t)*J_ref), the
     uniform rod's torque at the equivalent length."""
     return critical_torque_constant(spec.E, spec.J_ref, physical_length(spec.shape), mode_index)
+
+
+def _critical_torques(specs: Sequence[RodSpec]) -> list[float]:
+    """:func:`critical_torque_value` of each rod, the same floats, from one
+    pass over their stacked panel tables (:func:`~twistrod.transform._lengths`)."""
+    lengths = _lengths([spec.shape for spec in specs])
+    return [critical_torque_constant(spec.E, spec.J_ref, l) for spec, l in zip(specs, lengths)]
 
 
 def convergence_study(spec: RodSpec, steps_list: list[int]) -> list[tuple[int, float]]:

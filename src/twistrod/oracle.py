@@ -55,8 +55,15 @@ must hold no other upward crossing.  Nothing in the module reads phi or
 any other closed form (it imports neither ``greenhill`` nor
 ``transform``; :func:`~twistrod.greenhill.convergence_study` measures it
 against the closed form), and a root the kernel does not confirm raises.
-:func:`_roots` searches many rods with one kernel call; every root
-function here and in ``anisotropic`` calls it.  Needs numpy only.
+:func:`_roots` searches many rods in arrays over rods: one grid build
+over their stacked panel tables, one row of probes per rod, one
+:func:`_phase` call that places every root, one kernel call and one
+confirmation pass, so a batch costs about what one rod does.  A rod's
+rows are padded to the longest: its panels with copies of its last given
+no steps, its probes with NaN, its torques with its last; each stage
+reads a rod's own entries only, so a rod's roots are the same floats in
+any batch.  Every root function here and in ``anisotropic`` calls it.
+Needs numpy only.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RootSearchError
-from .shape import RodSpec, ShapeFunction, _ArrayRecord, require_positive
+from .shape import RodSpec, ShapeFunction, _ArrayRecord, _PanelStack, _stacked_panels, require_positive
 
 # RK4 steps per panel
 DEFAULT_STEPS = 4096
@@ -107,10 +114,10 @@ class StepGrid:
     """RK4 steps panel by panel: ``poly[j, p]`` is entry j of (a1, a3, p2,
     p4, k) of each of the ``counts[p]`` steps of panel p (module docstring;
     k = J_z / J_y gives the exchanged coefficients), ``counts[p]`` the
-    grid's steps per panel.  A grid of several rods (:meth:`stack`) has a
-    rod axis before the panel axis, its shorter rods padded with panels of
-    no steps.  ``len`` is the step count of all rods, panels
-    times steps."""
+    grid's steps per panel.  A grid of several rods (:func:`_step_grid`)
+    has a rod axis before the panel axis; a rod's row past its own panels
+    repeats its last panel with no steps.  ``len`` is the step count of all
+    rods, panels times steps."""
 
     poly: np.ndarray
     counts: np.ndarray
@@ -118,30 +125,26 @@ class StepGrid:
     def __len__(self) -> int:
         return int(self.counts.sum())
 
-    @classmethod
-    def stack(cls, grids: Sequence["StepGrid"]) -> "StepGrid":
-        """One grid of the rods of ``grids``, in their order, each padded
-        with copies of its last panel given no steps."""
-        width = max(g.counts.size for g in grids)
-        poly = np.empty((5, len(grids), width))
-        counts = np.zeros((len(grids), width), dtype=int)
-        for rod, g in enumerate(grids):
-            panels = g.counts.size
-            poly[:, rod, :panels], poly[:, rod, panels:] = g.poly, g.poly[:, -1:]
-            counts[rod, :panels] = g.counts
-        return cls(poly, counts)
-
 
 def build_step_grid(
     shape: ShapeFunction, E: float, J_y: float, J_z: float, steps: int = DEFAULT_STEPS
 ) -> StepGrid:
-    """``steps`` RK4 steps on each panel, geometric (module docstring), the
-    log of f1/f0 taken of the exact difference (Sterbenz) where f0/2 <= f1
-    <= 2 f0.  gz = 1/(E J_z F) multiplies the y-equation, gy = 1/(E J_y F)
-    the z-equation."""
+    """``steps`` RK4 steps on each panel of one rod (:func:`_step_grid`)."""
+    grid = _step_grid(_stacked_panels([shape]), np.array([[E, J_y, J_z]], dtype=float), steps)
+    return StepGrid(grid.poly[:, 0], grid.counts[0])
+
+
+def _step_grid(panels: _PanelStack, params: np.ndarray, steps: int) -> StepGrid:
+    """The grid of the rods of the stacked panel tables ``panels``, with
+    ``params`` (E, J_y, J_z) a row per rod, built in one pass over all
+    their panels: ``steps`` RK4 steps on each panel, geometric (module
+    docstring), the log of f1/f0 taken of the exact difference (Sterbenz)
+    where f0/2 <= f1 <= 2 f0.  gz = 1/(E J_z F) multiplies the y-equation,
+    gy = 1/(E J_y F) the z-equation."""
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
-    edges, left, right = shape.panels()
+    _, left, right, sizes, rows, own = panels
+    E, J_y, J_z = np.repeat(params, sizes, axis=0).T
     ratio = right / left
     near = (0.5 <= ratio) & (ratio <= 2.0)
     log_ratio = np.where(near, np.log1p((right - left) / left), np.log(ratio))
@@ -149,22 +152,21 @@ def build_step_grid(
     # the first step of each panel: its width and F at its stencil
     flat = log_ratio == 0.0
     r1 = np.expm1(log_ratio / counts)
-    h = np.diff(edges) * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
+    h = panels.widths * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
     f = np.array([left, left * (1.0 + 0.5 * r1), left * (1.0 + r1)])
     # gz = g / J_z and gy = g / J_y with g = 1/(E F): a1, a3, p2 and p4
     # are these products of g times powers of 1/J
     g0, g1, g2 = 1.0 / (E * f)
-    poly = np.empty((5, left.size))
-    poly[:4] = [
-        h / 6.0 * (g0 + 4.0 * g1 + g2),
-        h**3 / 12.0 * g1 * g1 * (g0 + g2),
-        h**2 / 6.0 * g1 * (g0 + g1 + g2),
-        h**4 / 24.0 * g1 * g1 * g2 * g0,
-    ]
     iz, q = 1.0 / J_z, 1.0 / (J_z * J_y)
-    poly[:4] *= np.array([iz, iz * q, q, q * q])[:, None]
-    poly[4] = J_z / J_y
-    return StepGrid(poly, counts)
+    poly = np.array([
+        h / 6.0 * (g0 + 4.0 * g1 + g2) * iz,
+        h**3 / 12.0 * g1 * g1 * (g0 + g2) * (iz * q),
+        h**2 / 6.0 * g1 * (g0 + g1 + g2) * q,
+        h**4 / 24.0 * g1 * g1 * g2 * g0 * (q * q),
+        J_z / J_y,
+    ])
+    # each rod's row of panels, past its own a copy of its last given no steps
+    return StepGrid(poly[:, rows], np.where(own, counts[rows], 0))
 
 
 def _step_terms(grid: StepGrid, M) -> tuple:
@@ -190,9 +192,11 @@ def _phase(grid: StepGrid, M) -> np.ndarray:
     """Theta (module docstring, Pruefer's angle) at the torques ``M``, the
     sum over panels of c atan2(omega, 1 + a), shaped as the traces of
     :func:`propagate`.  Where M B11 > 0, on grids that resolve M, trace S
-    has the sign of sin(Theta)."""
+    has the sign of sin(Theta).  The panels are summed from the left
+    (``np.cumsum``, not numpy's pairwise sum), so the panels of no steps
+    that pad a rod in a stacked grid leave its phase the same float."""
     c, *_, a, _, omega = _step_terms(grid, M)
-    return (c * np.arctan2(omega, 1.0 + a)).sum(axis=-1).reshape(np.shape(M))
+    return np.cumsum(c * np.arctan2(omega, 1.0 + a), axis=-1)[..., -1].reshape(np.shape(M))
 
 
 def propagate(grid: StepGrid, M: np.ndarray) -> np.ndarray:
@@ -275,17 +279,28 @@ def probe_torques(shape: ShapeFunction, E: float, J_y: float, J_z: float, bracke
     to a ratio above 2 pi E max(J_y, J_z) max F/L, which bound M*; the
     margins keep a root that discretisation moves past a bound inside the
     scan."""
+    return _probes(_stacked_panels([shape]), [shape.L], np.array([[E, J_y, J_z]], dtype=float), bracket)[0]
+
+
+def _probes(panels: _PanelStack, lengths: Sequence[float], params: np.ndarray, bracket) -> np.ndarray:
+    """:func:`probe_torques` of the rods of the stacked panel tables
+    ``panels``, of span ``lengths`` and (E, J_y, J_z) the rows of
+    ``params``, a row each, the same floats; a row shorter than the longest
+    is padded with NaN."""
     if bracket is not None:
         lo, hi = bracket
         if not 0.0 <= lo < hi:
             raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
-        return np.linspace(lo, hi, DEFAULT_PROBES + 1)
-    _, left, right = shape.panels()
-    scale = 2.0 * math.pi * E / shape.L
-    lo = scale * min(J_y, J_z) * float(np.minimum(left, right).min())
-    hi = scale * max(J_y, J_z) * float(np.maximum(left, right).max())
-    count = math.ceil(math.log(hi / lo) / math.log(PROBE_RATIO)) + 3
-    return lo / PROBE_RATIO * PROBE_RATIO ** np.arange(count)
+        return np.tile(np.linspace(lo, hi, DEFAULT_PROBES + 1), (len(params), 1))
+    E, J_y, J_z = params.T
+    first = panels.rows[:, 0]
+    scale = 2.0 * math.pi * E / np.array(lengths)
+    lo = scale * np.minimum(J_y, J_z) * np.minimum.reduceat(np.minimum(panels.left, panels.right), first)
+    hi = scale * np.maximum(J_y, J_z) * np.maximum.reduceat(np.maximum(panels.left, panels.right), first)
+    count = [math.ceil(math.log(b / a) / math.log(PROBE_RATIO)) + 3 for a, b in zip(lo.tolist(), hi.tolist())]
+    probe = np.arange(max(count))
+    x = (lo / PROBE_RATIO)[:, None] * PROBE_RATIO**probe
+    return np.where(probe < np.array(count)[:, None], x, np.nan)
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
@@ -378,64 +393,77 @@ def _interpolated_zero(x: list[float], t: list[float], j: int) -> tuple[float, f
     return p[0], abs(p[0] - previous[0])
 
 
-def _place(grid: StepGrid, probes: np.ndarray, tol: float, first: bool) -> list[tuple[float, int]]:
-    """Each torque r where the phase (:func:`_phase`) passes a multiple
-    2 pi k over the increasing ``probes`` x, with the index i of the probe
-    above it (x[i-1] < r <= x[i]); with ``first`` the first only.  r is
-    the zero of Theta - 2 pi k at the probes (:func:`_interpolated_zero`)
-    if it lies inside (x[i-1], x[i]) with error <= e/4, e = (tol + RTOL)
-    x[i], else :func:`brentq`'s on the phase to within about e/2, which
-    shoots nothing."""
-    theta, x = _phase(grid, probes), probes.tolist()
-    turns = theta // (2.0 * math.pi)
-    roots = []
-    for i in (np.flatnonzero(turns[1:] > turns[:-1]) + 1).tolist():
+def _place(grid: StepGrid, probes: np.ndarray, tol: float, first: bool) -> list[list[tuple[float, int]]]:
+    """Each rod's torques r where its phase (:func:`_phase`, one call for
+    the rods of ``grid``) passes a multiple 2 pi k over its increasing
+    probes x, its row of ``probes`` up to the NaN that pads it, with the
+    index i of the probe above it (x[i-1] < r <= x[i]); with ``first`` the
+    first only.  r is the zero of Theta - 2 pi k at the probes
+    (:func:`_interpolated_zero`) if it lies inside (x[i-1], x[i]) with
+    error <= e/4, e = (tol + RTOL) x[i], else :func:`brentq`'s on the
+    phase to within about e/2, which shoots nothing."""
+    theta = _phase(grid, probes)
+    passed = theta // (2.0 * math.pi)
+    passes = passed[:, 1:] > passed[:, :-1]
+    if first:
+        passes &= np.cumsum(passes, axis=1) == 1
+    rows, before = np.nonzero(passes)
+    placed = [[] for _ in probes]
+    probes, theta, passed = probes.tolist(), theta.tolist(), passed.tolist()
+    for rod, i in zip(rows.tolist(), (before + 1).tolist()):
+        x, turns, roots = probes[rod], passed[rod], placed[rod]
         for k in range(int(turns[i - 1]) + 1, int(turns[i]) + 1):
             turn, e = 2.0 * math.pi * k, (tol + RTOL) * x[i]
-            zero, error = _interpolated_zero(x, (theta - turn).tolist(), i)
+            zero, error = _interpolated_zero(x, [t - turn for t in theta[rod]], i)
             if not (x[i - 1] < zero < x[i] and error <= e / 4):
+                own = StepGrid(grid.poly[:, rod], grid.counts[rod])
                 zero = brentq(
-                    lambda m: float(_phase(grid, m)) - turn, x[i - 1], x[i], xtol=tol * x[i] / 2, rtol=RTOL
+                    lambda m: float(_phase(own, m)) - turn, x[i - 1], x[i], xtol=tol * x[i] / 2, rtol=RTOL
                 )
             roots.append((zero, i))
             if first:
-                return roots
-    return roots
+                break
+    return placed
 
 
-def _confirm(shot: list[float], S: np.ndarray, roots: list[tuple[float, int]], first: bool) -> None:
+def _confirm(M: np.ndarray, lengths: list[int], S: np.ndarray, placed: list, first: bool) -> None:
     """Check the roots of :func:`_place` against the endpoint matrices ``S``
-    at the torques ``shot``: the probes, then r - e/2, r and r + e/2 for
-    each root r.  Raises RootSearchError unless trace S(r - e/2) < 0 <=
-    trace S(r + e/2) and det S(r) <= 1e-6 * max |det S| over the probes up
-    to r, for every r, and the sorted shot holds as many upward trace
-    crossings as roots, and, with ``first``, one root."""
-    t, det = S[:, 0, 0] + S[:, 1, 1], endpoint_det(S)
-    stop = len(shot) - 3 * len(roots)
-    for below, (root, i) in zip(range(stop, len(shot), 3), roots):
-        if not t[below] < 0.0 <= t[below + 2]:
+    at the torques ``M``, every rod in one pass.  Row r of ``M`` holds rod
+    r's probes, then r - e/2, r and r + e/2 for each of its roots, in its
+    first ``lengths[r]`` entries, and repeats its last after them (repeats
+    add no trace crossing).  Raises the RootSearchError of the first rod,
+    in order, unless for every rod trace S(r - e/2) < 0 <= trace S(r +
+    e/2) and det S(r) <= 1e-6 * max |det S| over the probes up to r, for
+    every r, and the sorted row holds as many upward trace crossings as
+    roots, and, with ``first``, one root."""
+    traces, dets = S[..., 0, 0] + S[..., 1, 1], endpoint_det(S)
+    scales = np.maximum.accumulate(np.abs(dets), axis=1)
+    sorted_t = traces[np.arange(len(M))[:, None], np.argsort(M, axis=1, kind="stable")]
+    upward = np.add.reduce((sorted_t[:, :-1] < 0.0) & (sorted_t[:, 1:] >= 0.0), axis=1)
+    rows = zip(M.tolist(), lengths, traces.tolist(), dets.tolist(), scales.tolist(), upward.tolist(), placed)
+    for shot, length, t, det, det_scale, crossings, roots in rows:
+        stop = length - 3 * len(roots)
+        for below, (root, i) in zip(range(stop, length, 3), roots):
+            if not t[below] < 0.0 <= t[below + 2]:
+                raise RootSearchError(
+                    f"phase zero at M={root:.6g} is not an eigenvalue: trace S goes from "
+                    f"{t[below]:.3e} to {t[below + 2]:.3e} across it, not from minus to plus"
+                )
+            if det[below + 1] > 1e-6 * det_scale[i]:
+                raise RootSearchError(
+                    f"trace crossing at M={root:.6g} is not an eigenvalue: "
+                    f"det {det[below + 1]:.3e} vs scan scale {det_scale[i]:.3e}"
+                )
+        if crossings != len(roots):
             raise RootSearchError(
-                f"phase zero at M={root:.6g} is not an eigenvalue: trace S goes from "
-                f"{t[below]:.3e} to {t[below + 2]:.3e} across it, not from minus to plus"
+                f"{crossings} upward trace crossings in ({shot[0]:.6g}, {shot[stop - 1]:.6g}], but the "
+                f"phase places {len(roots)} roots"
             )
-        det_scale = float(np.max(np.abs(det[: i + 1])))
-        if det[below + 1] > 1e-6 * det_scale:
+        if first and not roots:
             raise RootSearchError(
-                f"trace crossing at M={root:.6g} is not an eigenvalue: "
-                f"det {det[below + 1]:.3e} vs scan scale {det_scale:.3e}"
+                f"no upward trace crossing in ({shot[0]:.6g}, {shot[length - 1]:.6g}): trace runs over "
+                f"[{min(t[:length]):.3e}, {max(t[:length]):.3e}] without a sign change from minus to plus"
             )
-    sorted_t = t[np.argsort(shot, kind="stable")]
-    crossings = np.count_nonzero((sorted_t[:-1] < 0.0) & (sorted_t[1:] >= 0.0))
-    if crossings != len(roots):
-        raise RootSearchError(
-            f"{crossings} upward trace crossings in ({shot[0]:.6g}, {shot[stop - 1]:.6g}], but the "
-            f"phase places {len(roots)} roots"
-        )
-    if first and not roots:
-        raise RootSearchError(
-            f"no upward trace crossing in ({shot[0]:.6g}, {shot[-1]:.6g}): trace runs over "
-            f"[{t.min():.3e}, {t.max():.3e}] without a sign change from minus to plus"
-        )
 
 
 def _roots(
@@ -443,31 +471,35 @@ def _roots(
 ) -> list[list[float]]:
     """Eigenvalues of each rod (shape, E, J_y, J_z) over
     :func:`probe_torques` of ``bracket`` on ``steps`` steps per panel, the
-    first only with ``first``: the phase places them (:func:`_place`), and
-    one :func:`propagate` call on the stacked grids shoots what
-    :func:`_confirm` checks, each rod's torques padded with its last.
-    Raises the RootSearchError of the first rod in order that fails the
-    check, or, before the shot, one :func:`brentq` raises on the phase."""
+    first only with ``first``, each stage run once for all rods: one grid
+    and one row of probes per rod from their stacked panel tables, one
+    :func:`_phase` call that places the roots (:func:`_place`), one
+    :func:`propagate` call that shoots what :func:`_confirm` checks in one
+    pass, each rod's torques padded with its last.  Raises the
+    RootSearchError of the first rod in order that fails the check, or,
+    before the shot, one :func:`brentq` raises on the phase."""
     if not rods:
         return []
-    grids = [build_step_grid(shape, E, J_y, J_z, steps) for shape, E, J_y, J_z in rods]
-    scans = [probe_torques(*rod, bracket) for rod in rods]
-    placed = [_place(grid, x, tol, first) for grid, x in zip(grids, scans)]
+    shapes = [shape for shape, *_ in rods]
+    table = _stacked_panels(shapes)
+    params = np.array([rod[1:] for rod in rods], dtype=float)
+    grid = _step_grid(table, params, steps)
+    probes = _probes(table, [shape.L for shape in shapes], params, bracket)
+    placed = _place(grid, probes, tol, first)
     shots = []
-    for x, roots in zip(scans, placed):
+    for x, roots in zip(probes.tolist(), placed):
         # with ``first`` the probes stop at the one above the root: far
         # above it the maps overflow
-        shot = x[: roots[0][1] + 1 if first and roots else None].tolist()
+        shot = x[: roots[0][1] + 1] if first and roots else [m for m in x if not math.isnan(m)]
         for root, i in roots:
             e = (tol + RTOL) * x[i]
             shot += [root - e / 2, root, root + e / 2]
         shots.append(shot)
-    M = np.empty((len(rods), max(map(len, shots))))
+    lengths = [len(shot) for shot in shots]
+    M = np.empty((len(rods), max(lengths)))
     for row, shot in zip(M, shots):
         row[: len(shot)], row[len(shot) :] = shot, shot[-1]
-    S = propagate(StepGrid.stack(grids), M)
-    for shot, S_rod, roots in zip(shots, S, placed):
-        _confirm(shot, S_rod[: len(shot)], roots, first)
+    _confirm(M, lengths, propagate(grid, M), placed, first)
     return [[root for root, _ in roots] for roots in placed]
 
 

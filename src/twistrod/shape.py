@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -525,6 +525,38 @@ class ShapeFunction(_ArrayRecord):
                 raise ValueError("sampled shape needs 'L'")
             return cls.sampled(values, json_number(d["L"], "shape 'L'"))
         raise ValueError(f"unknown shape kind {kind!r}")
+
+
+class _PanelStack(NamedTuple):
+    """The panel tables of several profiles end to end, for work on many
+    profiles in one pass: ``widths``, ``left`` and ``right`` of every panel
+    (``sizes[s]`` of them for profile s, in order), and ``rows``, of shape
+    (profiles, most panels), the index of panel j of profile s at [s, j],
+    its last panel past its own, where ``own`` is false."""
+
+    widths: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    own: np.ndarray
+
+
+def _stacked_panels(shapes: Sequence[ShapeFunction]) -> _PanelStack:
+    """The panel tables of ``shapes`` end to end (:class:`_PanelStack`)."""
+    tables = [shape.panels() for shape in shapes]
+    sizes = np.array([left.size for _, left, _ in tables])
+    panel = np.arange(np.maximum.reduce(sizes))
+    # each shape's last panel, as a column
+    last = sizes[:, None] - 1
+    return _PanelStack(
+        np.concatenate([edges[1:] - edges[:-1] for edges, _, _ in tables]),
+        np.concatenate([left for _, left, _ in tables]),
+        np.concatenate([right for _, _, right in tables]),
+        sizes,
+        (np.add.accumulate(sizes) - sizes)[:, None] + np.minimum(panel, last),
+        panel <= last,
+    )
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,18 @@ increasing, so the inverse is well defined.
 
 The map is summed in closed form over the profile's panel table
 (``ShapeFunction.panels``); nothing here depends on the profile's kind.
+:func:`_lengths` sums it for many profiles in one pass, to the same
+floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .shape import ShapeFunction, _ArrayRecord
+from .shape import ShapeFunction, _ArrayRecord, _stacked_panels
 
 
 def physical_length(shape: ShapeFunction) -> float:
@@ -46,8 +49,7 @@ class CoordinateMap(_ArrayRecord):
     @classmethod
     def build(cls, shape: ShapeFunction) -> "CoordinateMap":
         edges, left, right = shape.panels()
-        increments = _reciprocal_integral(np.diff(edges), left, right)
-        xs = np.concatenate([[0.0], np.cumsum(increments)])
+        xs = _nodes_x(_reciprocal_integral(np.diff(edges), left, right))
         xs.setflags(write=False)
         return cls(shape=shape, nodes_x=xs)
 
@@ -85,6 +87,25 @@ class CoordinateMap(_ArrayRecord):
             offset = w * f0 / d * np.expm1(d * u / w)
         # roundoff must not carry the result past the panel's right end
         return float(min(a + offset, b))
+
+
+def _nodes_x(increments: np.ndarray) -> np.ndarray:
+    """x at the panel edges from the panel integrals of 1/F along the last
+    axis of ``increments``: 0, then their sums from the left (``np.cumsum``,
+    so zeros after the last panel add nothing)."""
+    xs = np.zeros((*increments.shape[:-1], increments.shape[-1] + 1))
+    np.cumsum(increments, axis=-1, out=xs[..., 1:])
+    return xs
+
+
+def _lengths(shapes: Sequence[ShapeFunction]) -> list[float]:
+    """:func:`physical_length` of each of ``shapes``, the same floats, from
+    one pass over their stacked panel tables."""
+    if not shapes:
+        return []
+    panels = _stacked_panels(shapes)
+    increments = _reciprocal_integral(panels.widths, panels.left, panels.right)
+    return _nodes_x(np.where(panels.own, increments[panels.rows], 0.0))[:, -1].tolist()
 
 
 def _reciprocal_integral(

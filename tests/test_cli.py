@@ -154,6 +154,16 @@ class TestAnalyze:
         assert report["ratio"] == pytest.approx(8.0 / 9.0, rel=1e-12)
         assert report["oracle"]["disagreement"] <= 1e-8
 
+    def test_oracle_echoes_its_steps(self, tmp_path, capsys):
+        # the oracle's figure can be reproduced from the report alone
+        for name, rod in (("rod.json", PIECEWISE_ROD), ("aniso.json", ANISO_ROD)):
+            spec = write(tmp_path, name, rod)
+            assert main(["analyze", "--spec", spec, "--oracle", "--steps", "64"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["oracle"]["steps"] == 64
+            assert main(["analyze", "--spec", spec, "--oracle"]) == 0
+            assert json.loads(capsys.readouterr().out)["oracle"]["steps"] == oracle.DEFAULT_STEPS
+
     def test_one_area_profile_per_rod(self, tmp_path, capsys, monkeypatch):
         calls = []
         original = iso.area_profile

@@ -9,6 +9,7 @@ import pytest
 
 from twistrod.errors import EigenvalueConsistencyError
 from twistrod.greenhill import (
+    _critical_torques,
     critical_torque,
     critical_torque_constant,
     critical_torque_value,
@@ -17,7 +18,7 @@ from twistrod.greenhill import (
 from twistrod.oracle import critical_torque_oracle
 from twistrod.sampling import Lcg64, random_piecewise_shape
 from twistrod.shape import CrossSectionLaw, RodSpec, ShapeFunction, integrate
-from twistrod.transform import physical_length
+from twistrod.transform import _lengths, physical_length
 
 from shape_cases import random_sampled_shape
 
@@ -126,6 +127,28 @@ class TestVariableProfile:
         assert critical_torque_value(UNIFORM, mode_index=3) == pytest.approx(
             6.0 * math.pi, rel=1e-14
         )
+
+
+class TestBatchedClosedForm:
+    """Many rods' torques from one pass over their stacked panel tables."""
+
+    def test_same_floats_as_one_rod_at_a_time(self):
+        # every profile kind, 1 to 300 panels side by side, contrast down
+        # to 1e-8 and SI-scale magnitudes
+        rng = Lcg64(35)
+        shapes = [ShapeFunction.constant(1.0), ShapeFunction.constant(1e-8, 3.0), ShapeFunction.sampled([1.0, 2.0])]
+        shapes += [random_piecewise_shape(rng) for _ in range(5)] + [random_sampled_shape(rng) for _ in range(5)]
+        values = np.random.default_rng(35)
+        for nodes, lo in ((10, 1e-3), (130, 1e-8), (301, 0.5)):
+            shapes.append(ShapeFunction.sampled(np.exp(values.uniform(np.log(lo), 0.0, nodes)), 2.5))
+            breakpoints = np.concatenate([[0.0], np.sort(values.uniform(0.0, 4.0, nodes - 2)), [4.0]])
+            shapes.append(ShapeFunction.piecewise(breakpoints, np.exp(values.uniform(np.log(lo), 0.0, nodes - 1))))
+        specs = [rod(shape) for shape in shapes] + [rod(shape, E=2e11, J_ref=1e-8) for shape in shapes[::-1]]
+        assert {shape.panels()[1].size for shape in shapes} >= {1, 9, 129, 300}
+        assert _lengths([spec.shape for spec in specs]) == [physical_length(spec.shape) for spec in specs]
+        assert _critical_torques(specs) == [critical_torque_value(spec) for spec in specs]
+        assert _critical_torques(specs[:1]) == [critical_torque_value(specs[0])]
+        assert _critical_torques([]) == []
 
 
 class TestModeShape:

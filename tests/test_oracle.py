@@ -876,7 +876,7 @@ class TestRootAccuracy:
 
 
 class TestLockstep:
-    """Rods searched together, one kernel call for all of them."""
+    """Rods searched together, each stage run once for all of them."""
 
     @staticmethod
     def rods() -> list[tuple]:
@@ -888,6 +888,14 @@ class TestLockstep:
             rods.append((random_piecewise_shape(rng), 1.3, 16.0 * rng.uniform(), 1.0))
         rods.append((ShapeFunction.sampled([1.0, 1.0, 1.0, 1.0, 1e-5, 1.0, 1.0, 1.0]), 1.0, 1.0, 1.0))
         rods.append((ShapeFunction.piecewise([0.0, 1.0 / 4096.0, 1.0], [1e-8, 1.0]), 2e11, 1e-8, 4e-8))
+        # one panel beside 9, 40 and 200, and probe rows of 3 to 60 probes:
+        # stiffness contrast down to 1e-8 and J_y / J_z = 16
+        rng = np.random.default_rng(35)
+        rods += [(ShapeFunction.constant(1.0), 1.0, 1.0, 1.0), (ShapeFunction.sampled([1.0, 2.0]), 1.0, 16.0, 1.0)]
+        for nodes, lo in ((10, 1e-3), (41, 1e-8), (201, 1e-2)):
+            rods.append((ShapeFunction.sampled(np.exp(rng.uniform(np.log(lo), 0.0, nodes))), 1.0, 1.0, 16.0))
+        rods.append((ShapeFunction.piecewise(np.linspace(0.0, 1.0, 10), [1.0, 1e-8] * 4 + [1.0]), 1.0, 1.0, 1.0))
+        rods.append((ShapeFunction.constant(1e-8, 2.0), 1.0, 1.0, 1.0))
         return rods
 
     def test_batched_roots_equal_single_roots(self, monkeypatch):
@@ -910,6 +918,46 @@ class TestLockstep:
         # the same brentq safeguards on the phase batched as alone, however
         # many (none now)
         assert sorted(brackets) == fallbacks
+
+    def test_probe_rows_differ(self):
+        # the rods' probe rows and panel rows are as uneven as the docstring says
+        rods = self.rods()
+        probes = [probe_torques(*rod, None).size for rod in rods]
+        assert min(probes) == 3 and max(probes) >= 60
+        assert {1, 9, 40, 200} <= {rod[0].panels()[1].size for rod in rods}
+
+    def test_scan_ends_at_the_rods_own_last_probe(self, monkeypatch):
+        # a phase that passes 2 pi at M = 20 only: the unit rod's three
+        # probes end at 2 pi 1.4, so it has no root alone, and batched with a
+        # rod probed far longer it must not take one from past its own probes
+        monkeypatch.setattr(oracle, "_phase", lambda grid, M: 2.0 * math.pi * np.asarray(M) / 20.0)
+        short = (ShapeFunction.constant(1.0), 1.0, 1.0, 1.0)
+        long = (ShapeFunction.constant(1.0), 1.0, 16.0, 1.0)
+        assert probe_torques(*short, None)[-1] < 20.0 < probe_torques(*long, None)[-1]
+        with pytest.raises(RootSearchError) as alone:
+            oracle.first_roots([short])
+        with pytest.raises(RootSearchError) as batched:
+            oracle.first_roots([short, long])
+        assert str(batched.value) == str(alone.value)
+
+    def test_one_pass_per_stage(self, monkeypatch):
+        # the 100 rods of verify --n 50: one grid build, one phase call on
+        # the probes and one kernel call for all of them
+        calls = {"_step_grid": 0, "_phase": 0, "propagate": 0}
+        for name in calls:
+            original = getattr(oracle, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(oracle, name, counting)
+        rng = Lcg64(2024)
+        rods = [(s.shape, s.E, s.J_ref, s.J_ref) for s in (random_rod_spec(rng) for _ in range(50))]
+        rng = Lcg64(2026)
+        rods += [(a.shape, a.E, a.section.Jy, a.section.Jz) for a in (random_anisotropic_spec(rng) for _ in range(50))]
+        assert len(oracle.first_roots(rods)) == 100
+        assert calls == {"_step_grid": 1, "_phase": 1, "propagate": 1}
 
     def test_failing_rod_raises_its_own_error(self):
         # at 16 steps per panel these two find a trace crossing that is no eigenvalue
