@@ -143,7 +143,7 @@ def _step_grid(panels: _PanelStack, params: np.ndarray, steps: int) -> StepGrid:
     gy = 1/(E J_y F) the z-equation."""
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps, got {steps}")
-    _, left, right, sizes, rows, own = panels
+    widths, left, right, sizes, rows, own = panels
     E, J_y, J_z = np.repeat(params, sizes, axis=0).T
     ratio = right / left
     near = (0.5 <= ratio) & (ratio <= 2.0)
@@ -152,7 +152,7 @@ def _step_grid(panels: _PanelStack, params: np.ndarray, steps: int) -> StepGrid:
     # the first step of each panel: its width and F at its stencil
     flat = log_ratio == 0.0
     r1 = np.expm1(log_ratio / counts)
-    h = panels.widths * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
+    h = widths * np.where(flat, 1.0 / counts, r1 / np.expm1(np.where(flat, 1.0, log_ratio)))
     f = np.array([left, left * (1.0 + 0.5 * r1), left * (1.0 + r1)])
     # gz = g / J_z and gy = g / J_y with g = 1/(E F): a1, a3, p2 and p4
     # are these products of g times powers of 1/J
