@@ -496,9 +496,8 @@ def _roots(
             shot += [root - e / 2, root, root + e / 2]
         shots.append(shot)
     lengths = [len(shot) for shot in shots]
-    M = np.empty((len(rods), max(lengths)))
-    for row, shot in zip(M, shots):
-        row[: len(shot)], row[len(shot) :] = shot, shot[-1]
+    width = max(lengths)
+    M = np.array([shot + shot[-1:] * (width - len(shot)) for shot in shots])
     _confirm(M, lengths, propagate(grid, M), placed, first)
     return [[root for root, _ in roots] for roots in placed]
 
